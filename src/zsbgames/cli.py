@@ -114,13 +114,10 @@ def solve(spec_file, horizon, lam, side, p_text, q_text, show_strategy,
     p = spec.p0 if p is None else p
     q = spec.q0 if q is None else q
 
-    if dump_lp is not None:
-        build = (primal_solver.build_primal_p1 if side == 1
-                 else primal_solver.build_primal_p2)
-        lp = build(spec, p, q, n, lam)[0]
-        lp_core.write_lp_text(lp, dump_lp)
-
-    result = primal_solver.solve_primal(spec, p, q, n, lam, side)
+    dump = None if dump_lp is None else (
+        lambda lp: lp_core.write_lp_text(lp, dump_lp))
+    result = primal_solver.solve_primal(spec, p, q, n, lam, side,
+                                        inspect_lp=dump)
     click.echo(f"value={result.value:.6f}")
     label = "nu" if side == 1 else "mu"
     for i, v in enumerate(result.initial_vector_payoff):

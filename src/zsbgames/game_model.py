@@ -147,6 +147,11 @@ def loads_spec(text: str) -> GameSpec:
     missing = [k for k in _FILE_KEYS if k not in doc]
     if missing:
         raise ParseError(f"missing keys: {', '.join(missing)}")
+    for key in ("num_k", "num_l", "num_a", "num_b", "horizon"):
+        val = doc[key]
+        if isinstance(val, bool) or (isinstance(val, float)
+                                     and not val.is_integer()):
+            raise ValidationError(f"{key} must be an integer, got {val!r}")
     try:
         spec = GameSpec(
             num_k=int(doc["num_k"]),

@@ -1,7 +1,9 @@
 """Sparse LP data model and solve contract.
 
 All solver modules build `LinearProgram` instances (usually through
-`LpBuilder`) and call `solve`, which is backed by scipy's HiGHS. HiGHS is
+`LpBuilder`) and call `solve`, which is backed by scipy's HiGHS. An LP
+solved many times with different right-hand sides is compiled once into
+a `CompiledLP` and patched with `CompiledLP.with_rhs`. HiGHS is
 deterministic for identical input, which the rest of the package relies
 on for reproducible strategy extraction.
 """
@@ -9,7 +11,7 @@ on for reproducible strategy extraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -70,10 +72,10 @@ class LpBuilder:
     def new_vars(self, count: int, lower=-math.inf, upper=math.inf) -> list[int]:
         return [self.new_var(lower, upper) for _ in range(count)]
 
-    def add_row(self, coeffs: dict, rel: str, rhs: float) -> None:
-        items = [(v, c) for v, c in coeffs.items() if c != 0.0]
-        items.sort()
-        self._rows.append((items, rel, float(rhs)))
+    def add_row(self, coeffs: dict, rel: str, rhs: float) -> int:
+        """Append a row; returns its index in the built LP's `rows`."""
+        self._rows.append(_row(coeffs, rel, rhs))
+        return len(self._rows) - 1
 
     def build(self, sense: str, objective: dict) -> LinearProgram:
         obj = sorted((v, c) for v, c in objective.items() if c != 0.0)
@@ -82,45 +84,100 @@ class LpBuilder:
                              bounds=list(self._bounds))
 
 
-def _assemble(lp: LinearProgram):
+def _row(coeffs: dict, rel: str, rhs: float):
+    items = [(v, c) for v, c in coeffs.items() if c != 0.0]
+    items.sort()
+    return items, rel, float(rhs)
+
+
+_SIGN = {"<=": 1.0, ">=": -1.0}
+
+
+def _stack(rows, num_vars: int):
+    """CSR matrix and rhs of `rows`; >= rows are negated into <= form."""
+    data, row_i, col_j, rhs_out = [], [], [], []
+    for coeffs, rel, rhs in rows:
+        sign = _SIGN.get(rel, 1.0)
+        row = len(rhs_out)
+        rhs_out.append(sign * rhs)
+        for var, coef in coeffs:
+            row_i.append(row)
+            col_j.append(var)
+            data.append(sign * coef)
+    mat = sp.csr_matrix((data, (row_i, col_j)),
+                        shape=(len(rhs_out), num_vars)) if rhs_out else None
+    return mat, np.array(rhs_out)
+
+
+@dataclass
+class CompiledLP:
+    """A LinearProgram in the array form HiGHS takes: minimize c @ x
+    subject to a_ub @ x <= b_ub, a_eq @ x = b_eq and bounds[:, 0] <= x <=
+    bounds[:, 1].
+
+    `slots[row]` is where row `row` of the source LP sits in b_ub or b_eq
+    (which one `rels[row]` tells), so `with_rhs` can patch right-hand sides
+    without reassembling the matrices.
+    """
+
+    sense: str
+    c: np.ndarray
+    a_ub: sp.csr_matrix | None
+    b_ub: np.ndarray
+    a_eq: sp.csr_matrix | None
+    b_eq: np.ndarray
+    bounds: np.ndarray               # (num_vars, 2)
+    rels: list
+    slots: np.ndarray
+
+    @property
+    def num_vars(self) -> int:
+        return self.c.size
+
+    def with_rhs(self, rows, values, extra_rows=()) -> CompiledLP:
+        """Copy whose rows `rows` have right-hand sides `values` and whose
+        <= block ends with `extra_rows`, given as (coeffs dict, "<=" or ">=",
+        rhs) like `LpBuilder.add_row` takes them. Matrices are shared."""
+        b_ub, b_eq = self.b_ub.copy(), self.b_eq.copy()
+        for row, value in zip(rows, values):
+            rel = self.rels[row]
+            if rel == "=":
+                b_eq[self.slots[row]] = float(value)
+            else:
+                b_ub[self.slots[row]] = _SIGN[rel] * float(value)
+        a_ub = self.a_ub
+        if extra_rows:
+            block, b_block = _stack([_row(*r) for r in extra_rows],
+                                    self.num_vars)
+            a_ub = (block if a_ub is None
+                    else sp.vstack([a_ub, block], format="csr"))
+            b_ub = np.concatenate([b_ub, b_block])
+        return replace(self, a_ub=a_ub, b_ub=b_ub, b_eq=b_eq)
+
+
+def compile_lp(lp: LinearProgram) -> CompiledLP:
     c = np.zeros(lp.num_vars)
     for var, coef in lp.objective:
         c[var] = coef
     if lp.sense == MAX:
         c = -c
-
-    ub_data, ub_i, ub_j, ub_rhs = [], [], [], []
-    eq_data, eq_i, eq_j, eq_rhs = [], [], [], []
-    for coeffs, rel, rhs in lp.rows:
-        if rel == "=":
-            row = len(eq_rhs)
-            eq_rhs.append(rhs)
-            for var, coef in coeffs:
-                eq_i.append(row)
-                eq_j.append(var)
-                eq_data.append(coef)
-        else:
-            sign = 1.0 if rel == "<=" else -1.0
-            row = len(ub_rhs)
-            ub_rhs.append(sign * rhs)
-            for var, coef in coeffs:
-                ub_i.append(row)
-                ub_j.append(var)
-                ub_data.append(sign * coef)
-
-    a_ub = sp.csr_matrix((ub_data, (ub_i, ub_j)),
-                         shape=(len(ub_rhs), lp.num_vars)) if ub_rhs else None
-    a_eq = sp.csr_matrix((eq_data, (eq_i, eq_j)),
-                         shape=(len(eq_rhs), lp.num_vars)) if eq_rhs else None
-    return c, a_ub, np.array(ub_rhs), a_eq, np.array(eq_rhs)
+    rels = [rel for _, rel, _ in lp.rows]
+    is_eq = np.array([rel == "=" for rel in rels], dtype=bool)
+    slots = np.where(is_eq, np.cumsum(is_eq), np.cumsum(~is_eq)) - 1
+    a_ub, b_ub = _stack([r for r in lp.rows if r[1] != "="], lp.num_vars)
+    a_eq, b_eq = _stack([r for r in lp.rows if r[1] == "="], lp.num_vars)
+    bounds = np.array(lp.bounds, dtype=float).reshape(lp.num_vars, 2)
+    return CompiledLP(lp.sense, c, a_ub, b_ub, a_eq, b_eq, bounds, rels,
+                      slots)
 
 
-def solve(lp: LinearProgram) -> LpSolution:
+def solve(lp: LinearProgram | CompiledLP) -> LpSolution:
     """Solve with HiGHS. Raises NumericalError if the backend cannot classify."""
-    c, a_ub, b_ub, a_eq, b_eq = _assemble(lp)
-    res = linprog(c,
-                  A_ub=a_ub, b_ub=b_ub if a_ub is not None else None,
-                  A_eq=a_eq, b_eq=b_eq if a_eq is not None else None,
+    if isinstance(lp, LinearProgram):
+        lp = compile_lp(lp)
+    res = linprog(lp.c,
+                  A_ub=lp.a_ub, b_ub=lp.b_ub if lp.a_ub is not None else None,
+                  A_eq=lp.a_eq, b_eq=lp.b_eq if lp.a_eq is not None else None,
                   bounds=lp.bounds, method="highs")
     if res.status == 0:
         value = float(res.fun)

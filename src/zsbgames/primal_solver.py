@@ -10,6 +10,7 @@ player-2 system uses <= rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,15 +73,22 @@ class PrimalResult:
     initial_vector_payoff: np.ndarray
 
 
+class SequenceSystem(NamedTuple):
+    plan_vars: dict                 # (t, hid, own action) -> var, own histories
+    payoff_vars: dict               # (t, hid) -> var, opponent histories
+    root_rows: list                 # [s] -> flow row whose rhs is root_dist[s]
+
+
 def add_sequence_system(builder: LpBuilder, spec: GameSpec, index: HistoryIndex,
-                        side: int, n: int, lam: float, root_dist: np.ndarray):
+                        side: int, n: int, lam: float,
+                        root_dist: np.ndarray) -> SequenceSystem:
     """Add one player's sequence-form constraint system to `builder`.
 
-    Returns (plan_vars, payoff_vars): plan_vars maps (t, hid, own action)
-    to a nonnegative LP variable over side-`side` histories; payoff_vars
-    maps (t, hid) to a free variable over the opponent's histories. The
+    plan_vars are nonnegative LP variables over side-`side` histories;
+    payoff_vars are free variables over the opponent's histories. The
     terminal payoff variables at depth n+1 are the constant 0 and are
-    substituted out.
+    substituted out. Only the depth-1 flow rows (`root_rows`) depend on
+    `root_dist`, through their right-hand sides.
     """
     opp = 3 - side
     own_actions = spec.num_a if side == 1 else spec.num_b
@@ -132,11 +140,13 @@ def add_sequence_system(builder: LpBuilder, spec: GameSpec, index: HistoryIndex,
                                 opp_trans[ab[0], ab[1], opp_state, nxt]
                 builder.add_row(coeffs, rel, 0.0)
 
-    # flow rows
+    # flow rows; depth-1 history ids are the own states in order
+    root_rows = []
     for hid in range(index.count(side, 1)):
         states, _ = index.history(side, 1, hid)
         coeffs = {plan_vars[(1, hid, act)]: 1.0 for act in range(own_actions)}
-        builder.add_row(coeffs, "=", float(root_dist[states[0]]))
+        root_rows.append(builder.add_row(coeffs, "=",
+                                         float(root_dist[states[0]])))
     for t in range(2, n + 1):
         for hid, (states, acts) in enumerate(index.histories(side, t)):
             pid, (a_prev, b_prev) = index.parent(side, t, hid)
@@ -147,7 +157,7 @@ def add_sequence_system(builder: LpBuilder, spec: GameSpec, index: HistoryIndex,
             coeffs[var] = coeffs.get(var, 0.0) - trans
             builder.add_row(coeffs, "=", 0.0)
 
-    return plan_vars, payoff_vars
+    return SequenceSystem(plan_vars, payoff_vars, root_rows)
 
 
 def build_primal_p1(spec: GameSpec, p, q, n: int, lam: float,
@@ -157,8 +167,8 @@ def build_primal_p1(spec: GameSpec, p, q, n: int, lam: float,
     if index is None:
         index = build_index(spec, n, max_vars=max_vars)
     builder = LpBuilder()
-    r_vars, u_vars = add_sequence_system(builder, spec, index, 1, n, lam,
-                                         np.asarray(p, dtype=float))
+    r_vars, u_vars, _ = add_sequence_system(builder, spec, index, 1, n, lam,
+                                            np.asarray(p, dtype=float))
     objective = {u_vars[(1, index.id_of(2, 1, (l,), ()))]: float(q[l])
                  for l in range(spec.num_l)}
     lp = builder.build(lp_core.MAX, objective)
@@ -172,8 +182,8 @@ def build_primal_p2(spec: GameSpec, p, q, n: int, lam: float,
     if index is None:
         index = build_index(spec, n, max_vars=max_vars)
     builder = LpBuilder()
-    s_vars, z_vars = add_sequence_system(builder, spec, index, 2, n, lam,
-                                         np.asarray(q, dtype=float))
+    s_vars, z_vars, _ = add_sequence_system(builder, spec, index, 2, n, lam,
+                                            np.asarray(q, dtype=float))
     objective = {z_vars[(1, index.id_of(1, 1, (k,), ()))]: float(p[k])
                  for k in range(spec.num_k)}
     lp = builder.build(lp_core.MIN, objective)
@@ -220,44 +230,39 @@ def extract_strategy(plan: RealizationPlan, spec: GameSpec) -> BehavioralStrateg
 
 
 def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
-                 max_vars: int = DEFAULT_MAX_VARS) -> PrimalResult:
+                 max_vars: int = DEFAULT_MAX_VARS,
+                 inspect_lp=None) -> PrimalResult:
     """Game value, security strategy and initial vector payoff for `side`.
 
     The weighted payoffs (and hence the initial vector payoff of the
     other side's dual game) are recomputed with a best-response LP
     against the extracted plan, so they are well defined even at
-    opponent states with zero prior weight.
+    opponent states with zero prior weight. `inspect_lp`, if given, is
+    called with the LinearProgram before it is solved.
     """
     from . import best_response
 
+    if side not in (1, 2):
+        raise ValueError(f"side must be 1 or 2, got {side}")
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
+    build = build_primal_p1 if side == 1 else build_primal_p2
+    lp, plan_vars, _, index = build(spec, p, q, n, lam, max_vars=max_vars)
+    if inspect_lp is not None:
+        inspect_lp(lp)
+    sol = lp_core.solve(lp)
+    if sol.status != "optimal":
+        raise SolverError(f"primal LP (player {side}) returned {sol.status}")
+    own, other = (p, q) if side == 1 else (q, p)
+    plan = plan_from_solution(index, side, n, plan_vars, sol.primal, own)
+    strategy = extract_strategy(plan, spec)
     if side == 1:
-        lp, plan_vars, _, index = build_primal_p1(spec, p, q, n, lam,
-                                                  max_vars=max_vars)
-        sol = lp_core.solve(lp)
-        if sol.status != "optimal":
-            raise SolverError(f"primal LP (player 1) returned {sol.status}")
-        plan = plan_from_solution(index, 1, n, plan_vars, sol.primal, p)
-        strategy = extract_strategy(plan, spec)
-        br = best_response.best_response_vs_p1(spec, plan, q, n, lam)
-        vector = -np.array([br.payoff_map[(1, index.id_of(2, 1, (l,), ()))]
-                            for l in range(spec.num_l)])
-        return PrimalResult(value=sol.objective_value, plan=plan,
-                            strategy=strategy, weighted_payoffs=br.payoff_map,
-                            initial_vector_payoff=vector)
-    if side == 2:
-        lp, plan_vars, _, index = build_primal_p2(spec, p, q, n, lam,
-                                                  max_vars=max_vars)
-        sol = lp_core.solve(lp)
-        if sol.status != "optimal":
-            raise SolverError(f"primal LP (player 2) returned {sol.status}")
-        plan = plan_from_solution(index, 2, n, plan_vars, sol.primal, q)
-        strategy = extract_strategy(plan, spec)
-        br = best_response.best_response_vs_p2(spec, plan, p, n, lam)
-        vector = -np.array([br.payoff_map[(1, index.id_of(1, 1, (k,), ()))]
-                            for k in range(spec.num_k)])
-        return PrimalResult(value=sol.objective_value, plan=plan,
-                            strategy=strategy, weighted_payoffs=br.payoff_map,
-                            initial_vector_payoff=vector)
-    raise ValueError(f"side must be 1 or 2, got {side}")
+        br = best_response.best_response_vs_p1(spec, plan, other, n, lam)
+    else:
+        br = best_response.best_response_vs_p2(spec, plan, other, n, lam)
+    opp_states = spec.num_l if side == 1 else spec.num_k
+    vector = -np.array([br.payoff_map[(1, index.id_of(3 - side, 1, (s,), ()))]
+                        for s in range(opp_states)])
+    return PrimalResult(value=sol.objective_value, plan=plan,
+                        strategy=strategy, weighted_payoffs=br.payoff_map,
+                        initial_vector_payoff=vector)

@@ -6,7 +6,8 @@ The vector-payoff update LP couples one sub-system per action pair
 the posterior belief for that pair, a scalar tail value, and the new
 vector payoff itself. The coupling scalar equals the dual-game value, so
 only one LP solve is needed per stage even though all action pairs'
-candidate payoffs are produced.
+candidate payoffs are produced. The LP is compiled once per (kind, n,
+lambda) as an `UpdateTemplate`; see there for what a solve patches.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import lp_core
 from .errors import SolverError, ValidationError
 from .game_model import GameSpec
 from .history_index import DEFAULT_MAX_VARS, build_index
-from .lp_core import LpBuilder
+from .lp_core import CompiledLP, LpBuilder
 from .primal_solver import add_sequence_system
 
 DEGENERATE_TOL = 1e-9
@@ -73,113 +74,130 @@ class UpdateResult:
     all_vectors: dict               # (a, b) -> candidate vector payoff
 
 
+@dataclass
+class UpdateTemplate:
+    """Update LP of one kind, compiled without its statistic.
+
+    Kind 1 advances the vector payoff over player 1's states (player 2's
+    statistic, sub-systems are player 2's); kind 2 mirrors it. Everything
+    but the per-pair posteriors (flow-row right-hand sides) and the final
+    coupling block (one row per vector owner's action and state, whose
+    coefficients scale with the plan owner's stage action weights) is
+    fixed, so the block is rebuilt per solve and appended last.
+    """
+
+    spec: GameSpec
+    kind: int
+    n: int
+    lam: float
+    lp: CompiledLP
+    scalar: int                     # rho (kind 1) or phi (kind 2)
+    tail_vars: dict                 # (a, b) -> tail value variable
+    vector_vars: dict               # (a, b) -> candidate vector payoff variables
+    root_rows: dict                 # (a, b) -> sub-system flow rows (none at n = 1)
+
+    def lp_at(self, vec, belief, star) -> CompiledLP:
+        """The template's LP at a statistic: `vec` is the vector payoff being
+        advanced, `belief` and `star` the plan owner's belief and stage-1
+        strategy (action, state) of the dual game at (vec, belief)."""
+        spec, kind, lam = self.spec, self.kind, self.lam
+        posterior = update_belief_q if kind == 1 else update_belief_p
+        rows, roots = [], []
+        if self.n >= 2:
+            for (aa, bb), flow in self.root_rows.items():
+                rows += flow
+                roots.extend(posterior(spec, belief, star, aa, bb))
+
+        # coupling block: one row per (vector owner's action o, state s),
+        # summed over the plan owner's action m
+        num_vec = spec.num_k if kind == 1 else spec.num_l
+        own_trans = spec.trans_p if kind == 1 else spec.trans_q
+        payoff = spec.payoff if kind == 1 else spec.payoff.transpose(1, 0, 3, 2)
+        bar = star @ belief             # bar[m] = sum_s belief(s) star(m, s)
+        rel = ">=" if kind == 1 else "<="
+        block = []
+        for o in range(spec.num_a if kind == 1 else spec.num_b):
+            for s in range(num_vec):
+                coeffs = {self.scalar: 1.0}
+                rhs = float(vec[s])
+                for m in range(spec.num_b if kind == 1 else spec.num_a):
+                    pair = (o, m) if kind == 1 else (m, o)
+                    rhs += float(np.dot(payoff[s, :, o, m] * belief, star[m]))
+                    coeffs[self.tail_vars[pair]] = -lam * float(bar[m])
+                    for s2, var in enumerate(self.vector_vars[pair]):
+                        coeffs[var] = coeffs.get(var, 0.0) + \
+                            lam * float(bar[m]) * own_trans[pair][s, s2]
+                block.append((coeffs, rel, rhs))
+        return self.lp.with_rhs(rows, roots, extra_rows=block)
+
+
+def update_template(spec: GameSpec, kind: int, n: int, lam: float,
+                    max_vars: int = DEFAULT_MAX_VARS) -> UpdateTemplate:
+    side = 3 - kind                 # owner of the sub-system plans
+    num_vec = spec.num_k if kind == 1 else spec.num_l
+    rel = "<=" if kind == 1 else ">="
+    builder = LpBuilder()
+    scalar = builder.new_var()
+    sub_index = build_index(spec, n - 1, max_vars=max_vars) if n >= 2 else None
+    tail_vars, vector_vars, root_rows = {}, {}, {}
+    for aa in range(spec.num_a):
+        for bb in range(spec.num_b):
+            tail = tail_vars[(aa, bb)] = builder.new_var()
+            vec = vector_vars[(aa, bb)] = builder.new_vars(num_vec)
+            root_rows[(aa, bb)] = []
+            if n >= 2:
+                _, payoff_vars, root_rows[(aa, bb)] = add_sequence_system(
+                    builder, spec, sub_index, side, n - 1, lam,
+                    np.zeros(spec.num_k if side == 1 else spec.num_l))
+            for s in range(num_vec):
+                coeffs = {vec[s]: 1.0, tail: -1.0}
+                if n >= 2:
+                    root = sub_index.id_of(kind, 1, (s,), ())
+                    coeffs[payoff_vars[(1, root)]] = 1.0
+                builder.add_row(coeffs, rel, 0.0)
+    lp = builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {scalar: 1.0})
+    return UpdateTemplate(spec=spec, kind=kind, n=n, lam=lam,
+                          lp=lp_core.compile_lp(lp), scalar=scalar,
+                          tail_vars=tail_vars, vector_vars=vector_vars,
+                          root_rows=root_rows)
+
+
+def _update(spec, kind, vec, belief, star, a, b, n, lam, max_vars,
+            template) -> UpdateResult:
+    if template is None:
+        template = update_template(spec, kind, n, lam, max_vars=max_vars)
+    elif (template.kind, template.n, template.lam) != (kind, n, lam):
+        raise ValueError(f"template is for update type {template.kind} at "
+                         f"n={template.n}, lambda={template.lam}")
+    sol = lp_core.solve(template.lp_at(np.asarray(vec, dtype=float),
+                                       np.asarray(belief, dtype=float),
+                                       np.asarray(star, dtype=float)))
+    if sol.status != "optimal":
+        raise SolverError(
+            f"vector-payoff update LP (type {kind}) returned {sol.status}")
+    all_vectors = {key: sol.primal[vars_]
+                   for key, vars_ in template.vector_vars.items()}
+    return UpdateResult(vector=all_vectors[(a, b)],
+                        w=sol.objective_value, all_vectors=all_vectors)
+
+
 def update_mu(spec: GameSpec, mu, q, y_star, a: int, b: int, n: int,
-              lam: float, max_vars: int = DEFAULT_MAX_VARS) -> UpdateResult:
+              lam: float, max_vars: int = DEFAULT_MAX_VARS,
+              template: UpdateTemplate | None = None) -> UpdateResult:
     """Next vector payoff over player 1's states for player 2's statistic.
 
     `y_star` must be player 2's stage-1 strategy of the n-stage dual game
     at (mu, q); the returned scalar then equals that dual game's value.
     """
-    mu = np.asarray(mu, dtype=float)
-    q = np.asarray(q, dtype=float)
-    y_star = np.asarray(y_star, dtype=float)
-    ybar = y_star @ q                              # ybar[b'] = sum_l q(l) Y(b', l)
-
-    builder = LpBuilder()
-    rho = builder.new_var()
-    sub_index = build_index(spec, n - 1, max_vars=max_vars) if n >= 2 else None
-    z0_vars, beta_vars = {}, {}
-    for aa in range(spec.num_a):
-        for bb in range(spec.num_b):
-            z0_vars[(aa, bb)] = builder.new_var()
-            beta_vars[(aa, bb)] = builder.new_vars(spec.num_k)
-            if n >= 2:
-                q_plus = update_belief_q(spec, q, y_star, aa, bb)
-                _, z_vars = add_sequence_system(builder, spec, sub_index, 2,
-                                                n - 1, lam, q_plus)
-                for k in range(spec.num_k):
-                    root = z_vars[(1, sub_index.id_of(1, 1, (k,), ()))]
-                    builder.add_row({beta_vars[(aa, bb)][k]: 1.0, root: 1.0,
-                                     z0_vars[(aa, bb)]: -1.0}, "<=", 0.0)
-            else:
-                for k in range(spec.num_k):
-                    builder.add_row({beta_vars[(aa, bb)][k]: 1.0,
-                                     z0_vars[(aa, bb)]: -1.0}, "<=", 0.0)
-
-    for aa in range(spec.num_a):
-        for k in range(spec.num_k):
-            coeffs = {rho: 1.0}
-            rhs = float(mu[k])
-            for bb in range(spec.num_b):
-                rhs += float(np.dot(spec.payoff[k, :, aa, bb] * q, y_star[bb]))
-                coeffs[z0_vars[(aa, bb)]] = -lam * float(ybar[bb])
-                for k2 in range(spec.num_k):
-                    var = beta_vars[(aa, bb)][k2]
-                    coeffs[var] = coeffs.get(var, 0.0) + \
-                        lam * float(ybar[bb]) * spec.trans_p[aa, bb, k, k2]
-            builder.add_row(coeffs, ">=", rhs)
-
-    lp = builder.build(lp_core.MIN, {rho: 1.0})
-    sol = lp_core.solve(lp)
-    if sol.status != "optimal":
-        raise SolverError(f"vector-payoff update LP (type 1) returned {sol.status}")
-    all_vectors = {key: np.array([sol.primal[v] for v in vars_])
-                   for key, vars_ in beta_vars.items()}
-    return UpdateResult(vector=all_vectors[(a, b)],
-                        w=sol.objective_value, all_vectors=all_vectors)
+    return _update(spec, 1, mu, q, y_star, a, b, n, lam, max_vars, template)
 
 
 def update_nu(spec: GameSpec, nu, p, x_star, a: int, b: int, n: int,
-              lam: float, max_vars: int = DEFAULT_MAX_VARS) -> UpdateResult:
+              lam: float, max_vars: int = DEFAULT_MAX_VARS,
+              template: UpdateTemplate | None = None) -> UpdateResult:
     """Next vector payoff over player 2's states for player 1's statistic.
 
     Mirror of update_mu: `x_star` is player 1's stage-1 strategy of the
     n-stage dual game at (p, nu).
     """
-    nu = np.asarray(nu, dtype=float)
-    p = np.asarray(p, dtype=float)
-    x_star = np.asarray(x_star, dtype=float)
-    xbar = x_star @ p                              # xbar[a'] = sum_k p(k) X(a', k)
-
-    builder = LpBuilder()
-    phi = builder.new_var()
-    sub_index = build_index(spec, n - 1, max_vars=max_vars) if n >= 2 else None
-    u0_vars, alpha_vars = {}, {}
-    for aa in range(spec.num_a):
-        for bb in range(spec.num_b):
-            u0_vars[(aa, bb)] = builder.new_var()
-            alpha_vars[(aa, bb)] = builder.new_vars(spec.num_l)
-            if n >= 2:
-                p_plus = update_belief_p(spec, p, x_star, aa, bb)
-                _, u_vars = add_sequence_system(builder, spec, sub_index, 1,
-                                                n - 1, lam, p_plus)
-                for l in range(spec.num_l):
-                    root = u_vars[(1, sub_index.id_of(2, 1, (l,), ()))]
-                    builder.add_row({alpha_vars[(aa, bb)][l]: 1.0, root: 1.0,
-                                     u0_vars[(aa, bb)]: -1.0}, ">=", 0.0)
-            else:
-                for l in range(spec.num_l):
-                    builder.add_row({alpha_vars[(aa, bb)][l]: 1.0,
-                                     u0_vars[(aa, bb)]: -1.0}, ">=", 0.0)
-
-    for bb in range(spec.num_b):
-        for l in range(spec.num_l):
-            coeffs = {phi: 1.0}
-            rhs = float(nu[l])
-            for aa in range(spec.num_a):
-                rhs += float(np.dot(spec.payoff[:, l, aa, bb] * p, x_star[aa]))
-                coeffs[u0_vars[(aa, bb)]] = -lam * float(xbar[aa])
-                for l2 in range(spec.num_l):
-                    var = alpha_vars[(aa, bb)][l2]
-                    coeffs[var] = coeffs.get(var, 0.0) + \
-                        lam * float(xbar[aa]) * spec.trans_q[aa, bb, l, l2]
-            builder.add_row(coeffs, "<=", rhs)
-
-    lp = builder.build(lp_core.MAX, {phi: 1.0})
-    sol = lp_core.solve(lp)
-    if sol.status != "optimal":
-        raise SolverError(f"vector-payoff update LP (type 2) returned {sol.status}")
-    all_vectors = {key: np.array([sol.primal[v] for v in vars_])
-                   for key, vars_ in alpha_vars.items()}
-    return UpdateResult(vector=all_vectors[(a, b)],
-                        w=sol.objective_value, all_vectors=all_vectors)
+    return _update(spec, 2, nu, p, x_star, a, b, n, lam, max_vars, template)

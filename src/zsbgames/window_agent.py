@@ -60,17 +60,26 @@ class SolverCache:
 
     The statistic trajectory of a window agent depends only on the public
     action sequence, so sharing one cache across the episodes of a Monte
-    Carlo run removes almost all repeated solves.
+    Carlo run removes almost all repeated solves. A miss on a dual or
+    update LP patches that LP's template, compiled on first use per (kind,
+    n, lambda) and kept for the cache's lifetime.
     """
 
     def __init__(self, spec: GameSpec):
         self.spec = spec
         self._store = {}
+        self._templates = {}
 
     def _memo(self, key, compute):
         if key not in self._store:
             self._store[key] = compute()
         return self._store[key]
+
+    def _template(self, make, kind, n, lam):
+        key = (make.__name__, kind, n, lam)
+        if key not in self._templates:
+            self._templates[key] = make(self.spec, kind, n, lam)
+        return self._templates[key]
 
     def primal(self, p, q, n, lam, side):
         key = ("primal", side, n, lam, _stat_key(np.asarray(p), np.asarray(q)))
@@ -80,25 +89,29 @@ class SolverCache:
     def dual1(self, mu, q, n, lam):
         key = ("dual1", n, lam, _stat_key(np.asarray(mu), np.asarray(q)))
         return self._memo(key, lambda: dual_solver.solve_dual1(
-            self.spec, mu, q, n, lam))
+            self.spec, mu, q, n, lam,
+            template=self._template(dual_solver.dual_template, 1, n, lam)))
 
     def dual2(self, p, nu, n, lam):
         key = ("dual2", n, lam, _stat_key(np.asarray(p), np.asarray(nu)))
         return self._memo(key, lambda: dual_solver.solve_dual2(
-            self.spec, p, nu, n, lam))
+            self.spec, p, nu, n, lam,
+            template=self._template(dual_solver.dual_template, 2, n, lam)))
 
     def update_mu(self, mu, q, n, lam, a, b):
         key = ("upd1", n, lam, _stat_key(np.asarray(mu), np.asarray(q)))
         res = self._memo(key, lambda: stat_updater.update_mu(
             self.spec, mu, q, self.dual1(mu, q, n, lam).strategy.stage1_matrix(),
-            a, b, n, lam))
+            a, b, n, lam,
+            template=self._template(stat_updater.update_template, 1, n, lam)))
         return res.all_vectors[(a, b)], res.w
 
     def update_nu(self, nu, p, n, lam, a, b):
         key = ("upd2", n, lam, _stat_key(np.asarray(nu), np.asarray(p)))
         res = self._memo(key, lambda: stat_updater.update_nu(
             self.spec, nu, p, self.dual2(p, nu, n, lam).strategy.stage1_matrix(),
-            a, b, n, lam))
+            a, b, n, lam,
+            template=self._template(stat_updater.update_template, 2, n, lam)))
         return res.all_vectors[(a, b)], res.w
 
 

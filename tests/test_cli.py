@@ -1,8 +1,9 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
-from zsbgames import save_spec
+from zsbgames import lp_core, primal_solver, save_spec
 from zsbgames.cli import main
 from zsbgames.game_model import case_study_path
 
@@ -66,6 +67,46 @@ def test_solve_with_overrides_and_dump(tmp_path, rng):
     assert result.exit_code == 0, result.output
     assert dump.read_text().startswith("Maximize")
     assert "stage1[state=0]=" in result.output
+
+
+def test_solve_dump_lp_builds_the_solved_lp_once(tmp_path, rng, monkeypatch):
+    path = _write(tmp_path, random_spec(rng, horizon=3))
+    dump = tmp_path / "model.lp"
+    built, solved = [], []
+    build = primal_solver.build_primal_p2
+    solve = lp_core.solve
+
+    def counting_build(*args, **kwargs):
+        out = build(*args, **kwargs)
+        built.append(out[0])
+        return out
+
+    def recording_solve(lp):
+        solved.append(lp)
+        return solve(lp)
+
+    monkeypatch.setattr(primal_solver, "build_primal_p2", counting_build)
+    monkeypatch.setattr(lp_core, "solve", recording_solve)
+    result = CliRunner().invoke(main, ["solve", "--spec", path, "--side", "2",
+                                       "--dump-lp", str(dump)])
+    assert result.exit_code == 0, result.output
+    assert len(built) == 1
+    assert solved[0] is built[0]
+    expected = tmp_path / "expected.lp"
+    lp_core.write_lp_text(built[0], expected)
+    assert dump.read_text() == expected.read_text()
+
+
+@pytest.mark.parametrize("key,value", [("num_a", 2.7), ("horizon", True)])
+def test_validate_non_integer_size_exits_2(tmp_path, key, value):
+    path = tmp_path / "game.json"
+    save_spec(constant_spec(), path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert result.exit_code == 2
+    assert f"{key} must be an integer" in result.output
 
 
 def test_solve_rejects_bad_distribution_flag(tmp_path, rng):

@@ -99,6 +99,37 @@ def test_load_runs_validation(tmp_path):
         load_spec(path)
 
 
+def _spec_doc(**changes):
+    spec = constant_spec()
+    doc = {"num_k": spec.num_k, "num_l": spec.num_l, "num_a": spec.num_a,
+           "num_b": spec.num_b, "lambda": spec.lam, "horizon": spec.horizon_n,
+           "p0": spec.p0.tolist(), "q0": spec.q0.tolist(),
+           "payoff": spec.payoff.tolist(), "trans_p": spec.trans_p.tolist(),
+           "trans_q": spec.trans_q.tolist()}
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("key,value", [("num_k", 2.7), ("horizon", 2.5),
+                                       ("num_b", 1.0000001)])
+def test_load_rejects_fractional_sizes_and_horizon(key, value):
+    with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+        loads_spec(_spec_doc(**{key: value}))
+
+
+@pytest.mark.parametrize("key", ["num_l", "num_a", "horizon"])
+def test_load_rejects_boolean_sizes_and_horizon(key):
+    with pytest.raises(ValidationError, match=f"{key} must be an integer"):
+        loads_spec(_spec_doc(**{key: True}))
+
+
+def test_load_accepts_integral_floats():
+    spec = constant_spec()
+    loaded = loads_spec(_spec_doc(num_k=float(spec.num_k),
+                                  horizon=float(spec.horizon_n)))
+    assert (loaded.num_k, loaded.horizon_n) == (spec.num_k, spec.horizon_n)
+
+
 def test_case_study_matches_published_tables(case_study):
     spec = case_study
     assert (spec.num_k, spec.num_l, spec.num_a, spec.num_b) == (3, 2, 2, 2)

@@ -1,0 +1,181 @@
+"""Compiled dual and update LPs: a template patched for a statistic must
+give HiGHS the same LP, and hence the same answers, as a build with that
+statistic in place."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from zsbgames import (SolverCache, WindowAgent, WindowConfig, lp_core,
+                      run_episode, solve_dual1, solve_dual2, update_mu,
+                      update_nu)
+from zsbgames.dual_solver import dual_template
+from zsbgames.history_index import build_index
+from zsbgames.lp_core import LpBuilder
+from zsbgames.primal_solver import add_sequence_system
+from zsbgames.stat_updater import (update_belief_p, update_belief_q,
+                                   update_template)
+
+from conftest import random_spec
+
+
+def _assert_same_lp(got, want):
+    np.testing.assert_array_equal(got.c, want.c)
+    np.testing.assert_array_equal(got.bounds, want.bounds)
+    for name in ("a_ub", "a_eq"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None)
+        if g is not None:
+            assert g.nnz == w.nnz == np.count_nonzero(w.data)
+            for part in ("data", "indices", "indptr"):
+                assert getattr(g, part).tobytes() == getattr(w, part).tobytes()
+    for name in ("b_ub", "b_eq"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def _direct_update_lp(spec, kind, vec, belief, star, n, lam):
+    """The update LP built row by row with the statistic in place."""
+    side, num_vec = 3 - kind, (spec.num_k if kind == 1 else spec.num_l)
+    own_trans = spec.trans_p if kind == 1 else spec.trans_q
+    posterior = update_belief_q if kind == 1 else update_belief_p
+    rel, final_rel = ("<=", ">=") if kind == 1 else (">=", "<=")
+    builder = LpBuilder()
+    scalar = builder.new_var()
+    index = build_index(spec, n - 1) if n >= 2 else None
+    tail, vecs = {}, {}
+    for aa in range(spec.num_a):
+        for bb in range(spec.num_b):
+            tail[(aa, bb)] = builder.new_var()
+            vecs[(aa, bb)] = builder.new_vars(num_vec)
+            if n >= 2:
+                _, pay, _ = add_sequence_system(
+                    builder, spec, index, side, n - 1, lam,
+                    posterior(spec, belief, star, aa, bb))
+            for s in range(num_vec):
+                row = {vecs[(aa, bb)][s]: 1.0, tail[(aa, bb)]: -1.0}
+                if n >= 2:
+                    row[pay[(1, index.id_of(kind, 1, (s,), ()))]] = 1.0
+                builder.add_row(row, rel, 0.0)
+    bar = star @ belief
+    for o in range(spec.num_a if kind == 1 else spec.num_b):
+        for s in range(num_vec):
+            row, rhs = {scalar: 1.0}, float(vec[s])
+            for m in range(spec.num_b if kind == 1 else spec.num_a):
+                aa, bb = (o, m) if kind == 1 else (m, o)
+                pay_row = (spec.payoff[s, :, aa, bb] if kind == 1
+                           else spec.payoff[:, s, aa, bb])
+                rhs += float(np.dot(pay_row * belief, star[m]))
+                row[tail[(aa, bb)]] = -lam * float(bar[m])
+                for s2, var in enumerate(vecs[(aa, bb)]):
+                    row[var] = lam * float(bar[m]) * own_trans[aa, bb, s, s2]
+            builder.add_row(row, final_rel, rhs)
+    return lp_core.compile_lp(builder.build(
+        lp_core.MIN if kind == 1 else lp_core.MAX, {scalar: 1.0}))
+
+
+def _direct_dual_lp(spec, kind, root, vector, n, lam):
+    side = 3 - kind
+    index = build_index(spec, n)
+    builder = LpBuilder()
+    _, pay, _ = add_sequence_system(builder, spec, index, side, n, lam, root)
+    v0 = builder.new_var()
+    for s, val in enumerate(vector):
+        builder.add_row({pay[(1, index.id_of(kind, 1, (s,), ()))]: 1.0,
+                         v0: -1.0}, "<=" if kind == 1 else ">=", -float(val))
+    return lp_core.compile_lp(builder.build(
+        lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0}))
+
+
+def _same_dual(got, want):
+    assert got.value == want.value
+    assert got.weighted_payoffs == want.weighted_payoffs
+    assert got.strategy.table.keys() == want.strategy.table.keys()
+    for key, probs in want.strategy.table.items():
+        assert got.strategy.table[key].tobytes() == probs.tobytes()
+
+
+def _same_update(got, want):
+    assert got.w == want.w
+    assert got.vector.tobytes() == want.vector.tobytes()
+    assert got.all_vectors.keys() == want.all_vectors.keys()
+    for key, vec in want.all_vectors.items():
+        assert got.all_vectors[key].tobytes() == vec.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reused_templates_match_one_shot_builds(n):
+    rng = np.random.default_rng(100 + n)
+    spec = random_spec(rng, num_k=3, num_l=2, num_a=2, num_b=3, lam=0.8)
+    lam = spec.lam
+    d1_tpl, d2_tpl = dual_template(spec, 1, n, lam), dual_template(spec, 2, n, lam)
+    u1_tpl, u2_tpl = update_template(spec, 1, n, lam), update_template(spec, 2, n, lam)
+    for trial in range(5):
+        p, q = rng.dirichlet(np.ones(spec.num_k)), rng.dirichlet(np.ones(spec.num_l))
+        mu = rng.uniform(-20.0, 0.0, spec.num_k)
+        nu = rng.uniform(-20.0, 0.0, spec.num_l)
+
+        _assert_same_lp(d1_tpl.lp_at(q, mu), _direct_dual_lp(spec, 1, q, mu, n, lam))
+        _assert_same_lp(d2_tpl.lp_at(p, nu), _direct_dual_lp(spec, 2, p, nu, n, lam))
+        d1 = solve_dual1(spec, mu, q, n, lam, template=d1_tpl)
+        d2 = solve_dual2(spec, p, nu, n, lam, template=d2_tpl)
+        _same_dual(d1, solve_dual1(spec, mu, q, n, lam))
+        _same_dual(d2, solve_dual2(spec, p, nu, n, lam))
+
+        y_star, x_star = d1.strategy.stage1_matrix(), d2.strategy.stage1_matrix()
+        if trial == 0:
+            # player 2 never plays action 1, player 1 never plays action 0:
+            # those ybar/xbar entries are exactly 0
+            y_star = np.zeros_like(y_star)
+            y_star[0] = 1.0
+            x_star = np.zeros_like(x_star)
+            x_star[1] = 1.0
+        _assert_same_lp(u1_tpl.lp_at(mu, q, y_star),
+                        _direct_update_lp(spec, 1, mu, q, y_star, n, lam))
+        _assert_same_lp(u2_tpl.lp_at(nu, p, x_star),
+                        _direct_update_lp(spec, 2, nu, p, x_star, n, lam))
+        _same_update(update_mu(spec, mu, q, y_star, 0, 2, n, lam, template=u1_tpl),
+                     update_mu(spec, mu, q, y_star, 0, 2, n, lam))
+        _same_update(update_nu(spec, nu, p, x_star, 1, 1, n, lam, template=u2_tpl),
+                     update_nu(spec, nu, p, x_star, 1, 1, n, lam))
+
+
+def test_zero_stage_weight_drops_coupling_coefficients():
+    spec = random_spec(np.random.default_rng(3), num_a=2, num_b=2)
+    tpl = update_template(spec, 1, 2, spec.lam)
+    mu, q = np.array([-3.0, -4.0]), spec.q0
+    mixed = np.full((2, 2), 0.5)
+    pure = np.array([[1.0, 1.0], [0.0, 0.0]])
+    full, sparse = tpl.lp_at(mu, q, mixed), tpl.lp_at(mu, q, pure)
+    assert np.count_nonzero(sparse.a_ub.data) == sparse.a_ub.nnz
+    # per (a, s) row, the b=1 tail and both b=1 vector entries vanish
+    assert full.a_ub.nnz - sparse.a_ub.nnz == spec.num_a * spec.num_k * 3
+
+
+def test_template_must_match_the_requested_lp():
+    spec = random_spec(np.random.default_rng(4))
+    with pytest.raises(ValueError, match="template"):
+        solve_dual1(spec, [0.0, 0.0], spec.q0, 2, spec.lam,
+                    template=dual_template(spec, 1, 1, spec.lam))
+    with pytest.raises(ValueError, match="template"):
+        update_nu(spec, [0.0, 0.0], spec.p0, np.full((2, 2), 0.5), 0, 0, 2,
+                  spec.lam, template=update_template(spec, 1, 2, spec.lam))
+
+
+def test_shared_cache_is_order_independent(case_study):
+    spec = dataclasses.replace(case_study, horizon_n=5, lam=0.6)
+    config = WindowConfig(window_n=2, total_horizon=5)
+    seeds = list(range(40, 52))
+
+    def totals(order, cache=None):
+        out = {}
+        for seed in order:
+            shared = cache if cache is not None else SolverCache(spec)
+            out[seed] = run_episode(
+                spec, WindowAgent(spec, config, 1, cache=shared),
+                WindowAgent(spec, config, 2, cache=shared), seed).total
+        return out
+
+    in_order = totals(seeds, SolverCache(spec))
+    assert totals(seeds[::-1], SolverCache(spec)) == in_order
+    assert totals(seeds[::-1]) == in_order

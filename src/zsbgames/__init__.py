@@ -9,7 +9,7 @@ from .errors import (CapacityError, DomainError, NumericalError, ParseError,
                      SolverError, ValidationError, ZsbgError)
 from .game_model import (GameSpec, g_bar, load_case_study, load_spec,
                          save_spec, validate)
-from .history_index import HistoryIndex, build_index, compatible_histories
+from .history_index import HistoryIndex, build_index
 from .primal_solver import (BehavioralStrategy, PrimalResult, RealizationPlan,
                             extract_strategy, solve_primal)
 from .simulator import EpisodeTrace, McResult, run_episode, run_monte_carlo
@@ -25,7 +25,7 @@ __all__ = [
     "PrimalResult", "RealizationPlan", "SolverCache", "SolverError",
     "UpdateResult", "ValidationError", "WindowAgent", "WindowConfig",
     "ZsbgError", "best_response_vs_p1", "best_response_vs_p2",
-    "build_index", "compatible_histories", "extract_strategy", "g_bar",
+    "build_index", "extract_strategy", "g_bar",
     "load_case_study", "load_spec", "oracle_value", "run_episode",
     "run_monte_carlo", "save_spec", "solve_dual1", "solve_dual2",
     "solve_primal", "update_belief_p", "update_belief_q", "update_mu",

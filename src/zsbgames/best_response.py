@@ -1,89 +1,69 @@
 """Best-response value against a fixed realization plan.
 
-The opposing plan is data here, folded into the constraint constants, so
-these LPs only carry the weighted-payoff variables. The objective puts
-weight 1 on every such variable: the constraint system is a tree, each
-history's feasible set couples only to its own subtree, so this yields
-the componentwise-maximal (resp. minimal) feasible point, i.e. the true
-best-response value at every history simultaneously.
+With the plan fixed, the responder's weighted payoff at each of its own
+histories follows a backward recursion over its history tree: for each
+responder action, the plan-weighted stage payoff of the compatible plan
+histories plus the transition-weighted values of the history's children;
+the responder takes the minimum against a player-1 plan and the maximum
+against a player-2 plan. This is the sequence-form best response (von
+Stengel 1996), exact at every history, including ones the responder
+reaches with zero prior weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import lp_core
-from .errors import SolverError
 from .game_model import GameSpec
-from .lp_core import LpBuilder
-from .primal_solver import RealizationPlan
+
+if TYPE_CHECKING:
+    from .primal_solver import RealizationPlan
 
 
 @dataclass
 class BestResponseResult:
     value: float
-    payoff_map: dict                # (t, hid) -> float
+    payoff_map: dict                # (t, hid) -> float, responder histories
+    roots: np.ndarray               # payoff_map at depth 1, by responder state
 
 
 def _solve_vs_plan(spec: GameSpec, plan: RealizationPlan, weights, n: int,
                    lam: float) -> BestResponseResult:
     index = plan.index
-    side = plan.side                # owner of the fixed plan
-    opp = 3 - side
-    own_actions = spec.num_a if side == 1 else spec.num_b
-    opp_actions = spec.num_b if side == 1 else spec.num_a
-    opp_trans = spec.trans_q if side == 1 else spec.trans_p
-    # player-1 plan fixed -> player 2 minimizes -> U bounded above, maximize
-    rel = "<=" if side == 1 else ">="
-    sense = lp_core.MAX if side == 1 else lp_core.MIN
-
-    def payoff(own_state, opp_state, own_act, opp_act):
-        if side == 1:
-            return spec.payoff[own_state, opp_state, own_act, opp_act]
-        return spec.payoff[opp_state, own_state, opp_act, own_act]
-
-    def pair(own_act, opp_act):
-        return (own_act, opp_act) if side == 1 else (opp_act, own_act)
-
-    builder = LpBuilder()
-    pvars = {(t, hid): builder.new_var()
-             for t in range(1, n + 1)
-             for hid in range(index.count(opp, t))}
-
-    for t in range(1, n + 1):
+    view = spec.side(plan.side)     # the plan owner's view
+    opp = view.opp                  # the responder
+    best = np.min if plan.side == 1 else np.max
+    payoff_map = {}
+    for t in range(n, 0, -1):
         disc = lam ** (t - 1)
+        stage = {}                  # public history -> [opp state, opp action]
         for j, (jstates, jacts) in enumerate(index.histories(opp, t)):
+            if jacts not in stage:
+                reach = np.zeros((view.num_states, view.num_actions))
+                for i in index.compatible(plan.side, jacts):
+                    own_state = index.history(plan.side, t, i)[0][-1]
+                    reach[own_state] += [plan.values[(t, i, act)]
+                                         for act in range(view.num_actions)]
+                stage[jacts] = disc * np.einsum("sa,soab->ob", reach,
+                                                view.payoff)
             opp_state = jstates[-1]
-            compat = index.compatible(side, jacts)
-            for opp_act in range(opp_actions):
-                const = 0.0
-                for i in compat:
-                    istates, _ = index.history(side, t, i)
-                    for act in range(own_actions):
-                        const += (plan.values[(t, i, act)] * disc *
-                                  payoff(istates[-1], opp_state, act, opp_act))
-                coeffs = {pvars[(t, j)]: 1.0}
-                if t < n:
-                    for act in range(own_actions):
-                        ab = pair(act, opp_act)
-                        for nxt in range(spec.num_l if side == 1 else spec.num_k):
-                            child = index.child_id(opp, t, j, ab[0], ab[1], nxt)
-                            var = pvars[(t + 1, child)]
-                            coeffs[var] = coeffs.get(var, 0.0) - \
-                                opp_trans[ab[0], ab[1], opp_state, nxt]
-                builder.add_row(coeffs, rel, const)
-
-    lp = builder.build(sense, {var: 1.0 for var in pvars.values()})
-    sol = lp_core.solve(lp)
-    if sol.status != "optimal":
-        raise SolverError(f"best-response LP returned {sol.status}")
-    payoff_map = {key: float(sol.primal[var]) for key, var in pvars.items()}
-    roots = [payoff_map[(1, index.id_of(opp, 1, (s,), ()))]
-             for s in range(spec.num_l if side == 1 else spec.num_k)]
+            values = stage[jacts][opp_state].copy()
+            if t < n:
+                for opp_act in range(view.num_opp_actions):
+                    for act in range(view.num_actions):
+                        a, b = view.pair(act, opp_act)
+                        for nxt in range(view.num_opp_states):
+                            child = index.child_id(opp, t, j, a, b, nxt)
+                            values[opp_act] += (view.opp_trans[a, b, opp_state, nxt]
+                                                * payoff_map[(t + 1, child)])
+            payoff_map[(t, j)] = float(best(values))
+    roots = np.array([payoff_map[(1, index.id_of(opp, 1, (s,), ()))]
+                      for s in range(view.num_opp_states)])
     value = float(np.dot(np.asarray(weights, dtype=float), roots))
-    return BestResponseResult(value=value, payoff_map=payoff_map)
+    return BestResponseResult(value=value, payoff_map=payoff_map, roots=roots)
 
 
 def best_response_vs_p1(spec: GameSpec, plan: RealizationPlan, q, n: int,

@@ -57,31 +57,26 @@ def _pure_plans(spec: GameSpec, index, side: int, n: int) -> np.ndarray:
     Columns are the sequence coordinates (t, history, own action) in
     enumeration order; entries are reach probabilities p(s_1) * prod(P).
     """
-    if side == 1:
-        num_states, num_own, num_opp = spec.num_k, spec.num_a, spec.num_b
-        root, trans = spec.p0, spec.trans_p
-    else:
-        num_states, num_own, num_opp = spec.num_l, spec.num_b, spec.num_a
-        root, trans = spec.q0, spec.trans_q
-    nodes, order = _observation_nodes(num_states, num_opp, n)
+    view = spec.side(side)
+    nodes, order = _observation_nodes(view.num_states, view.num_opp_actions, n)
 
     # per sequence coordinate: chain weight and the observation-node/action
     # consistency requirements it imposes on a pure strategy
     seqs = []
     for t in range(1, n + 1):
         for hid, (states, acts) in enumerate(index.histories(side, t)):
-            weight = float(root[states[0]])
+            weight = float(view.prior[states[0]])
             for s, (a_s, b_s) in enumerate(acts):
-                weight *= trans[a_s, b_s, states[s], states[s + 1]]
-            own_hist = tuple((a if side == 1 else b) for a, b in acts)
-            opp_hist = tuple((b if side == 1 else a) for a, b in acts)
+                weight *= view.trans[a_s, b_s, states[s], states[s + 1]]
+            own_hist = tuple(view.pair(a, b)[0] for a, b in acts)
+            opp_hist = tuple(view.pair(a, b)[1] for a, b in acts)
             required = [(nodes[(states[:s + 1], opp_hist[:s])], own_hist[s])
                         for s in range(t - 1)]
-            for act in range(num_own):
+            for act in range(view.num_actions):
                 need = required + [(nodes[(states, opp_hist)], act)]
                 seqs.append((weight, need))
 
-    strategies = list(product(range(num_own), repeat=len(order)))
+    strategies = list(product(range(view.num_actions), repeat=len(order)))
     plans = np.zeros((len(strategies), len(seqs)))
     for si, strat in enumerate(strategies):
         for ci, (weight, need) in enumerate(seqs):
@@ -132,11 +127,11 @@ def _matrix_game_value(payoff: np.ndarray) -> float:
 def oracle_value(spec: GameSpec, p, q, n: int, lam: float,
                  max_pure: int = DEFAULT_MAX_PURE) -> float:
     """Exact game value by full pure-strategy enumeration (tiny games only)."""
-    count1 = _pure_strategy_count(spec.num_k, spec.num_a, spec.num_b, n)
-    count2 = _pure_strategy_count(spec.num_l, spec.num_b, spec.num_a, n)
-    if count1 > max_pure or count2 > max_pure:
-        raise CapacityError(
-            f"pure strategy counts ({count1}, {count2}) exceed {max_pure}")
+    counts = tuple(_pure_strategy_count(view.num_states, view.num_actions,
+                                        view.num_opp_actions, n)
+                   for view in (spec.side(1), spec.side(2)))
+    if max(counts) > max_pure:
+        raise CapacityError(f"pure strategy counts {counts} exceed {max_pure}")
     base = GameSpec(num_k=spec.num_k, num_l=spec.num_l, num_a=spec.num_a,
                     num_b=spec.num_b, payoff=spec.payoff,
                     p0=np.asarray(p, dtype=float), q0=np.asarray(q, dtype=float),

@@ -60,9 +60,21 @@ def _parse_dist(text: str | None, size: int, name: str) -> np.ndarray | None:
         raise ValidationError(f"--{name} must be comma-separated floats") from exc
     if vec.size != size:
         raise ValidationError(f"--{name} has {vec.size} entries, expected {size}")
-    if np.any(vec < 0) or abs(float(vec.sum()) - 1.0) > 1e-9:
+    # written so that NaN entries fail the test
+    if not (np.all(vec >= 0) and abs(float(vec.sum()) - 1.0) <= 1e-9):
         raise ValidationError(f"--{name} must be a probability distribution")
     return vec
+
+
+def _horizon_and_lambda(spec, horizon, lam):
+    """The --horizon and --lambda overrides, else the file's values."""
+    n = horizon if horizon is not None else spec.horizon_n
+    if n < 1:
+        raise ValidationError(f"--horizon must be >= 1, got {n}")
+    lam = lam if lam is not None else spec.lam
+    if not (0.0 < lam <= 1.0):
+        raise ValidationError(f"--lambda must lie in (0, 1], got {lam}")
+    return n, lam
 
 
 @click.group()
@@ -102,12 +114,7 @@ def solve(spec_file, horizon, lam, side, p_text, q_text, show_strategy,
           dump_lp):
     """Game value, security strategy and initial vector payoff."""
     spec = game_model.load_spec(spec_file)
-    n = horizon if horizon is not None else spec.horizon_n
-    if n < 1:
-        raise ValidationError(f"--horizon must be >= 1, got {n}")
-    lam = lam if lam is not None else spec.lam
-    if not (0.0 < lam <= 1.0):
-        raise ValidationError(f"--lambda must lie in (0, 1], got {lam}")
+    n, lam = _horizon_and_lambda(spec, horizon, lam)
     side = int(side)
     p = _parse_dist(p_text, spec.num_k, "p")
     q = _parse_dist(q_text, spec.num_l, "q")
@@ -139,8 +146,7 @@ def solve(spec_file, horizon, lam, side, p_text, q_text, show_strategy,
 def oracle(spec_file, horizon, lam):
     """Exact value by brute-force enumeration (tiny games only)."""
     spec = game_model.load_spec(spec_file)
-    n = horizon if horizon is not None else spec.horizon_n
-    lam = lam if lam is not None else spec.lam
+    n, lam = _horizon_and_lambda(spec, horizon, lam)
     value = bounds.oracle_value(spec, spec.p0, spec.q0, n, lam)
     click.echo(f"value={value:.6f}")
 
@@ -208,7 +214,8 @@ def _bound_check_line(spec, result, window_n, cache) -> str:
               help="Window size for window agents.")
 @click.option("--horizon", type=int, default=None,
               help="Override the game file's horizon.")
-@click.option("--runs", type=int, default=500, show_default=True)
+@click.option("--runs", type=click.IntRange(min=1), default=500,
+              show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--p1", "p1_desc", default="optimal", show_default=True,
               help="Player 1 agent: optimal, window, or fixed:<file>.")
@@ -240,9 +247,11 @@ def play(spec_file, window_n, horizon, runs, seed, p1_desc, p2_desc,
 @main.command(name="reproduce-case-study")
 @click.option("--outdir", type=click.Path(), default="case_study_results",
               show_default=True)
-@click.option("--runs", type=int, default=500, show_default=True,
+@click.option("--runs", type=click.IntRange(min=1), default=500,
+              show_default=True,
               help="Episodes for the two extreme-case Monte Carlo checks.")
-@click.option("--grid-runs", type=int, default=100, show_default=True,
+@click.option("--grid-runs", type=click.IntRange(min=0), default=100,
+              show_default=True,
               help="Episodes per grid cell; 0 skips the grid.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--full-grid", is_flag=True,

@@ -60,19 +60,17 @@ class DualTemplate:
 
 def dual_template(spec: GameSpec, kind: int, n: int, lam: float,
                   max_vars: int = DEFAULT_MAX_VARS) -> DualTemplate:
-    side = 3 - kind                 # plan owner
-    num_owner = spec.num_k if side == 1 else spec.num_l
-    num_picker = spec.num_k if kind == 1 else spec.num_l
+    owner = spec.side(3 - kind)     # the plan owner; the picker is its opp
     index = build_index(spec, n, max_vars=max_vars)
     builder = LpBuilder()
     plan_vars, payoff_vars, root_rows = add_sequence_system(
-        builder, spec, index, side, n, lam, np.zeros(num_owner))
+        builder, spec, index, owner.side, n, lam, np.zeros(owner.num_states))
     v0 = builder.new_var()
     rel = "<=" if kind == 1 else ">="
     coupling_rows = [
         builder.add_row({payoff_vars[(1, index.id_of(kind, 1, (s,), ()))]: 1.0,
                          v0: -1.0}, rel, 0.0)
-        for s in range(num_picker)]
+        for s in range(owner.num_opp_states)]
     lp = builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0})
     return DualTemplate(kind=kind, n=n, lam=lam, index=index,
                         lp=lp_core.compile_lp(lp), plan_vars=plan_vars,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -46,6 +47,46 @@ class GameSpec:
         object.__setattr__(self, "q0", np.asarray(self.q0, dtype=float))
         object.__setattr__(self, "trans_p", np.asarray(self.trans_p, dtype=float))
         object.__setattr__(self, "trans_q", np.asarray(self.trans_q, dtype=float))
+
+    def side(self, side: int) -> SideView:
+        """The game as player `side` sees it."""
+        if side not in (1, 2):
+            raise ValueError(f"side must be 1 or 2, got {side}")
+        return self._sides[side - 1]
+
+    @cached_property
+    def _sides(self) -> tuple[SideView, SideView]:
+        return (SideView(1, 2, self.num_k, self.num_l, self.num_a, self.num_b,
+                         self.p0, self.trans_p, self.trans_q, self.payoff),
+                SideView(2, 1, self.num_l, self.num_k, self.num_b, self.num_a,
+                         self.q0, self.trans_q, self.trans_p,
+                         self.payoff.transpose(1, 0, 3, 2)))
+
+
+@dataclass(frozen=True)
+class SideView:
+    """One player's ("own") view of a game against the other ("opp").
+
+    payoff is indexed [own state, opp state, own act, opp act]; the kernels
+    keep GameSpec's public [a, b, state, next state] order, and `pair`
+    converts between (own, opp) and that (a, b) order.
+    """
+
+    side: int
+    opp: int
+    num_states: int
+    num_opp_states: int
+    num_actions: int
+    num_opp_actions: int
+    prior: np.ndarray               # own initial state distribution
+    trans: np.ndarray
+    opp_trans: np.ndarray
+    payoff: np.ndarray
+
+    def pair(self, own, opp):
+        """(player 1, player 2) order of an (own, opp) pair; since it swaps
+        or keeps, it also maps (a, b) back to (own act, opp act)."""
+        return (own, opp) if self.side == 1 else (opp, own)
 
 
 def _check_distribution(vec: np.ndarray, name: str) -> None:

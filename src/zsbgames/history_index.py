@@ -95,7 +95,3 @@ class HistoryIndex:
 def build_index(spec: GameSpec, depth: int,
                 max_vars: int = DEFAULT_MAX_VARS) -> HistoryIndex:
     return HistoryIndex(spec, depth, max_vars=max_vars)
-
-
-def compatible_histories(index: HistoryIndex, side: int, public) -> list[int]:
-    return index.compatible(side, public)

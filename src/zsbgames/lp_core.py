@@ -1,11 +1,12 @@
 """Sparse LP data model and solve contract.
 
-All solver modules build `LinearProgram` instances (usually through
-`LpBuilder`) and call `solve`, which is backed by scipy's HiGHS. An LP
-solved many times with different right-hand sides is compiled once into
-a `CompiledLP` and patched with `CompiledLP.with_rhs`. HiGHS is
-deterministic for identical input, which the rest of the package relies
-on for reproducible strategy extraction.
+The primal, dual and vector-payoff update solvers build `LinearProgram`
+instances (usually through `LpBuilder`) and call `solve`, which is backed
+by scipy's HiGHS; the best response needs no LP. An LP solved many times
+with different right-hand sides is compiled once into a `CompiledLP` and
+patched with `CompiledLP.with_rhs`. HiGHS is deterministic for identical
+input, which the rest of the package relies on for reproducible strategy
+extraction.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ MAX = "max"
 
 FEAS_TOL = 1e-6
 
-_REL = ("<=", "=", ">=")
-
 
 @dataclass
 class LinearProgram:
@@ -34,17 +33,6 @@ class LinearProgram:
     objective: list                  # [(var, coeff)]
     rows: list                       # [(coeffs list, relation, rhs)]
     bounds: list                     # [(lower, upper)] per variable
-
-    def check(self) -> None:
-        assert self.sense in (MIN, MAX)
-        for var, _ in self.objective:
-            assert 0 <= var < self.num_vars
-        for coeffs, rel, rhs in self.rows:
-            assert rel in _REL and math.isfinite(rhs)
-            seen = set()
-            for var, _ in coeffs:
-                assert 0 <= var < self.num_vars and var not in seen
-                seen.add(var)
 
 
 @dataclass

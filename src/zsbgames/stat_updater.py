@@ -36,6 +36,21 @@ def check_stage_strategy(matrix: np.ndarray, name: str = "stage strategy") -> No
         raise ValidationError(f"{name} columns sum to {sums}, expected 1")
 
 
+def _update_belief(spec: GameSpec, side: int, belief, strategy, a: int,
+                   b: int) -> np.ndarray:
+    view = spec.side(side)
+    belief = np.asarray(belief, dtype=float)
+    strategy = np.asarray(strategy, dtype=float)
+    own_act, _ = view.pair(a, b)
+    likelihood = float(np.dot(belief, strategy[own_act]))
+    if likelihood <= DEGENERATE_TOL:
+        post = view.trans[a, b].T @ belief
+    else:
+        post = view.trans[a, b].T @ (belief * strategy[own_act] / likelihood)
+    total = float(post.sum())
+    return post / total if total > 0 else np.full_like(post, 1.0 / post.size)
+
+
 def update_belief_p(spec: GameSpec, p, X, a: int, b: int) -> np.ndarray:
     """Posterior over player 1's next state after seeing action pair (a, b).
 
@@ -43,28 +58,12 @@ def update_belief_p(spec: GameSpec, p, X, a: int, b: int) -> np.ndarray:
     If the observed action has (near) zero prior likelihood the likelihood
     factor is dropped and the prior is pushed through the transition.
     """
-    p = np.asarray(p, dtype=float)
-    X = np.asarray(X, dtype=float)
-    xbar = float(np.dot(p, X[a]))
-    if xbar <= DEGENERATE_TOL:
-        post = spec.trans_p[a, b].T @ p
-    else:
-        post = spec.trans_p[a, b].T @ (p * X[a] / xbar)
-    total = float(post.sum())
-    return post / total if total > 0 else np.full_like(post, 1.0 / post.size)
+    return _update_belief(spec, 1, p, X, a, b)
 
 
 def update_belief_q(spec: GameSpec, q, Y, a: int, b: int) -> np.ndarray:
     """Posterior over player 2's next state; Y[b', l] mirrors X above."""
-    q = np.asarray(q, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    ybar = float(np.dot(q, Y[b]))
-    if ybar <= DEGENERATE_TOL:
-        post = spec.trans_q[a, b].T @ q
-    else:
-        post = spec.trans_q[a, b].T @ (q * Y[b] / ybar)
-    total = float(post.sum())
-    return post / total if total > 0 else np.full_like(post, 1.0 / post.size)
+    return _update_belief(spec, 2, q, Y, a, b)
 
 
 @dataclass
@@ -101,6 +100,7 @@ class UpdateTemplate:
         advanced, `belief` and `star` the plan owner's belief and stage-1
         strategy (action, state) of the dual game at (vec, belief)."""
         spec, kind, lam = self.spec, self.kind, self.lam
+        view = spec.side(kind)          # the vector owner's view
         posterior = update_belief_q if kind == 1 else update_belief_p
         rows, roots = [], []
         if self.n >= 2:
@@ -110,31 +110,27 @@ class UpdateTemplate:
 
         # coupling block: one row per (vector owner's action o, state s),
         # summed over the plan owner's action m
-        num_vec = spec.num_k if kind == 1 else spec.num_l
-        own_trans = spec.trans_p if kind == 1 else spec.trans_q
-        payoff = spec.payoff if kind == 1 else spec.payoff.transpose(1, 0, 3, 2)
         bar = star @ belief             # bar[m] = sum_s belief(s) star(m, s)
         rel = ">=" if kind == 1 else "<="
         block = []
-        for o in range(spec.num_a if kind == 1 else spec.num_b):
-            for s in range(num_vec):
+        for o in range(view.num_actions):
+            for s in range(view.num_states):
                 coeffs = {self.scalar: 1.0}
                 rhs = float(vec[s])
-                for m in range(spec.num_b if kind == 1 else spec.num_a):
-                    pair = (o, m) if kind == 1 else (m, o)
-                    rhs += float(np.dot(payoff[s, :, o, m] * belief, star[m]))
+                for m in range(view.num_opp_actions):
+                    pair = view.pair(o, m)
+                    rhs += float(np.dot(view.payoff[s, :, o, m] * belief, star[m]))
                     coeffs[self.tail_vars[pair]] = -lam * float(bar[m])
                     for s2, var in enumerate(self.vector_vars[pair]):
                         coeffs[var] = coeffs.get(var, 0.0) + \
-                            lam * float(bar[m]) * own_trans[pair][s, s2]
+                            lam * float(bar[m]) * view.trans[pair][s, s2]
                 block.append((coeffs, rel, rhs))
         return self.lp.with_rhs(rows, roots, extra_rows=block)
 
 
 def update_template(spec: GameSpec, kind: int, n: int, lam: float,
                     max_vars: int = DEFAULT_MAX_VARS) -> UpdateTemplate:
-    side = 3 - kind                 # owner of the sub-system plans
-    num_vec = spec.num_k if kind == 1 else spec.num_l
+    view = spec.side(kind)          # the vector owner; view.opp owns the plans
     rel = "<=" if kind == 1 else ">="
     builder = LpBuilder()
     scalar = builder.new_var()
@@ -143,13 +139,13 @@ def update_template(spec: GameSpec, kind: int, n: int, lam: float,
     for aa in range(spec.num_a):
         for bb in range(spec.num_b):
             tail = tail_vars[(aa, bb)] = builder.new_var()
-            vec = vector_vars[(aa, bb)] = builder.new_vars(num_vec)
+            vec = vector_vars[(aa, bb)] = builder.new_vars(view.num_states)
             root_rows[(aa, bb)] = []
             if n >= 2:
                 _, payoff_vars, root_rows[(aa, bb)] = add_sequence_system(
-                    builder, spec, sub_index, side, n - 1, lam,
-                    np.zeros(spec.num_k if side == 1 else spec.num_l))
-            for s in range(num_vec):
+                    builder, spec, sub_index, view.opp, n - 1, lam,
+                    np.zeros(view.num_opp_states))
+            for s in range(view.num_states):
                 coeffs = {vec[s]: 1.0, tail: -1.0}
                 if n >= 2:
                     root = sub_index.id_of(kind, 1, (s,), ())

@@ -86,33 +86,41 @@ class SolverCache:
         return self._memo(key, lambda: primal_solver.solve_primal(
             self.spec, p, q, n, lam, side))
 
+    def _dual(self, kind, x1, x2, n, lam):
+        """Dual-`kind` solve; x1, x2 are its player-1 and player-2 inputs."""
+        solve = dual_solver.solve_dual1 if kind == 1 else dual_solver.solve_dual2
+        key = (f"dual{kind}", n, lam, _stat_key(np.asarray(x1), np.asarray(x2)))
+        return self._memo(key, lambda: solve(
+            self.spec, x1, x2, n, lam,
+            template=self._template(dual_solver.dual_template, kind, n, lam)))
+
     def dual1(self, mu, q, n, lam):
-        key = ("dual1", n, lam, _stat_key(np.asarray(mu), np.asarray(q)))
-        return self._memo(key, lambda: dual_solver.solve_dual1(
-            self.spec, mu, q, n, lam,
-            template=self._template(dual_solver.dual_template, 1, n, lam)))
+        return self._dual(1, mu, q, n, lam)
 
     def dual2(self, p, nu, n, lam):
-        key = ("dual2", n, lam, _stat_key(np.asarray(p), np.asarray(nu)))
-        return self._memo(key, lambda: dual_solver.solve_dual2(
-            self.spec, p, nu, n, lam,
-            template=self._template(dual_solver.dual_template, 2, n, lam)))
+        return self._dual(2, p, nu, n, lam)
+
+    def _update(self, kind, vec, belief, n, lam, a, b):
+        """Advance the vector payoff over player `kind`'s states, solving the
+        update LP at the stage strategy of the dual-`kind` game at (vec,
+        belief); `pair` puts those two in the dual's player order."""
+        update = stat_updater.update_mu if kind == 1 else stat_updater.update_nu
+        dual = self.dual1 if kind == 1 else self.dual2
+        key = (f"upd{kind}", n, lam,
+               _stat_key(np.asarray(vec), np.asarray(belief)))
+        res = self._memo(key, lambda: update(
+            self.spec, vec, belief,
+            dual(*self.spec.side(kind).pair(vec, belief), n, lam)
+            .strategy.stage1_matrix(),
+            a, b, n, lam,
+            template=self._template(stat_updater.update_template, kind, n, lam)))
+        return res.all_vectors[(a, b)], res.w
 
     def update_mu(self, mu, q, n, lam, a, b):
-        key = ("upd1", n, lam, _stat_key(np.asarray(mu), np.asarray(q)))
-        res = self._memo(key, lambda: stat_updater.update_mu(
-            self.spec, mu, q, self.dual1(mu, q, n, lam).strategy.stage1_matrix(),
-            a, b, n, lam,
-            template=self._template(stat_updater.update_template, 1, n, lam)))
-        return res.all_vectors[(a, b)], res.w
+        return self._update(1, mu, q, n, lam, a, b)
 
     def update_nu(self, nu, p, n, lam, a, b):
-        key = ("upd2", n, lam, _stat_key(np.asarray(nu), np.asarray(p)))
-        res = self._memo(key, lambda: stat_updater.update_nu(
-            self.spec, nu, p, self.dual2(p, nu, n, lam).strategy.stage1_matrix(),
-            a, b, n, lam,
-            template=self._template(stat_updater.update_template, 2, n, lam)))
-        return res.all_vectors[(a, b)], res.w
+        return self._update(2, nu, p, n, lam, a, b)
 
 
 @dataclass
@@ -134,16 +142,13 @@ class WindowAgent:
 
     def __init__(self, spec: GameSpec, config: WindowConfig, side: int,
                  cache: SolverCache | None = None, record_trace: bool = False):
-        if side not in (1, 2):
-            raise ValueError(f"side must be 1 or 2, got {side}")
+        self._view = spec.side(side)
         self.spec = spec
         self.config = config
         self.side = side
         self.cache = cache if cache is not None else SolverCache(spec)
         self.record_trace = record_trace
         self.trace: list[TraceRow] = []
-        self._num_own = spec.num_k if side == 1 else spec.num_l
-        self._own_actions = spec.num_a if side == 1 else spec.num_b
 
     # -- episode lifecycle -------------------------------------------------
 
@@ -157,7 +162,7 @@ class WindowAgent:
                                    spec.lam, self.side)
         self.strategy = result.strategy
         self.vector_payoff = result.initial_vector_payoff.copy()
-        self.belief = (spec.p0 if self.side == 1 else spec.q0).copy()
+        self.belief = self._view.prior.copy()
         self._reset_window_tracking(own_state)
         self._record()
 
@@ -168,7 +173,7 @@ class WindowAgent:
         # conditional weights of own-state histories given public actions,
         # used to marginalize the acting strategy into a stage matrix
         self._weights = {(s,): float(self.belief[s])
-                         for s in range(self._num_own)}
+                         for s in range(self._view.num_states)}
 
     # -- acting ------------------------------------------------------------
 
@@ -177,16 +182,17 @@ class WindowAgent:
 
     def _stage_matrix(self) -> np.ndarray:
         """Acting strategy marginalized to an (action, own state) matrix."""
-        X = np.empty((self._own_actions, self._num_own))
-        for s in range(self._num_own):
-            num = np.zeros(self._own_actions)
+        view = self._view
+        X = np.empty((view.num_actions, view.num_states))
+        for s in range(view.num_states):
+            num = np.zeros(view.num_actions)
             den = 0.0
             for (states, acts), w in self._hist_items():
                 if states[-1] != s:
                     continue
                 num += w * self.strategy.action_probs(states, acts)
                 den += w
-            X[:, s] = num / den if den > 1e-12 else 1.0 / self._own_actions
+            X[:, s] = num / den if den > 1e-12 else 1.0 / view.num_actions
         return X
 
     def _hist_items(self):
@@ -196,17 +202,16 @@ class WindowAgent:
     # -- observation -------------------------------------------------------
 
     def observe(self, a: int, b: int, own_next_state: int) -> None:
-        spec = self.spec
+        spec, view = self.spec, self._view
         N = self.config.total_horizon
         if self.t >= N:
             raise ValidationError("observe called past the horizon")
         X = self._stage_matrix()
-        own_act = a if self.side == 1 else b
+        own_act, _ = view.pair(a, b)
 
         # advance the conditional own-history weights, then the belief;
         # if the played own action has zero modeled likelihood, drop the
         # likelihood factor (mirrors the belief update's degenerate rule)
-        own_trans = spec.trans_p if self.side == 1 else spec.trans_q
         for use_likelihood in (True, False):
             new_weights = {}
             for (states, acts), w in self._hist_items():
@@ -215,8 +220,8 @@ class WindowAgent:
                     reach *= float(self.strategy.action_probs(states, acts)[own_act])
                 if reach <= 0.0:
                     continue
-                for nxt in range(self._num_own):
-                    step = reach * own_trans[a, b, states[-1], nxt]
+                for nxt in range(view.num_states):
+                    step = reach * view.trans[a, b, states[-1], nxt]
                     if step > 0.0:
                         key = states + (nxt,)
                         new_weights[key] = new_weights.get(key, 0.0) + step
@@ -225,22 +230,18 @@ class WindowAgent:
                 break
         self._weights = {k: v / total for k, v in new_weights.items()}
         prior_belief = self.belief
-        if self.side == 1:
-            self.belief = stat_updater.update_belief_p(spec, prior_belief, X, a, b)
-        else:
-            self.belief = stat_updater.update_belief_q(spec, prior_belief, X, a, b)
+        update_belief = (stat_updater.update_belief_p if self.side == 1
+                         else stat_updater.update_belief_q)
+        self.belief = update_belief(spec, prior_belief, X, a, b)
         self.own_states = self.own_states + (own_next_state,)
         self.window_acts = self.window_acts + ((a, b),)
 
         # the vector payoff advances through the update LP solved at the
         # pre-stage statistic; the LP forms its own per-pair posteriors
-        h_upd = self._update_horizon()
-        if self.side == 1:
-            self.vector_payoff, _ = self.cache.update_nu(
-                self.vector_payoff, prior_belief, h_upd, spec.lam, a, b)
-        else:
-            self.vector_payoff, _ = self.cache.update_mu(
-                self.vector_payoff, prior_belief, h_upd, spec.lam, a, b)
+        update = (self.cache.update_nu if self.side == 1
+                  else self.cache.update_mu)
+        self.vector_payoff, _ = update(self.vector_payoff, prior_belief,
+                                       self._update_horizon(), spec.lam, a, b)
 
         self.t += 1
         self.window_pos += 1
@@ -261,12 +262,10 @@ class WindowAgent:
         self.window_id += 1
         self.window_len = min(self.config.window_n,
                               self.config.total_horizon - self.t + 1)
-        if self.side == 1:
-            result = self.cache.dual2(self.belief, self.vector_payoff,
-                                      self.window_len, spec.lam)
-        else:
-            result = self.cache.dual1(self.vector_payoff, self.belief,
-                                      self.window_len, spec.lam)
+        # the opponent's dual game, whose plan owner is this side
+        dual = self.cache.dual2 if self.side == 1 else self.cache.dual1
+        result = dual(*self._view.pair(self.belief, self.vector_payoff),
+                      self.window_len, spec.lam)
         self.strategy = result.strategy
         self._reset_window_tracking(own_state)
 
@@ -308,14 +307,15 @@ class FixedPolicyAgent:
 
     def __init__(self, spec: GameSpec, side: int, policy):
         self.side = side
+        view = spec.side(side)
         rows = np.asarray(policy, dtype=float)
-        num_states = spec.num_k if side == 1 else spec.num_l
-        num_actions = spec.num_a if side == 1 else spec.num_b
-        if rows.shape != (num_states, num_actions):
+        if rows.shape != (view.num_states, view.num_actions):
             raise ValidationError(
                 f"fixed policy has shape {rows.shape}, expected "
-                f"{(num_states, num_actions)}")
-        if np.any(rows < 0) or np.any(np.abs(rows.sum(axis=1) - 1.0) > 1e-6):
+                f"{(view.num_states, view.num_actions)}")
+        # written so that NaN entries fail the test
+        if not (np.all(rows >= 0)
+                and np.all(np.abs(rows.sum(axis=1) - 1.0) <= 1e-6)):
             raise ValidationError("fixed policy rows must be distributions")
         self.policy = rows
         self._state = 0

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from zsbgames import best_response_vs_p1, best_response_vs_p2, solve_primal
+from zsbgames.bounds import _pure_plans, _sequence_kernel
 from zsbgames.primal_solver import RealizationPlan
 from zsbgames.history_index import build_index
 
@@ -64,3 +67,39 @@ def test_wrong_plan_side_rejected(rng):
     r1 = solve_primal(spec, spec.p0, spec.q0, 2, spec.lam, 1)
     with pytest.raises(ValueError):
         best_response_vs_p2(spec, r1.plan, spec.p0, 2, spec.lam)
+
+
+@pytest.mark.parametrize("side", [1, 2])
+@pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (2, 2, 1, 3), (2, 2, 3, 1)])
+def test_best_response_matches_pure_strategy_enumeration(rng, side, sizes):
+    """At each responder initial state, including a zero-prior one, the
+    best-response value is the best payoff over the responder's reduced
+    pure strategies started there, against optimal and uniform plans."""
+    n = 2
+    num_k, num_l, num_a, num_b = sizes
+    spec = dataclasses.replace(
+        random_spec(rng, num_k=num_k, num_l=num_l, num_a=num_a, num_b=num_b,
+                    horizon=n),
+        p0=np.array([0.0, 1.0]), q0=np.array([1.0, 0.0]))
+    view = spec.side(side)
+    vs_plan = best_response_vs_p1 if side == 1 else best_response_vs_p2
+    optimal = solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side).plan
+    for plan in (optimal, _uniform_plan(spec, side, n)):
+        index = plan.index
+        weights = np.array([plan.values[(t, hid, act)]
+                            for t in range(1, n + 1)
+                            for hid in range(index.count(side, t))
+                            for act in range(view.num_actions)])
+        kernel = _sequence_kernel(spec, index, n, spec.lam)
+        br = vs_plan(spec, plan, spec.q0 if side == 1 else spec.p0, n,
+                     spec.lam)
+        for s in range(view.num_opp_states):
+            start = np.eye(view.num_opp_states)[s]
+            started = (dataclasses.replace(spec, q0=start) if side == 1
+                       else dataclasses.replace(spec, p0=start))
+            pure = _pure_plans(started, index, view.opp, n)
+            if side == 1:
+                best = float((weights @ kernel @ pure.T).min())
+            else:
+                best = float((pure @ kernel @ weights).max())
+            assert abs(br.roots[s] - best) <= 1e-9

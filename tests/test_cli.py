@@ -209,3 +209,46 @@ def test_reproduce_case_study_tiny(tmp_path):
     summary = (outdir / "summary.txt").read_text()
     assert summary.startswith("value=112.905")
     assert "bound=18.064800" in summary
+
+
+@pytest.mark.parametrize("flag,value", [("--horizon", "0"), ("--lambda", "7")])
+def test_oracle_rejects_bad_horizon_and_lambda(tmp_path, rng, flag, value):
+    path = _write(tmp_path, random_spec(rng, horizon=2))
+    result = CliRunner().invoke(main, ["oracle", "--spec", path, flag, value])
+    assert result.exit_code == 2
+    assert f"{flag} must" in result.output
+
+
+def test_solve_rejects_nan_distribution(tmp_path, rng):
+    path = _write(tmp_path, random_spec(rng, num_k=3))
+    result = CliRunner().invoke(main, ["solve", "--spec", path,
+                                       "--p", "nan,0.5,0.5"])
+    assert result.exit_code == 2
+    assert "--p must be a probability distribution" in result.output
+
+
+def test_play_rejects_nan_fixed_policy(tmp_path, rng):
+    path = _write(tmp_path, random_spec(rng, horizon=2))
+    pol = tmp_path / "pol.json"
+    pol.write_text('{"policy": [[NaN, 0.5], [1.0, 0.0]]}')
+    result = CliRunner().invoke(main, [
+        "play", "--spec", path, "--runs", "2", "--p1", "optimal",
+        "--p2", f"fixed:{pol}"])
+    assert result.exit_code == 2
+    assert "fixed policy rows must be distributions" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["play", "--runs", "0"],
+    ["reproduce-case-study", "--runs", "0"],
+    ["reproduce-case-study", "--grid-runs", "-1"],
+])
+def test_run_counts_out_of_range_exit_2(tmp_path, rng, args):
+    if args[0] == "play":
+        args = args + ["--spec", _write(tmp_path, random_spec(rng))]
+    else:
+        args = args + ["--outdir", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert "Invalid value" in result.output
+    assert not (tmp_path / "out").exists()

@@ -141,3 +141,24 @@ def test_case_study_matches_published_tables(case_study):
     assert spec.trans_q[0, 0, 1, 1] == 0.5
     assert g_bar(spec) == 154.4
     validate(spec)
+
+
+def test_side_views_mirror_each_other():
+    spec = random_spec(np.random.default_rng(4), num_k=3, num_l=2, num_a=2,
+                       num_b=3)
+    one, two = spec.side(1), spec.side(2)
+    assert (one.side, one.opp, two.side, two.opp) == (1, 2, 2, 1)
+    assert (one.num_states, one.num_opp_states, one.num_actions,
+            one.num_opp_actions) == (3, 2, 2, 3)
+    assert (two.num_states, two.num_opp_states, two.num_actions,
+            two.num_opp_actions) == (2, 3, 3, 2)
+    assert one.prior is spec.p0 and two.prior is spec.q0
+    assert one.trans is spec.trans_p and one.opp_trans is spec.trans_q
+    assert two.trans is spec.trans_q and two.opp_trans is spec.trans_p
+    for k, l, a, b in np.ndindex(spec.payoff.shape):
+        assert one.payoff[k, l, a, b] == spec.payoff[k, l, a, b]
+        assert two.payoff[l, k, b, a] == spec.payoff[k, l, a, b]
+    assert one.pair("own", "opp") == ("own", "opp")
+    assert two.pair("own", "opp") == ("opp", "own")
+    with pytest.raises(ValueError):
+        spec.side(3)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zsbgames import CapacityError, build_index, compatible_histories
+from zsbgames import CapacityError, build_index
 
 from conftest import random_spec
 
@@ -46,7 +46,7 @@ def test_compatible_partitions_level(index):
     for side in (1, 2):
         seen = []
         for acts in {acts for _, acts in index.histories(side, 3)}:
-            ids = compatible_histories(index, side, acts)
+            ids = index.compatible(side, acts)
             assert all(index.history(side, 3, i)[1] == acts for i in ids)
             seen.extend(ids)
         assert sorted(seen) == list(range(index.count(side, 3)))

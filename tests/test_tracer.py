@@ -1,0 +1,60 @@
+"""The benchmark's layer tracer (perfbench/tracer.py) against the package:
+every entry point it names exists and gets wrapped, and uninstalling
+puts every binding back."""
+
+import types
+from pathlib import Path
+
+import zsbgames
+
+from conftest import random_spec
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    """The tracer module, compiled from source so nothing is written beside it."""
+    module = types.ModuleType("tracer")
+    exec(compile(TRACER.read_text(), str(TRACER), "exec"), module.__dict__)
+    return module
+
+
+def _bindings(tracer):
+    """Every module global and traced method of the package, by identity."""
+    out = {}
+    for mod in tracer._package_modules():
+        for key, val in vars(mod).items():
+            out[(mod.__name__, key)] = val
+    for mod_name, cls_name, meth, _ in tracer.METHODS:
+        cls = getattr(getattr(zsbgames, mod_name), cls_name)
+        out[(cls, meth)] = cls.__dict__[meth]
+    return out
+
+
+def test_tracer_wraps_entry_points_and_restores_them(rng):
+    tracer_mod = _load_tracer()
+    spec = random_spec(rng, horizon=2)
+    before = _bindings(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for mod_name, attr, _, _ in tracer_mod.FUNCTIONS:
+            wrapped = getattr(getattr(zsbgames, mod_name), attr)
+            assert wrapped.__wrapped__ is before[(f"zsbgames.{mod_name}", attr)]
+        for mod_name, cls_name, meth, _ in tracer_mod.METHODS:
+            cls = getattr(getattr(zsbgames, mod_name), cls_name)
+            assert cls.__dict__[meth].__wrapped__ is before[(cls, meth)]
+        for side in (1, 2):
+            zsbgames.solve_primal(spec, spec.p0, spec.q0, 2, spec.lam, side)
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    after = _bindings(tracer_mod)
+    assert after.keys() == before.keys()
+    assert all(after[key] is val for key, val in before.items())
+    # the best response runs once per primal solve and solves no LP
+    assert summary["best_response.solves"] == 2
+    assert summary["lp_core.solves"] == 2
+    assert summary["lp_core.solves.primal1"] == 1
+    assert summary["lp_core.solves.primal2"] == 1
+    assert summary["lp_core.solves.br1"] == summary["lp_core.solves.br2"] == 0

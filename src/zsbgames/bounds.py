@@ -12,8 +12,9 @@ from __future__ import annotations
 from itertools import product
 
 import numpy as np
-import scipy.optimize
+import scipy.sparse as sp
 
+from . import lp_core
 from .errors import CapacityError, DomainError
 from .game_model import GameSpec
 from .history_index import build_index
@@ -116,9 +117,9 @@ def _matrix_game_value(payoff: np.ndarray) -> float:
     b_ub = np.zeros(n_cols)
     a_eq = np.ones((1, n_rows + 1))
     a_eq[0, -1] = 0.0
-    bounds = [(0, None)] * n_rows + [(None, None)]
-    res = scipy.optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq,
-                                 b_eq=[1.0], bounds=bounds, method="highs")
+    bounds = np.array([(0.0, np.inf)] * n_rows + [(-np.inf, np.inf)])
+    res = lp_core.linprog(c, A_ub=sp.csr_matrix(a_ub), b_ub=b_ub,
+                          A_eq=sp.csr_matrix(a_eq), b_eq=[1.0], bounds=bounds)
     if res.status != 0:
         raise RuntimeError(f"matrix game LP failed: {res.message}")
     return float(-res.fun)

@@ -216,7 +216,8 @@ def _bound_check_line(spec, result, window_n, cache) -> str:
               help="Override the game file's horizon.")
 @click.option("--runs", type=click.IntRange(min=1), default=500,
               show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--p1", "p1_desc", default="optimal", show_default=True,
               help="Player 1 agent: optimal, window, or fixed:<file>.")
 @click.option("--p2", "p2_desc", default="window", show_default=True,
@@ -253,7 +254,8 @@ def play(spec_file, window_n, horizon, runs, seed, p1_desc, p2_desc,
 @click.option("--grid-runs", type=click.IntRange(min=0), default=100,
               show_default=True,
               help="Episodes per grid cell; 0 skips the grid.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0,
+              show_default=True)
 @click.option("--full-grid", is_flag=True,
               help="Run the long-horizon grid (N=36) instead of N=8.")
 @_handle_errors

@@ -1,12 +1,18 @@
 """Sparse LP data model and solve contract.
 
 The primal, dual and vector-payoff update solvers build `LinearProgram`
-instances (usually through `LpBuilder`) and call `solve`, which is backed
-by scipy's HiGHS; the best response needs no LP. An LP solved many times
-with different right-hand sides is compiled once into a `CompiledLP` and
-patched with `CompiledLP.with_rhs`. HiGHS is deterministic for identical
-input, which the rest of the package relies on for reproducible strategy
-extraction.
+instances (usually through `LpBuilder`) and call `solve`; the best
+response needs no LP. An LP solved many times with different right-hand
+sides is compiled once into a `CompiledLP` and patched with
+`CompiledLP.with_rhs`.
+
+`linprog` is the one place that runs HiGHS. It drives the copy of HiGHS
+bundled with scipy (`scipy.optimize._highspy._core`) directly, with the
+options `scipy.optimize.linprog(method="highs")` sets, and repeats that
+function's input checks, status codes and solution certificate without its
+per-call overhead. Every solve gets a fresh HiGHS model and no warm start,
+so identical input gives bit-identical output, which the rest of the
+package relies on for reproducible strategy extraction.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as highs
 
 from .errors import NumericalError
 
@@ -159,14 +165,146 @@ def compile_lp(lp: LinearProgram) -> CompiledLP:
                       slots)
 
 
+# the options scipy.optimize.linprog(method="highs") sets; the others keep
+# HiGHS's defaults, as they do there
+_OPTIONS = highs.HighsOptions()
+_OPTIONS.presolve = "on"
+_OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+_OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
+_OPTIONS.output_flag = False
+_OPTIONS.log_to_console = False
+
+_MODEL = highs.HighsModelStatus
+# HiGHS model status -> scipy.optimize.linprog status; anything else is 4
+_STATUS = {_MODEL.kOptimal: 0, _MODEL.kTimeLimit: 1,
+           _MODEL.kIterationLimit: 1, _MODEL.kInfeasible: 2,
+           _MODEL.kModelError: 2, _MODEL.kUnbounded: 3}
+
+# scipy.optimize.linprog's certificate tolerance: sqrt(1e-9) * 10
+CERT_TOL = math.sqrt(1e-9) * 10
+
+
+@dataclass
+class HighsResult:
+    x: np.ndarray | None             # None unless HiGHS reports optimal
+    fun: float | None
+    status: int                      # scipy.optimize.linprog's codes 0-4
+    nit: int                         # simplex (or IPM) iterations
+    message: str
+
+
+def _csr(mat, num_vars: int) -> sp.csr_matrix:
+    """`mat` (any sparse or dense 2-D matrix, or None for no rows) as CSR
+    with sorted column indices and no duplicate entries."""
+    if mat is None:
+        return sp.csr_matrix((0, num_vars))
+    if not (sp.issparse(mat) and mat.format == "csr"):
+        mat = sp.csr_matrix(mat, dtype=float)
+    if not mat.has_canonical_format:
+        mat = mat.copy()
+        mat.sum_duplicates()
+    if mat.shape[1] != num_vars or not np.isfinite(mat.data).all():
+        raise ValueError("A_ub and A_eq must be finite with one column per variable")
+    return mat
+
+
+def _colwise(upper: sp.csr_matrix, lower: sp.csr_matrix):
+    """Column-wise (start, index, value) arrays of `upper` stacked on
+    `lower`, row indices ascending within each column."""
+    counts = np.concatenate([np.diff(upper.indptr), np.diff(lower.indptr)])
+    rows = np.repeat(np.arange(counts.size), counts)
+    cols = np.concatenate([upper.indices, lower.indices])
+    order = np.argsort(cols, kind="stable")
+    start = np.zeros(upper.shape[1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=upper.shape[1]), out=start[1:])
+    return start, rows[order], np.concatenate([upper.data, lower.data])[order]
+
+
+def _rhs(b, mat, name: str) -> np.ndarray:
+    b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
+    if b.shape != (mat.shape[0],):
+        raise ValueError(f"{name} has shape {b.shape}, expected ({mat.shape[0]},)")
+    if not np.isfinite(b).all():
+        raise ValueError(f"{name} must be finite")
+    return b
+
+
+def _solution(model):
+    """Column and row values of a solved model."""
+    sol = model.getSolution()
+    return np.array(sol.col_value), np.array(sol.row_value)
+
+
+def linprog(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    """Minimize c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq and
+    bounds[:, 0] <= x <= bounds[:, 1] with HiGHS, as
+    `scipy.optimize.linprog(..., method="highs")` does for sparse A_ub and
+    A_eq and an (n, 2) bounds array.
+
+    Raises ValueError for non-finite c, b_ub, b_eq or matrix entries,
+    mismatched shapes or a lower bound above its upper bound. An optimal
+    point that breaks a row or bound by more than CERT_TOL is reported with
+    status 4.
+    """
+    c = np.asarray(c, dtype=float)
+    num_vars = c.size
+    if c.ndim != 1 or not np.isfinite(c).all():
+        raise ValueError("c must be a finite 1-D array")
+    A_ub, A_eq = _csr(A_ub, num_vars), _csr(A_eq, num_vars)
+    b_ub = _rhs(b_ub, A_ub, "b_ub")
+    b_eq = _rhs(b_eq, A_eq, "b_eq")
+    lb, ub = np.asarray(bounds, dtype=float).reshape(num_vars, 2).T.copy()
+    if not (lb <= ub).all():
+        raise ValueError("every lower bound must be at most its upper bound")
+    num_ub = b_ub.size
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = num_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = num_ub + b_eq.size
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    (lp.a_matrix_.start_, lp.a_matrix_.index_,
+     lp.a_matrix_.value_) = _colwise(A_ub, A_eq)
+    lp.col_cost_ = c
+    lp.col_lower_ = lb
+    lp.col_upper_ = ub
+    lp.row_lower_ = np.concatenate([np.full(num_ub, -math.inf), b_eq])
+    lp.row_upper_ = np.concatenate([b_ub, b_eq])
+
+    model = highs._Highs()
+    model.passOptions(_OPTIONS)
+    # as in scipy: a model HiGHS rejects is a model error, and a run that
+    # errors reports no iterations and, like any non-optimal run, no point
+    loaded = model.passModel(lp) != highs.HighsStatus.kError
+    ran = loaded and model.run() != highs.HighsStatus.kError
+    status = model.getModelStatus() if loaded else _MODEL.kModelError
+    message = f"HiGHS model status {model.modelStatusToString(status)}"
+    info = model.getInfo()
+    nit = (info.simplex_iteration_count or info.ipm_iteration_count) if ran else 0
+    if status != _MODEL.kOptimal or not ran:
+        code = 4 if status == _MODEL.kOptimal else _STATUS.get(status, 4)
+        return HighsResult(None, None, code, nit, message)
+
+    x, row_value = _solution(model)
+    fun = info.objective_function_value
+    # every comparison with a NaN is False, so NaNs fail the certificate
+    certified = (not math.isnan(fun)
+                 and (x >= lb - CERT_TOL).all() and (x <= ub + CERT_TOL).all()
+                 and (b_ub - row_value[:num_ub] >= -CERT_TOL).all()
+                 and (np.abs(b_eq - row_value[num_ub:]) <= CERT_TOL).all())
+    if not certified:
+        return HighsResult(x, fun, 4, nit, message + ", but the point breaks "
+                           f"a row or bound by more than {CERT_TOL:.2e}")
+    return HighsResult(x, fun, 0, nit, message)
+
+
 def solve(lp: LinearProgram | CompiledLP) -> LpSolution:
-    """Solve with HiGHS. Raises NumericalError if the backend cannot classify."""
+    """Solve with HiGHS through `linprog`. Raises NumericalError on a time
+    or iteration limit, a point that fails the certificate, or a status
+    that is none of optimal, infeasible and unbounded."""
     if isinstance(lp, LinearProgram):
         lp = compile_lp(lp)
-    res = linprog(lp.c,
-                  A_ub=lp.a_ub, b_ub=lp.b_ub if lp.a_ub is not None else None,
-                  A_eq=lp.a_eq, b_eq=lp.b_eq if lp.a_eq is not None else None,
-                  bounds=lp.bounds, method="highs")
+    res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq,
+                  b_eq=lp.b_eq, bounds=lp.bounds)
     if res.status == 0:
         value = float(res.fun)
         if lp.sense == MAX:

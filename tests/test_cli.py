@@ -242,6 +242,8 @@ def test_play_rejects_nan_fixed_policy(tmp_path, rng):
     ["play", "--runs", "0"],
     ["reproduce-case-study", "--runs", "0"],
     ["reproduce-case-study", "--grid-runs", "-1"],
+    ["play", "--seed", "-1"],
+    ["reproduce-case-study", "--seed", "-1"],
 ])
 def test_run_counts_out_of_range_exit_2(tmp_path, rng, args):
     if args[0] == "play":

@@ -1,0 +1,122 @@
+"""lp_core.linprog drives scipy's bundled HiGHS directly; it must return
+exactly what scipy.optimize.linprog(method="highs") returns for the same
+LP: the same x and objective bit for bit, the same status and the same
+simplex iteration count. scipy's own linprog stays the reference, so a
+scipy upgrade that changes the private HiGHS API or its options shows up
+here."""
+
+import numpy as np
+import pytest
+import scipy.optimize
+
+from zsbgames import (lp_core, oracle_value, solve_dual1, solve_dual2,
+                      solve_primal, update_mu, update_nu)
+from zsbgames.lp_core import LpBuilder
+
+from conftest import random_spec
+
+
+def _assert_parity(c, kwargs):
+    got = lp_core.linprog(c, **kwargs)
+    want = scipy.optimize.linprog(c, method="highs", **kwargs)
+    assert got.status == want.status
+    assert got.nit == want.nit
+    if want.x is None:
+        assert got.x is None and got.fun is None
+    else:
+        assert got.x.tobytes() == np.asarray(want.x, dtype=float).tobytes()
+        assert got.fun == want.fun
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Every (c, kwargs) that reaches lp_core.linprog while the test runs."""
+    lps = []
+    real = lp_core.linprog
+
+    def record(c, **kwargs):
+        lps.append((c, kwargs))
+        return real(c, **kwargs)
+
+    monkeypatch.setattr(lp_core, "linprog", record)
+    return lps
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solver_lps_match_scipy(n, captured, monkeypatch):
+    rng = np.random.default_rng(200 + n)
+    spec = random_spec(rng, num_k=3, num_l=2, num_a=2, num_b=3, lam=0.8)
+    for side in (1, 2):
+        solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side)
+    mu = rng.uniform(-20.0, 0.0, spec.num_k)
+    nu = rng.uniform(-20.0, 0.0, spec.num_l)
+    y_star = solve_dual1(spec, mu, spec.q0, n, spec.lam).strategy.stage1_matrix()
+    x_star = solve_dual2(spec, spec.p0, nu, n, spec.lam).strategy.stage1_matrix()
+    # as played, and with one action of each player at exactly zero weight
+    y_pure = np.zeros_like(y_star)
+    y_pure[0] = 1.0
+    x_pure = np.zeros_like(x_star)
+    x_pure[1] = 1.0
+    for y, x in ((y_star, x_star), (y_pure, x_pure)):
+        update_mu(spec, mu, spec.q0, y, 0, 2, n, spec.lam)
+        update_nu(spec, nu, spec.p0, x, 1, 1, n, spec.lam)
+    assert len(captured) == 8
+    monkeypatch.undo()
+    for c, kwargs in captured:
+        _assert_parity(c, kwargs)
+
+
+def test_case_study_primal_matches_scipy(case_study, captured, monkeypatch):
+    solve_primal(case_study, case_study.p0, case_study.q0, 3, case_study.lam, 1)
+    monkeypatch.undo()
+    (c, kwargs), = captured
+    assert c.size > 1000
+    _assert_parity(c, kwargs)
+
+
+def test_matrix_game_lp_matches_scipy(rng, captured, monkeypatch):
+    spec = random_spec(rng, horizon=1)
+    oracle_value(spec, spec.p0, spec.q0, 1, spec.lam)
+    monkeypatch.undo()
+    (c, kwargs), = captured
+    _assert_parity(c, kwargs)
+
+
+def _compiled(rows, objective, sense=lp_core.MIN, bounds=None):
+    b = LpBuilder()
+    for lower, upper in bounds or [(0.0, np.inf)] * 2:
+        b.new_var(lower, upper)
+    for coeffs, rel, rhs in rows:
+        b.add_row(coeffs, rel, rhs)
+    lp = lp_core.compile_lp(b.build(sense, objective))
+    return lp.c, dict(A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
+                      bounds=lp.bounds)
+
+
+@pytest.mark.parametrize("rows, objective, sense, bounds, status", [
+    ([({0: 1.0}, "<=", -1.0)], {0: 1.0}, lp_core.MIN, None, 2),
+    ([({0: 1.0, 1: 1.0}, "=", 1.0), ({0: 1.0}, ">=", 2.0)], {0: 1.0},
+     lp_core.MIN, None, 2),
+    ([], {0: 1.0}, lp_core.MAX, [(-np.inf, np.inf)] * 2, 3),
+    ([({0: 1.0, 1: -1.0}, "<=", 1.0)], {0: 1.0}, lp_core.MAX, None, 3),
+    ([], {0: 1.0, 1: -2.0}, lp_core.MIN, [(0.0, 3.0), (-1.0, 4.0)], 0),
+])
+def test_edge_case_lps_match_scipy(rows, objective, sense, bounds, status):
+    c, kwargs = _compiled(rows, objective, sense, bounds)
+    assert lp_core.linprog(c, **kwargs).status == status
+    _assert_parity(c, kwargs)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("c", [np.nan, 1.0]),
+    ("b_ub", [np.inf]),
+    ("b_eq", [np.nan]),
+    ("b_ub", [1.0, 2.0]),
+    ("bounds", [[1.0, 0.0], [0.0, 1.0]]),
+])
+def test_invalid_input_raises(name, value):
+    c, kwargs = _compiled([({0: 1.0}, "<=", 1.0), ({1: 1.0}, "=", 0.5)],
+                          {0: 1.0})
+    kwargs = {**kwargs, "c": c, name: np.array(value)}
+    with pytest.raises(ValueError):
+        lp_core.linprog(**kwargs)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zsbgames import lp_core
+from zsbgames import NumericalError, lp_core
 from zsbgames.lp_core import LpBuilder
 
 
@@ -91,3 +91,52 @@ def test_solution_deterministic():
     a = lp_core.solve(lp)
     b = lp_core.solve(lp)
     assert np.array_equal(a.primal, b.primal)
+
+
+def _equality_lp():
+    # min 2x + y  s.t.  x + y = 1, x - y >= 0, x, y >= 0  -> (0.5, 0.5)
+    b = LpBuilder()
+    x = b.new_var(lower=0.0)
+    y = b.new_var(lower=0.0)
+    b.add_row({x: 1.0, y: 1.0}, "=", 1.0)
+    b.add_row({x: 1.0, y: -1.0}, ">=", 0.0)
+    return b.build(lp_core.MIN, {x: 2.0, y: 1.0})
+
+
+def _shifted_reader(monkeypatch, col_shift, row_shift):
+    """Make lp_core read HiGHS's solution moved by the given offsets."""
+    real = lp_core._solution
+
+    def shifted(model):
+        x, rows = real(model)
+        return x + col_shift, rows + row_shift
+    monkeypatch.setattr(lp_core, "_solution", shifted)
+
+
+@pytest.mark.parametrize("make_lp, col_shift, row_shift", [
+    (lambda: _knapsack_lp()[0], [0.0, 0.0], [1e-3, 0.0]),  # x + y <= 4
+    (_equality_lp, [0.0, 0.0], [0.0, 1e-3]),                # x + y = 1
+    (_equality_lp, [-0.501, 0.0], [0.0, 0.0]),              # x >= 0
+    (_equality_lp, [np.nan, 0.0], [0.0, 0.0]),
+])
+def test_uncertified_point_raises(monkeypatch, make_lp, col_shift, row_shift):
+    _shifted_reader(monkeypatch, np.array(col_shift), np.array(row_shift))
+    with pytest.raises(NumericalError, match="status=4"):
+        lp_core.solve(make_lp())
+
+
+def test_point_within_tolerance_is_accepted(monkeypatch):
+    _shifted_reader(monkeypatch, 0.0, np.array([0.5 * lp_core.CERT_TOL, 0.0]))
+    sol = lp_core.solve(_equality_lp())
+    assert sol.status == "optimal"
+
+
+@pytest.mark.parametrize("changes, status", [
+    (dict(time_limit=0.0), "Time limit reached"),
+    (dict(presolve="off", simplex_iteration_limit=0), "Iteration limit reached"),
+])
+def test_limit_raises_with_model_status(monkeypatch, changes, status):
+    for name, value in changes.items():
+        monkeypatch.setattr(lp_core._OPTIONS, name, value)
+    with pytest.raises(NumericalError, match=f"status=1 .*{status}"):
+        lp_core.solve(_knapsack_lp()[0])

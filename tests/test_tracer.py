@@ -58,3 +58,30 @@ def test_tracer_wraps_entry_points_and_restores_them(rng):
     assert summary["lp_core.solves.primal1"] == 1
     assert summary["lp_core.solves.primal2"] == 1
     assert summary["lp_core.solves.br1"] == summary["lp_core.solves.br2"] == 0
+
+
+def test_tracer_sees_every_highs_run(rng):
+    """lp_core.linprog is the one HiGHS entry point: the traced sizes of a
+    primal pair are those of the two compiled LPs, with iterations."""
+    tracer_mod = _load_tracer()
+    spec = random_spec(rng, horizon=2)
+    want = {"vars": 0, "rows": 0, "nnz": 0}
+    for side in (1, 2):
+        lp = zsbgames.lp_core.compile_lp(zsbgames.primal_solver.build_primal(
+            spec, spec.p0, spec.q0, 2, spec.lam, side)[0])
+        mats = [m for m in (lp.a_ub, lp.a_eq) if m is not None]
+        want["vars"] += lp.num_vars
+        want["rows"] += sum(m.shape[0] for m in mats)
+        want["nnz"] += sum(m.nnz for m in mats)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        for side in (1, 2):
+            zsbgames.solve_primal(spec, spec.p0, spec.q0, 2, spec.lam, side)
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert summary["lp_core.highs_iterations"] > 0
+    assert summary["lp_core.not_optimal"] == 0
+    for key, value in want.items():
+        assert summary[f"lp_core.{key}"] == value

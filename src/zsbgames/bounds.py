@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import lp_core
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DomainError, NumericalError
 from .game_model import GameSpec
 from .history_index import build_index
 
@@ -121,7 +121,7 @@ def _matrix_game_value(payoff: np.ndarray) -> float:
     res = lp_core.linprog(c, A_ub=sp.csr_matrix(a_ub), b_ub=b_ub,
                           A_eq=sp.csr_matrix(a_eq), b_eq=[1.0], bounds=bounds)
     if res.status != 0:
-        raise RuntimeError(f"matrix game LP failed: {res.message}")
+        raise NumericalError(f"matrix game LP failed: {res.message}")
     return float(-res.fun)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import lp_core
 from .errors import SolverError
 from .game_model import GameSpec
-from .history_index import DEFAULT_MAX_VARS, HistoryIndex, build_index
+from .history_index import HistoryIndex, build_index
 from .lp_core import CompiledLP, LpBuilder
 from .primal_solver import (BehavioralStrategy, RealizationPlan,
                             add_sequence_system, extract_strategy,
@@ -58,10 +58,10 @@ class DualTemplate:
                                 [*root, *(-vector)])
 
 
-def dual_template(spec: GameSpec, kind: int, n: int, lam: float,
-                  max_vars: int = DEFAULT_MAX_VARS) -> DualTemplate:
+def dual_template(spec: GameSpec, kind: int, n: int,
+                  lam: float) -> DualTemplate:
     owner = spec.side(3 - kind)     # the plan owner; the picker is its opp
-    index = build_index(spec, n, max_vars=max_vars)
+    index = build_index(spec, n)
     builder = LpBuilder()
     plan_vars, payoff_vars, root_rows = add_sequence_system(
         builder, spec, index, owner.side, n, lam, np.zeros(owner.num_states))
@@ -72,15 +72,14 @@ def dual_template(spec: GameSpec, kind: int, n: int, lam: float,
                          v0: -1.0}, rel, 0.0)
         for s in range(owner.num_opp_states)]
     lp = builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0})
-    return DualTemplate(kind=kind, n=n, lam=lam, index=index,
-                        lp=lp_core.compile_lp(lp), plan_vars=plan_vars,
-                        payoff_vars=payoff_vars, root_rows=root_rows,
-                        coupling_rows=coupling_rows)
+    return DualTemplate(kind=kind, n=n, lam=lam, index=index, lp=lp,
+                        plan_vars=plan_vars, payoff_vars=payoff_vars,
+                        root_rows=root_rows, coupling_rows=coupling_rows)
 
 
-def _solve(spec, kind, root, vector, n, lam, max_vars, template) -> DualResult:
+def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
     if template is None:
-        template = dual_template(spec, kind, n, lam, max_vars=max_vars)
+        template = dual_template(spec, kind, n, lam)
     elif (template.kind, template.n, template.lam) != (kind, n, lam):
         raise ValueError(f"template is for dual-{template.kind} at n="
                          f"{template.n}, lambda={template.lam}")
@@ -98,16 +97,14 @@ def _solve(spec, kind, root, vector, n, lam, max_vars, template) -> DualResult:
 
 
 def solve_dual1(spec: GameSpec, mu, q, n: int, lam: float,
-                max_vars: int = DEFAULT_MAX_VARS,
                 template: DualTemplate | None = None) -> DualResult:
     """Value of the dual game where player 1 picks its own initial state
     against the vector payoff `mu`, plus player 2's security strategy."""
-    return _solve(spec, 1, q, mu, n, lam, max_vars, template)
+    return _solve(spec, 1, q, mu, n, lam, template)
 
 
 def solve_dual2(spec: GameSpec, p, nu, n: int, lam: float,
-                max_vars: int = DEFAULT_MAX_VARS,
                 template: DualTemplate | None = None) -> DualResult:
     """Value of the dual game where player 2 picks its own initial state
     against the vector payoff `nu`, plus player 1's security strategy."""
-    return _solve(spec, 2, p, nu, n, lam, max_vars, template)
+    return _solve(spec, 2, p, nu, n, lam, template)

@@ -1,10 +1,10 @@
 """Sparse LP data model and solve contract.
 
-The primal, dual and vector-payoff update solvers build `LinearProgram`
-instances (usually through `LpBuilder`) and call `solve`; the best
-response needs no LP. An LP solved many times with different right-hand
-sides is compiled once into a `CompiledLP` and patched with
-`CompiledLP.with_rhs`.
+The primal, dual and vector-payoff update solvers add variables and rows
+to an `LpBuilder`, whose `build` compiles them into a `CompiledLP`, the
+array form HiGHS takes, and call `solve`; the best response needs no LP.
+An LP solved many times with different right-hand sides is built once and
+patched with `CompiledLP.with_rhs`.
 
 `linprog` is the one place that runs HiGHS. It drives the copy of HiGHS
 bundled with scipy (`scipy.optimize._highspy._core`) directly, with the
@@ -29,17 +29,6 @@ from .errors import NumericalError
 MIN = "min"
 MAX = "max"
 
-FEAS_TOL = 1e-6
-
-
-@dataclass
-class LinearProgram:
-    sense: str                       # "min" or "max"
-    num_vars: int
-    objective: list                  # [(var, coeff)]
-    rows: list                       # [(coeffs list, relation, rhs)]
-    bounds: list                     # [(lower, upper)] per variable
-
 
 @dataclass
 class LpSolution:
@@ -49,7 +38,7 @@ class LpSolution:
 
 
 class LpBuilder:
-    """Incremental construction of a LinearProgram.
+    """Incremental construction of an LP, compiled by `build`.
 
     Coefficients are accumulated per row, so duplicate variable mentions
     within one `add_row` call are merged.
@@ -67,15 +56,28 @@ class LpBuilder:
         return [self.new_var(lower, upper) for _ in range(count)]
 
     def add_row(self, coeffs: dict, rel: str, rhs: float) -> int:
-        """Append a row; returns its index in the built LP's `rows`."""
+        """Append a row; returns its index in the built LP's `rels`."""
         self._rows.append(_row(coeffs, rel, rhs))
         return len(self._rows) - 1
 
-    def build(self, sense: str, objective: dict) -> LinearProgram:
-        obj = sorted((v, c) for v, c in objective.items() if c != 0.0)
-        return LinearProgram(sense=sense, num_vars=len(self._bounds),
-                             objective=obj, rows=list(self._rows),
-                             bounds=list(self._bounds))
+    def build(self, sense: str, objective: dict) -> CompiledLP:
+        """The LP that minimizes (MIN) or maximizes (MAX) `objective`, a
+        {var: coeff} dict, subject to the rows and bounds added so far."""
+        num_vars = len(self._bounds)
+        c = np.zeros(num_vars)
+        for var, coef in objective.items():
+            if coef != 0.0:
+                c[var] = coef
+        if sense == MAX:
+            c = -c
+        rels = [rel for _, rel, _ in self._rows]
+        is_eq = np.array([rel == "=" for rel in rels], dtype=bool)
+        slots = np.where(is_eq, np.cumsum(is_eq), np.cumsum(~is_eq)) - 1
+        a_ub, b_ub = _stack([r for r in self._rows if r[1] != "="], num_vars)
+        a_eq, b_eq = _stack([r for r in self._rows if r[1] == "="], num_vars)
+        bounds = np.array(self._bounds, dtype=float).reshape(num_vars, 2)
+        return CompiledLP(sense, c, a_ub, b_ub, a_eq, b_eq, bounds, rels,
+                          slots)
 
 
 def _row(coeffs: dict, rel: str, rhs: float):
@@ -105,12 +107,13 @@ def _stack(rows, num_vars: int):
 
 @dataclass
 class CompiledLP:
-    """A LinearProgram in the array form HiGHS takes: minimize c @ x
-    subject to a_ub @ x <= b_ub, a_eq @ x = b_eq and bounds[:, 0] <= x <=
-    bounds[:, 1].
+    """An LP in the array form HiGHS takes: minimize c @ x subject to
+    a_ub @ x <= b_ub, a_eq @ x = b_eq and bounds[:, 0] <= x <= bounds[:, 1].
+    A max LP is stored with c negated and a >= row with its coefficients
+    and right-hand side negated.
 
-    `slots[row]` is where row `row` of the source LP sits in b_ub or b_eq
-    (which one `rels[row]` tells), so `with_rhs` can patch right-hand sides
+    `rels[row]` is the relation row `row` was added with and `slots[row]`
+    where it sits in b_ub or b_eq, so `with_rhs` can patch right-hand sides
     without reassembling the matrices.
     """
 
@@ -147,22 +150,6 @@ class CompiledLP:
                     else sp.vstack([a_ub, block], format="csr"))
             b_ub = np.concatenate([b_ub, b_block])
         return replace(self, a_ub=a_ub, b_ub=b_ub, b_eq=b_eq)
-
-
-def compile_lp(lp: LinearProgram) -> CompiledLP:
-    c = np.zeros(lp.num_vars)
-    for var, coef in lp.objective:
-        c[var] = coef
-    if lp.sense == MAX:
-        c = -c
-    rels = [rel for _, rel, _ in lp.rows]
-    is_eq = np.array([rel == "=" for rel in rels], dtype=bool)
-    slots = np.where(is_eq, np.cumsum(is_eq), np.cumsum(~is_eq)) - 1
-    a_ub, b_ub = _stack([r for r in lp.rows if r[1] != "="], lp.num_vars)
-    a_eq, b_eq = _stack([r for r in lp.rows if r[1] == "="], lp.num_vars)
-    bounds = np.array(lp.bounds, dtype=float).reshape(lp.num_vars, 2)
-    return CompiledLP(lp.sense, c, a_ub, b_ub, a_eq, b_eq, bounds, rels,
-                      slots)
 
 
 # the options scipy.optimize.linprog(method="highs") sets; the others keep
@@ -297,12 +284,10 @@ def linprog(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     return HighsResult(x, fun, 0, nit, message)
 
 
-def solve(lp: LinearProgram | CompiledLP) -> LpSolution:
+def solve(lp: CompiledLP) -> LpSolution:
     """Solve with HiGHS through `linprog`. Raises NumericalError on a time
     or iteration limit, a point that fails the certificate, or a status
     that is none of optimal, infeasible and unbounded."""
-    if isinstance(lp, LinearProgram):
-        lp = compile_lp(lp)
     res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq,
                   b_eq=lp.b_eq, bounds=lp.bounds)
     if res.status == 0:
@@ -320,41 +305,27 @@ def solve(lp: LinearProgram | CompiledLP) -> LpSolution:
     raise NumericalError(f"LP backend failed: status={res.status} ({res.message})")
 
 
-def check_feasibility(lp: LinearProgram, point, tol: float = FEAS_TOL) -> list[dict]:
-    """List of constraint/bound violations of `point` beyond `tol`."""
-    x = np.asarray(point, dtype=float)
-    if x.shape != (lp.num_vars,):
-        raise ValueError(f"point has length {x.size}, expected {lp.num_vars}")
-    report = []
-    for idx, (coeffs, rel, rhs) in enumerate(lp.rows):
-        lhs = sum(coef * x[var] for var, coef in coeffs)
-        gap = lhs - rhs
-        bad = ((rel == "<=" and gap > tol) or
-               (rel == ">=" and gap < -tol) or
-               (rel == "=" and abs(gap) > tol))
-        if bad:
-            report.append({"kind": "row", "index": idx, "relation": rel,
-                           "violation": float(abs(gap))})
-    for var, (lo, hi) in enumerate(lp.bounds):
-        if x[var] < lo - tol or x[var] > hi + tol:
-            report.append({"kind": "bound", "index": var,
-                           "violation": float(max(lo - x[var], x[var] - hi))})
-    return report
+def write_lp_text(lp: CompiledLP, path) -> None:
+    """Dump in CPLEX LP text format, for debugging with external tools.
 
+    Rows are written in the order `LpBuilder.add_row` added them, with
+    their relations and signs as given; `with_rhs`'s extra rows are not."""
+    def terms(cols, coefs):
+        return "".join(f" {'+' if coef >= 0 else '-'} {abs(coef):.17g} x{var}"
+                       for var, coef in zip(cols, coefs))
 
-def write_lp_text(lp: LinearProgram, path) -> None:
-    """Dump in CPLEX LP text format, for debugging with external tools."""
-    def term(var, coef):
-        sign = "+" if coef >= 0 else "-"
-        return f" {sign} {abs(coef):.17g} x{var}"
-
+    obj = -lp.c if lp.sense == MAX else lp.c
+    nonzero = np.flatnonzero(obj)
     lines = ["Maximize" if lp.sense == MAX else "Minimize"]
-    lines.append(" obj:" + "".join(term(v, c) for v, c in lp.objective))
+    lines.append(" obj:" + terms(nonzero, obj[nonzero]))
     lines.append("Subject To")
-    relmap = {"<=": "<=", ">=": ">=", "=": "="}
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        body = "".join(term(v, c) for v, c in coeffs) or " 0 x0"
-        lines.append(f" r{i}:{body} {relmap[rel]} {rhs:.17g}")
+    for i, (rel, slot) in enumerate(zip(lp.rels, lp.slots)):
+        mat, b = (lp.a_eq, lp.b_eq) if rel == "=" else (lp.a_ub, lp.b_ub)
+        sign = _SIGN.get(rel, 1.0)
+        start, stop = mat.indptr[slot], mat.indptr[slot + 1]
+        body = terms(mat.indices[start:stop],
+                     sign * mat.data[start:stop]) or " 0 x0"
+        lines.append(f" r{i}:{body} {rel} {sign * b[slot]:.17g}")
     lines.append("Bounds")
     for var, (lo, hi) in enumerate(lp.bounds):
         lo_s = "-inf" if lo == -math.inf else f"{lo:.17g}"

@@ -17,7 +17,7 @@ import numpy as np
 from . import best_response, lp_core
 from .errors import SolverError
 from .game_model import GameSpec
-from .history_index import DEFAULT_MAX_VARS, HistoryIndex, build_index
+from .history_index import HistoryIndex, build_index
 from .lp_core import LpBuilder
 
 UNREACHABLE_TOL = 1e-9
@@ -147,8 +147,7 @@ def add_sequence_system(builder: LpBuilder, spec: GameSpec, index: HistoryIndex,
 
 
 def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
-                 index: HistoryIndex | None = None,
-                 max_vars: int = DEFAULT_MAX_VARS):
+                 index: HistoryIndex | None = None):
     """Player `side`'s primal LP; returns (lp, plan_vars, payoff_vars, index).
 
     The plan is rooted at the player's own belief; the objective weights
@@ -156,7 +155,7 @@ def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
     """
     view = spec.side(side)
     if index is None:
-        index = build_index(spec, n, max_vars=max_vars)
+        index = build_index(spec, n)
     own, other = view.pair(p, q)
     builder = LpBuilder()
     plan_vars, payoff_vars, _ = add_sequence_system(
@@ -165,20 +164,6 @@ def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
                  float(other[s]) for s in range(view.num_opp_states)}
     lp = builder.build(lp_core.MAX if side == 1 else lp_core.MIN, objective)
     return lp, plan_vars, payoff_vars, index
-
-
-def build_primal_p1(spec: GameSpec, p, q, n: int, lam: float,
-                    index: HistoryIndex | None = None,
-                    max_vars: int = DEFAULT_MAX_VARS):
-    """Player 1's primal LP; see build_primal."""
-    return build_primal(spec, p, q, n, lam, 1, index, max_vars)
-
-
-def build_primal_p2(spec: GameSpec, p, q, n: int, lam: float,
-                    index: HistoryIndex | None = None,
-                    max_vars: int = DEFAULT_MAX_VARS):
-    """Player 2's primal LP; see build_primal."""
-    return build_primal(spec, p, q, n, lam, 2, index, max_vars)
 
 
 def plan_from_solution(index: HistoryIndex, side: int, n: int,
@@ -220,7 +205,6 @@ def extract_strategy(plan: RealizationPlan, spec: GameSpec) -> BehavioralStrateg
 
 
 def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
-                 max_vars: int = DEFAULT_MAX_VARS,
                  inspect_lp=None) -> PrimalResult:
     """Game value, security strategy and initial vector payoff for `side`.
 
@@ -228,13 +212,12 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
     other side's dual game) are recomputed as the best response against
     the extracted plan, so they are well defined even at opponent states
     with zero prior weight. `inspect_lp`, if given, is called with the
-    LinearProgram before it is solved.
+    compiled LP before it is solved.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     own, other = spec.side(side).pair(p, q)
-    build = build_primal_p1 if side == 1 else build_primal_p2
-    lp, plan_vars, _, index = build(spec, p, q, n, lam, max_vars=max_vars)
+    lp, plan_vars, _, index = build_primal(spec, p, q, n, lam, side)
     if inspect_lp is not None:
         inspect_lp(lp)
     sol = lp_core.solve(lp)

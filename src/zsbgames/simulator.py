@@ -102,19 +102,3 @@ def write_results_csv(result: McResult, fh) -> None:
     fh.write("runs,mean,stddev,stderr\n")
     fh.write(f"{result.num_runs},{result.mean:.10g},"
              f"{result.stddev:.10g},{result.stderr:.10g}\n")
-
-
-def write_agent_trace_csv(trace_rows, fh) -> None:
-    """Per-stage statistic trace of one window agent."""
-    if not trace_rows:
-        return
-    nb = trace_rows[0].belief.size
-    nv = trace_rows[0].vector_payoff.size
-    header = (["t", "window"] + [f"belief_{i}" for i in range(nb)]
-              + [f"vector_{i}" for i in range(nv)])
-    fh.write(",".join(header) + "\n")
-    for row in trace_rows:
-        vals = [str(row.t), str(row.window)]
-        vals += [f"{x:.10g}" for x in row.belief]
-        vals += [f"{x:.10g}" for x in row.vector_payoff]
-        fh.write(",".join(vals) + "\n")

@@ -17,23 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp_core
-from .errors import SolverError, ValidationError
+from .errors import SolverError
 from .game_model import GameSpec
-from .history_index import DEFAULT_MAX_VARS, build_index
+from .history_index import build_index
 from .lp_core import CompiledLP, LpBuilder
 from .primal_solver import add_sequence_system
 
 DEGENERATE_TOL = 1e-9
-
-
-def check_stage_strategy(matrix: np.ndarray, name: str = "stage strategy") -> None:
-    """Columns must be probability distributions over actions."""
-    m = np.asarray(matrix, dtype=float)
-    if np.any(m < -1e-6):
-        raise ValidationError(f"{name} has a negative entry")
-    sums = m.sum(axis=0)
-    if np.any(np.abs(sums - 1.0) > 1e-6):
-        raise ValidationError(f"{name} columns sum to {sums}, expected 1")
 
 
 def _update_belief(spec: GameSpec, side: int, belief, strategy, a: int,
@@ -128,13 +118,13 @@ class UpdateTemplate:
         return self.lp.with_rhs(rows, roots, extra_rows=block)
 
 
-def update_template(spec: GameSpec, kind: int, n: int, lam: float,
-                    max_vars: int = DEFAULT_MAX_VARS) -> UpdateTemplate:
+def update_template(spec: GameSpec, kind: int, n: int,
+                    lam: float) -> UpdateTemplate:
     view = spec.side(kind)          # the vector owner; view.opp owns the plans
     rel = "<=" if kind == 1 else ">="
     builder = LpBuilder()
     scalar = builder.new_var()
-    sub_index = build_index(spec, n - 1, max_vars=max_vars) if n >= 2 else None
+    sub_index = build_index(spec, n - 1) if n >= 2 else None
     tail_vars, vector_vars, root_rows = {}, {}, {}
     for aa in range(spec.num_a):
         for bb in range(spec.num_b):
@@ -152,16 +142,15 @@ def update_template(spec: GameSpec, kind: int, n: int, lam: float,
                     coeffs[payoff_vars[(1, root)]] = 1.0
                 builder.add_row(coeffs, rel, 0.0)
     lp = builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {scalar: 1.0})
-    return UpdateTemplate(spec=spec, kind=kind, n=n, lam=lam,
-                          lp=lp_core.compile_lp(lp), scalar=scalar,
-                          tail_vars=tail_vars, vector_vars=vector_vars,
-                          root_rows=root_rows)
+    return UpdateTemplate(spec=spec, kind=kind, n=n, lam=lam, lp=lp,
+                          scalar=scalar, tail_vars=tail_vars,
+                          vector_vars=vector_vars, root_rows=root_rows)
 
 
-def _update(spec, kind, vec, belief, star, a, b, n, lam, max_vars,
+def _update(spec, kind, vec, belief, star, a, b, n, lam,
             template) -> UpdateResult:
     if template is None:
-        template = update_template(spec, kind, n, lam, max_vars=max_vars)
+        template = update_template(spec, kind, n, lam)
     elif (template.kind, template.n, template.lam) != (kind, n, lam):
         raise ValueError(f"template is for update type {template.kind} at "
                          f"n={template.n}, lambda={template.lam}")
@@ -178,22 +167,22 @@ def _update(spec, kind, vec, belief, star, a, b, n, lam, max_vars,
 
 
 def update_mu(spec: GameSpec, mu, q, y_star, a: int, b: int, n: int,
-              lam: float, max_vars: int = DEFAULT_MAX_VARS,
+              lam: float,
               template: UpdateTemplate | None = None) -> UpdateResult:
     """Next vector payoff over player 1's states for player 2's statistic.
 
     `y_star` must be player 2's stage-1 strategy of the n-stage dual game
     at (mu, q); the returned scalar then equals that dual game's value.
     """
-    return _update(spec, 1, mu, q, y_star, a, b, n, lam, max_vars, template)
+    return _update(spec, 1, mu, q, y_star, a, b, n, lam, template)
 
 
 def update_nu(spec: GameSpec, nu, p, x_star, a: int, b: int, n: int,
-              lam: float, max_vars: int = DEFAULT_MAX_VARS,
+              lam: float,
               template: UpdateTemplate | None = None) -> UpdateResult:
     """Next vector payoff over player 2's states for player 1's statistic.
 
     Mirror of update_mu: `x_star` is player 1's stage-1 strategy of the
     n-stage dual game at (p, nu).
     """
-    return _update(spec, 2, nu, p, x_star, a, b, n, lam, max_vars, template)
+    return _update(spec, 2, nu, p, x_star, a, b, n, lam, template)

@@ -123,14 +123,6 @@ class SolverCache:
         return self._update(2, nu, p, n, lam, a, b)
 
 
-@dataclass
-class TraceRow:
-    t: int
-    window: int
-    belief: np.ndarray
-    vector_payoff: np.ndarray
-
-
 class WindowAgent:
     """Plays one side of the game window by window.
 
@@ -141,14 +133,12 @@ class WindowAgent:
     """
 
     def __init__(self, spec: GameSpec, config: WindowConfig, side: int,
-                 cache: SolverCache | None = None, record_trace: bool = False):
+                 cache: SolverCache | None = None):
         self._view = spec.side(side)
         self.spec = spec
         self.config = config
         self.side = side
         self.cache = cache if cache is not None else SolverCache(spec)
-        self.record_trace = record_trace
-        self.trace: list[TraceRow] = []
 
     # -- episode lifecycle -------------------------------------------------
 
@@ -164,7 +154,6 @@ class WindowAgent:
         self.vector_payoff = result.initial_vector_payoff.copy()
         self.belief = self._view.prior.copy()
         self._reset_window_tracking(own_state)
-        self._record()
 
     def _reset_window_tracking(self, own_state: int) -> None:
         self.own_states = (own_state,)
@@ -247,7 +236,6 @@ class WindowAgent:
         self.window_pos += 1
         if self.window_pos > self.window_len:
             self._advance_window(own_next_state)
-        self._record()
 
     def _update_horizon(self) -> int:
         if self.config.update_horizon_mode == FIXED_N:
@@ -268,12 +256,6 @@ class WindowAgent:
                       self.window_len, spec.lam)
         self.strategy = result.strategy
         self._reset_window_tracking(own_state)
-
-    def _record(self) -> None:
-        if self.record_trace:
-            self.trace.append(TraceRow(t=self.t, window=self.window_id,
-                                       belief=self.belief.copy(),
-                                       vector_payoff=self.vector_payoff.copy()))
 
 
 class OptimalAgent:

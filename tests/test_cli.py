@@ -73,7 +73,7 @@ def test_solve_dump_lp_builds_the_solved_lp_once(tmp_path, rng, monkeypatch):
     path = _write(tmp_path, random_spec(rng, horizon=3))
     dump = tmp_path / "model.lp"
     built, solved = [], []
-    build = primal_solver.build_primal_p2
+    build = primal_solver.build_primal
     solve = lp_core.solve
 
     def counting_build(*args, **kwargs):
@@ -85,7 +85,7 @@ def test_solve_dump_lp_builds_the_solved_lp_once(tmp_path, rng, monkeypatch):
         solved.append(lp)
         return solve(lp)
 
-    monkeypatch.setattr(primal_solver, "build_primal_p2", counting_build)
+    monkeypatch.setattr(primal_solver, "build_primal", counting_build)
     monkeypatch.setattr(lp_core, "solve", recording_solve)
     result = CliRunner().invoke(main, ["solve", "--spec", path, "--side", "2",
                                        "--dump-lp", str(dump)])
@@ -131,6 +131,21 @@ def test_oracle_capacity_exit_code(tmp_path, rng):
     path = _write(tmp_path, random_spec(rng, horizon=3))
     result = CliRunner().invoke(main, ["oracle", "--spec", path])
     assert result.exit_code == 3
+
+
+def test_oracle_uncertified_lp_exit_code(tmp_path, rng, monkeypatch):
+    """A matrix-game LP whose point fails the certificate is a solver
+    failure (exit 4), not a crash."""
+    path = _write(tmp_path, random_spec(rng, horizon=1))
+    real = lp_core._solution
+
+    def shifted(model):
+        x, rows = real(model)
+        return x, rows + 1e-3
+    monkeypatch.setattr(lp_core, "_solution", shifted)
+    result = CliRunner().invoke(main, ["oracle", "--spec", path])
+    assert result.exit_code == 4
+    assert "matrix game LP failed" in result.output
 
 
 def test_bound_command():

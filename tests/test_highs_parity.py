@@ -88,7 +88,7 @@ def _compiled(rows, objective, sense=lp_core.MIN, bounds=None):
         b.new_var(lower, upper)
     for coeffs, rel, rhs in rows:
         b.add_row(coeffs, rel, rhs)
-    lp = lp_core.compile_lp(b.build(sense, objective))
+    lp = b.build(sense, objective)
     return lp.c, dict(A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
                       bounds=lp.bounds)
 

@@ -63,27 +63,66 @@ def test_duplicate_coefficients_merge():
     assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
 
 
-def test_check_feasibility_reports_violations():
-    lp, x, y = _knapsack_lp()
-    assert lp_core.check_feasibility(lp, [3.0, 1.0]) == []
-    report = lp_core.check_feasibility(lp, [5.0, 0.0])
-    kinds = {(r["kind"], r["index"]) for r in report}
-    assert ("row", 0) in kinds and ("row", 1) in kinds
-
-
-def test_check_feasibility_bound_violation():
-    lp, x, y = _knapsack_lp()
-    report = lp_core.check_feasibility(lp, [-1.0, 0.0])
-    assert any(r["kind"] == "bound" and r["index"] == x for r in report)
-
-
 def test_write_lp_text(tmp_path):
     lp, _, _ = _knapsack_lp()
     path = tmp_path / "model.lp"
     lp_core.write_lp_text(lp, path)
-    text = path.read_text()
-    assert text.startswith("Maximize")
-    assert "Subject To" in text and "Bounds" in text and text.endswith("End\n")
+    assert path.read_text() == """\
+Maximize
+ obj: + 3 x0 + 2 x1
+Subject To
+ r0: + 1 x0 + 1 x1 <= 4
+ r1: + 1 x0 <= 3
+Bounds
+ 0 <= x0 <= +inf
+ 0 <= x1 <= +inf
+End
+"""
+
+
+def test_build_compiles_rows_into_arrays(tmp_path):
+    b = LpBuilder()
+    x = b.new_var(lower=0.0)
+    y = b.new_var(lower=-1.0, upper=2.5)
+    z = b.new_var()
+    b.add_row({x: 1.0, y: 2.0}, "<=", 4.0)
+    b.add_row({x: 1.0, y: 0.0, z: -1.0}, ">=", -2.0)
+    b.add_row({y: 1.0, z: 1.0}, "=", 1.0)
+    lp = b.build(lp_core.MAX, {x: 1.0, y: 0.0, z: 0.5})
+    # max LP: c negated; >= row: coefficients and rhs negated; 0.0 dropped
+    assert lp.c.tolist() == [-1.0, 0.0, -0.5]
+    assert lp.a_ub.toarray().tolist() == [[1.0, 2.0, 0.0], [-1.0, 0.0, 1.0]]
+    assert lp.a_ub.nnz == 4
+    assert lp.b_ub.tolist() == [4.0, 2.0]
+    assert lp.a_eq.toarray().tolist() == [[0.0, 1.0, 1.0]]
+    assert lp.b_eq.tolist() == [1.0]
+    assert lp.bounds.tolist() == [[0.0, math.inf], [-1.0, 2.5],
+                                  [-math.inf, math.inf]]
+    assert lp.rels == ["<=", ">=", "="]
+    assert lp.slots.tolist() == [0, 1, 0]
+
+    patched = lp.with_rhs([1, 2], [3.0, 0.5])
+    assert patched.b_ub.tolist() == [4.0, -3.0]
+    assert patched.b_eq.tolist() == [0.5]
+    assert patched.a_ub is lp.a_ub and patched.a_eq is lp.a_eq
+    assert lp.b_ub.tolist() == [4.0, 2.0]
+
+    # the dump shows each row as it was added
+    path = tmp_path / "model.lp"
+    lp_core.write_lp_text(lp, path)
+    assert path.read_text() == """\
+Maximize
+ obj: + 1 x0 + 0.5 x2
+Subject To
+ r0: + 1 x0 + 2 x1 <= 4
+ r1: + 1 x0 - 1 x2 >= -2
+ r2: + 1 x1 + 1 x2 = 1
+Bounds
+ 0 <= x0 <= +inf
+ -1 <= x1 <= 2.5
+ -inf <= x2 <= +inf
+End
+"""
 
 
 def test_solution_deterministic():

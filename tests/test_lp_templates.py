@@ -70,8 +70,8 @@ def _direct_update_lp(spec, kind, vec, belief, star, n, lam):
                 for s2, var in enumerate(vecs[(aa, bb)]):
                     row[var] = lam * float(bar[m]) * own_trans[aa, bb, s, s2]
             builder.add_row(row, final_rel, rhs)
-    return lp_core.compile_lp(builder.build(
-        lp_core.MIN if kind == 1 else lp_core.MAX, {scalar: 1.0}))
+    return builder.build(lp_core.MIN if kind == 1 else lp_core.MAX,
+                         {scalar: 1.0})
 
 
 def _direct_dual_lp(spec, kind, root, vector, n, lam):
@@ -83,8 +83,7 @@ def _direct_dual_lp(spec, kind, root, vector, n, lam):
     for s, val in enumerate(vector):
         builder.add_row({pay[(1, index.id_of(kind, 1, (s,), ()))]: 1.0,
                          v0: -1.0}, "<=" if kind == 1 else ">=", -float(val))
-    return lp_core.compile_lp(builder.build(
-        lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0}))
+    return builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0})
 
 
 def _same_dual(got, want):

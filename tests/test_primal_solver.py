@@ -3,8 +3,7 @@ import pytest
 
 from zsbgames import GameSpec, extract_strategy, solve_primal
 from zsbgames.bounds import _matrix_game_value
-from zsbgames.lp_core import check_feasibility
-from zsbgames.primal_solver import build_primal_p1, build_primal_p2
+from zsbgames.primal_solver import build_primal
 
 from conftest import constant_spec, random_spec
 
@@ -33,16 +32,16 @@ def test_both_sides_agree(rng):
 
 def test_optimal_plan_is_feasible(rng):
     spec = random_spec(rng, num_k=2, num_l=2, num_a=2, num_b=2, horizon=3)
-    lp, plan_vars, _, index = build_primal_p1(spec, spec.p0, spec.q0, 3,
-                                              spec.lam)
+    lp, plan_vars, _, index = build_primal(spec, spec.p0, spec.q0, 3,
+                                           spec.lam, 1)
     res = solve_primal(spec, spec.p0, spec.q0, 3, spec.lam, 1)
     point = np.zeros(lp.num_vars)
     for key, var in plan_vars.items():
         point[var] = res.plan.values[key]
-    # only check plan bounds and flow rows; payoff vars are left at 0
-    flow_rows = [r for r in check_feasibility(lp, point)
-                 if r["kind"] == "row" and lp.rows[r["index"]][1] == "="]
-    assert flow_rows == []
+    # the = rows are the flow rows, one per own history; they involve only
+    # plan variables, so the payoff variables can stay at 0
+    assert lp.b_eq.size == sum(index.count(1, t) for t in range(1, 4))
+    assert np.all(np.abs(lp.a_eq @ point - lp.b_eq) <= 1e-6)
 
 
 def test_strategy_rows_are_distributions(rng):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from zsbgames import (ValidationError, solve_dual1, solve_dual2,
-                      update_belief_p, update_belief_q, update_mu, update_nu)
-from zsbgames.stat_updater import check_stage_strategy
+from zsbgames import (solve_dual1, solve_dual2, update_belief_p,
+                      update_belief_q, update_mu, update_nu)
 
 from conftest import random_spec
 
@@ -46,14 +45,6 @@ def test_belief_updates_stay_normalized(rng):
             q = update_belief_q(spec, q, Y, a, b)
             assert abs(p.sum() - 1.0) < 1e-9 and np.all(p >= -1e-12)
             assert abs(q.sum() - 1.0) < 1e-9 and np.all(q >= -1e-12)
-
-
-def test_check_stage_strategy():
-    check_stage_strategy(np.array([[0.3, 1.0], [0.7, 0.0]]))
-    with pytest.raises(ValidationError):
-        check_stage_strategy(np.array([[0.3, 0.5], [0.3, 0.5]]))
-    with pytest.raises(ValidationError):
-        check_stage_strategy(np.array([[-0.2, 0.5], [1.2, 0.5]]))
 
 
 def test_update_value_matches_dual(rng):

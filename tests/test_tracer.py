@@ -67,8 +67,8 @@ def test_tracer_sees_every_highs_run(rng):
     spec = random_spec(rng, horizon=2)
     want = {"vars": 0, "rows": 0, "nnz": 0}
     for side in (1, 2):
-        lp = zsbgames.lp_core.compile_lp(zsbgames.primal_solver.build_primal(
-            spec, spec.p0, spec.q0, 2, spec.lam, side)[0])
+        lp = zsbgames.primal_solver.build_primal(
+            spec, spec.p0, spec.q0, 2, spec.lam, side)[0]
         mats = [m for m in (lp.a_ub, lp.a_eq) if m is not None]
         want["vars"] += lp.num_vars
         want["rows"] += sum(m.shape[0] for m in mats)

@@ -67,8 +67,9 @@ def test_first_window_uses_primal_strategy(rng):
 def test_statistic_advances_and_windows_roll(rng):
     spec = random_spec(rng, horizon=5)
     config = WindowConfig(window_n=2, total_horizon=5)
-    agent = WindowAgent(spec, config, 2, record_trace=True)
+    agent = WindowAgent(spec, config, 2)
     agent.begin_episode(0)
+    windows = [agent.window_id]
     state = 0
     for t in range(1, 5):
         probs = agent.act()
@@ -76,11 +77,12 @@ def test_statistic_advances_and_windows_roll(rng):
         assert probs.sum() == pytest.approx(1.0, abs=1e-7)
         state = (state + 1) % spec.num_l
         agent.observe(t % 2, (t + 1) % 2, state)
+        windows.append(agent.window_id)
         assert abs(agent.belief.sum() - 1.0) < 1e-9
     assert agent.t == 5
     # N=5 with n=2 means windows of lengths 2, 2, 1
     assert agent.window_id == 3 and agent.window_len == 1
-    assert [row.window for row in agent.trace] == [1, 1, 2, 2, 3]
+    assert windows == [1, 1, 2, 2, 3]
     with pytest.raises(ValidationError):
         agent.observe(0, 0, 0)
 

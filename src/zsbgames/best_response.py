@@ -35,33 +35,34 @@ def _solve_vs_plan(spec: GameSpec, plan: RealizationPlan, weights, n: int,
     index = plan.index
     view = spec.side(plan.side)     # the plan owner's view
     opp = view.opp                  # the responder
+    ns, no, num_own = view.num_states, view.num_opp_states, view.num_actions
     best = np.min if plan.side == 1 else np.max
-    payoff_map = {}
+    plan_weights = plan.depth_weights()
+    values = [None] * n             # values[t - 1]: by responder id at depth t
     for t in range(n, 0, -1):
-        disc = lam ** (t - 1)
-        stage = {}                  # public history -> [opp state, opp action]
-        for j, (jstates, jacts) in enumerate(index.histories(opp, t)):
-            if jacts not in stage:
-                reach = np.zeros((view.num_states, view.num_actions))
-                for i in index.compatible(plan.side, jacts):
-                    own_state = index.history(plan.side, t, i)[0][-1]
-                    reach[own_state] += [plan.values[(t, i, act)]
-                                         for act in range(view.num_actions)]
-                stage[jacts] = disc * np.einsum("sa,soab->ob", reach,
-                                                view.payoff)
-            opp_state = jstates[-1]
-            values = stage[jacts][opp_state].copy()
-            if t < n:
-                for opp_act in range(view.num_opp_actions):
-                    for act in range(view.num_actions):
-                        a, b = view.pair(act, opp_act)
-                        for nxt in range(view.num_opp_states):
-                            child = index.child_id(opp, t, j, a, b, nxt)
-                            values[opp_act] += (view.opp_trans[a, b, opp_state, nxt]
-                                                * payoff_map[(t + 1, child)])
-            payoff_map[(t, j)] = float(best(values))
-    roots = np.array([payoff_map[(1, index.id_of(opp, 1, (s,), ()))]
-                      for s in range(view.num_opp_states)])
+        R = index.num_pairs ** (t - 1)
+        # per pair sequence r: the plan weights of its compatible histories
+        # (S, r) by last own state, summed over S's earlier states in id
+        # order, starting from 0.0; einsum's summation order follows its
+        # operands' memory layout, so `reach` is made C-contiguous
+        reach = plan_weights[t - 1].reshape(ns ** (t - 1), ns, R, num_own)
+        reach = np.ascontiguousarray(
+            np.add.reduce(reach, axis=0, initial=0.0).transpose(1, 0, 2))
+        stage = lam ** (t - 1) * np.einsum("rsa,soab->rob", reach, view.payoff)
+        # responder history j = (S, r): [j, responder action]
+        j = np.arange(index.count(opp, t))[:, None]
+        last = j // R % no
+        vals = stage[j[:, 0] % R, last[:, 0]]
+        if t < n:
+            o = np.arange(view.num_opp_actions)
+            for act in range(num_own):
+                a, b = view.pair(act, o)
+                for nxt in range(no):
+                    child = index.child_id(opp, t, j, a, b, nxt)
+                    vals += view.opp_trans[a, b, last, nxt] * values[t][child]
+        values[t - 1] = best(vals, axis=1)
+    payoff_map = dict(zip(index.keys(opp, n), np.concatenate(values).tolist()))
+    roots = values[0]               # depth-1 ids are the responder states
     value = float(np.dot(np.asarray(weights, dtype=float), roots))
     return BestResponseResult(value=value, payoff_map=payoff_map, roots=roots)
 

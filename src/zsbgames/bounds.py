@@ -9,8 +9,6 @@ for desk-scale instances only and is capped accordingly.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -35,21 +33,18 @@ def window_bound(lam: float, n: int, total_n: int, g_bar: float) -> float:
     return lam ** n * (1.0 - lam ** (total_n - n)) / (1.0 - lam) * g_bar
 
 
-def _observation_nodes(num_states: int, num_opp_actions: int, n: int):
-    """Own-observation sequences (s_1, o_1, s_2, ..., s_t) for t = 1..n."""
-    nodes = {}
-    order = []
+def _pure_strategy_count(num_states, num_own, num_opp, n, limit) -> int:
+    """Reduced pure strategies of one side, num_own ** (observation nodes),
+    or limit + 1 if there are more than `limit`; the power is taken only
+    when it is at most about `limit`."""
+    if num_own == 1:
+        return 1
+    num_nodes = 0
     for t in range(1, n + 1):
-        for states in product(range(num_states), repeat=t):
-            for opp_acts in product(range(num_opp_actions), repeat=t - 1):
-                nodes[(states, opp_acts)] = len(order)
-                order.append((states, opp_acts))
-    return nodes, order
-
-
-def _pure_strategy_count(num_states, num_own, num_opp, n) -> int:
-    num_nodes = sum(num_states ** t * num_opp ** (t - 1) for t in range(1, n + 1))
-    return num_own ** num_nodes
+        num_nodes += num_states ** t * num_opp ** (t - 1)
+        if num_nodes > limit.bit_length():      # num_own ** num_nodes > limit
+            return limit + 1
+    return min(num_own ** num_nodes, limit + 1)
 
 
 def _pure_plans(spec: GameSpec, index, side: int, n: int) -> np.ndarray:
@@ -57,54 +52,53 @@ def _pure_plans(spec: GameSpec, index, side: int, n: int) -> np.ndarray:
 
     Columns are the sequence coordinates (t, history, own action) in
     enumeration order; entries are reach probabilities p(s_1) * prod(P).
+    A pure strategy is an own action per observation node (s_1, o_1, ...,
+    s_t), t = 1..n, o the opponent's actions, and nodes are numbered
+    depth by depth in the mixed-radix order of history ids.
     """
     view = spec.side(side)
-    nodes, order = _observation_nodes(view.num_states, view.num_opp_actions, n)
-
-    # per sequence coordinate: chain weight and the observation-node/action
-    # consistency requirements it imposes on a pure strategy
-    seqs = []
+    ns, num_own, num_opp = view.num_states, view.num_actions, view.num_opp_actions
+    num_nodes = sum(ns ** t * num_opp ** (t - 1) for t in range(1, n + 1))
+    strategies = np.stack(np.unravel_index(np.arange(num_own ** num_nodes),
+                                           [num_own] * num_nodes), axis=1)
+    # per history: the rank of its own states, the rank of the opponent's
+    # actions, its reach weight, and whether each strategy reaches it
+    node_base = 0
+    columns = []
     for t in range(1, n + 1):
-        for hid, (states, acts) in enumerate(index.histories(side, t)):
-            weight = float(view.prior[states[0]])
-            for s, (a_s, b_s) in enumerate(acts):
-                weight *= view.trans[a_s, b_s, states[s], states[s + 1]]
-            own_hist = tuple(view.pair(a, b)[0] for a, b in acts)
-            opp_hist = tuple(view.pair(a, b)[1] for a, b in acts)
-            required = [(nodes[(states[:s + 1], opp_hist[:s])], own_hist[s])
-                        for s in range(t - 1)]
-            for act in range(view.num_actions):
-                need = required + [(nodes[(states, opp_hist)], act)]
-                seqs.append((weight, need))
-
-    strategies = list(product(range(view.num_actions), repeat=len(order)))
-    plans = np.zeros((len(strategies), len(seqs)))
-    for si, strat in enumerate(strategies):
-        for ci, (weight, need) in enumerate(seqs):
-            if all(strat[node] == act for node, act in need):
-                plans[si, ci] = weight
-    return plans
+        hid = np.arange(index.count(side, t))
+        states, _ = index.history(side, t, hid)
+        if t == 1:
+            srank, orank = states[0], np.zeros_like(states[0])
+            weight = view.prior[srank]
+            reached = np.ones((len(strategies), hid.size), dtype=bool)
+        else:
+            pid, (a, b) = index.parent(side, t, hid)
+            own, opp = view.pair(a, b)
+            reached = reached[:, pid] & (strategies[:, node[pid]] == own)
+            weight = weight[pid] * view.trans[a, b, states[-2], states[-1]]
+            srank, orank = srank[pid] * ns + states[-1], orank[pid] * num_opp + opp
+        node = node_base + srank * num_opp ** (t - 1) + orank
+        node_base += ns ** t * num_opp ** (t - 1)
+        chosen = strategies[:, node, None] == np.arange(num_own)
+        columns.append(np.where(reached[..., None] & chosen, weight[:, None],
+                                0.0).reshape(len(strategies), -1))
+    return np.hstack(columns)
 
 
 def _sequence_kernel(spec: GameSpec, index, n: int, lam: float) -> np.ndarray:
-    """Discounted payoff coupling between the two players' sequences."""
-    n1 = sum(index.count(1, t) * spec.num_a for t in range(1, n + 1))
-    n2 = sum(index.count(2, t) * spec.num_b for t in range(1, n + 1))
-    kernel = np.zeros((n1, n2))
-    off1 = 0
-    off2 = 0
+    """Discounted payoff coupling between the two players' sequences:
+    player-1 history (S1, r) and player-2 history (S2, r') meet only where
+    their pair sequences agree, r = r'."""
+    blocks = []
     for t in range(1, n + 1):
-        disc = lam ** (t - 1)
-        for j, (jstates, jacts) in enumerate(index.histories(2, t)):
-            for i in index.compatible(1, jacts):
-                istates, _ = index.history(1, t, i)
-                block = disc * spec.payoff[istates[-1], jstates[-1]]
-                r0 = off1 + i * spec.num_a
-                c0 = off2 + j * spec.num_b
-                kernel[r0:r0 + spec.num_a, c0:c0 + spec.num_b] = block
-        off1 += index.count(1, t) * spec.num_a
-        off2 += index.count(2, t) * spec.num_b
-    return kernel
+        last1 = np.arange(spec.num_k ** t) % spec.num_k
+        last2 = np.arange(spec.num_l ** t) % spec.num_l
+        payoff = (lam ** (t - 1) * spec.payoff)[last1[:, None], last2]
+        same_pairs = np.eye(index.num_pairs ** (t - 1))
+        block = np.einsum("ijab,rq->irajqb", payoff, same_pairs)
+        blocks.append(block.reshape(index.count(1, t) * spec.num_a, -1))
+    return sp.block_diag(blocks).toarray()
 
 
 def _matrix_game_value(payoff: np.ndarray) -> float:
@@ -128,11 +122,11 @@ def _matrix_game_value(payoff: np.ndarray) -> float:
 def oracle_value(spec: GameSpec, p, q, n: int, lam: float,
                  max_pure: int = DEFAULT_MAX_PURE) -> float:
     """Exact game value by full pure-strategy enumeration (tiny games only)."""
-    counts = tuple(_pure_strategy_count(view.num_states, view.num_actions,
-                                        view.num_opp_actions, n)
-                   for view in (spec.side(1), spec.side(2)))
-    if max(counts) > max_pure:
-        raise CapacityError(f"pure strategy counts {counts} exceed {max_pure}")
+    for view in (spec.side(1), spec.side(2)):
+        if _pure_strategy_count(view.num_states, view.num_actions,
+                                view.num_opp_actions, n, max_pure) > max_pure:
+            raise CapacityError(f"player {view.side} has more than {max_pure} "
+                                f"pure strategies at horizon {n}")
     base = GameSpec(num_k=spec.num_k, num_l=spec.num_l, num_a=spec.num_a,
                     num_b=spec.num_b, payoff=spec.payoff,
                     p0=np.asarray(p, dtype=float), q0=np.asarray(q, dtype=float),

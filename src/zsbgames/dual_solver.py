@@ -23,8 +23,8 @@ from .game_model import GameSpec
 from .history_index import HistoryIndex, build_index
 from .lp_core import CompiledLP, LpBuilder
 from .primal_solver import (BehavioralStrategy, RealizationPlan,
-                            add_sequence_system, extract_strategy,
-                            plan_from_solution)
+                            SequenceSystem, add_sequence_system,
+                            extract_strategy, plan_from_solution)
 
 
 @dataclass
@@ -48,13 +48,11 @@ class DualTemplate:
     lam: float
     index: HistoryIndex
     lp: CompiledLP
-    plan_vars: dict
-    payoff_vars: dict
-    root_rows: list                 # rhs = plan owner's belief
+    system: SequenceSystem          # root_rows: rhs = plan owner's belief
     coupling_rows: list             # rhs = -(vector payoff)
 
     def lp_at(self, root, vector) -> CompiledLP:
-        return self.lp.with_rhs(self.root_rows + self.coupling_rows,
+        return self.lp.with_rhs([*self.system.root_rows, *self.coupling_rows],
                                 [*root, *(-vector)])
 
 
@@ -63,18 +61,16 @@ def dual_template(spec: GameSpec, kind: int, n: int,
     owner = spec.side(3 - kind)     # the plan owner; the picker is its opp
     index = build_index(spec, n)
     builder = LpBuilder()
-    plan_vars, payoff_vars, root_rows = add_sequence_system(
-        builder, spec, index, owner.side, n, lam, np.zeros(owner.num_states))
+    system = add_sequence_system(builder, spec, index, owner.side, n, lam,
+                                 np.zeros(owner.num_states))
     v0 = builder.new_var()
     rel = "<=" if kind == 1 else ">="
-    coupling_rows = [
-        builder.add_row({payoff_vars[(1, index.id_of(kind, 1, (s,), ()))]: 1.0,
-                         v0: -1.0}, rel, 0.0)
-        for s in range(owner.num_opp_states)]
+    coupling_rows = [builder.add_row({system.payoff_vars[s]: 1.0, v0: -1.0},
+                                     rel, 0.0)
+                     for s in range(owner.num_opp_states)]
     lp = builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0})
     return DualTemplate(kind=kind, n=n, lam=lam, index=index, lp=lp,
-                        plan_vars=plan_vars, payoff_vars=payoff_vars,
-                        root_rows=root_rows, coupling_rows=coupling_rows)
+                        system=system, coupling_rows=coupling_rows)
 
 
 def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
@@ -87,11 +83,11 @@ def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
     sol = lp_core.solve(template.lp_at(root, np.asarray(vector, dtype=float)))
     if sol.status != "optimal":
         raise SolverError(f"dual-{kind} LP returned {sol.status}")
-    plan = plan_from_solution(template.index, 3 - kind, n, template.plan_vars,
-                              sol.primal, root)
+    plan = plan_from_solution(template.index, 3 - kind, n,
+                              template.system.plan_vars, sol.primal, root)
     strategy = extract_strategy(plan, spec)
-    payoffs = {key: float(sol.primal[var])
-               for key, var in template.payoff_vars.items()}
+    payoffs = dict(zip(template.index.keys(kind, n),
+                       sol.primal[template.system.payoff_vars].tolist()))
     return DualResult(value=sol.objective_value, strategy=strategy,
                       plan=plan, weighted_payoffs=payoffs)
 

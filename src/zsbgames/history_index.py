@@ -1,15 +1,25 @@
-"""Enumeration of both players' private histories up to a depth.
+"""Ids of both players' private histories up to a depth.
 
 A player-1 history at depth t is (k_1, (a_1, b_1), ..., k_t): t own states
 interleaved with t-1 public action pairs; player 2 analogously with l
-states. Histories get dense integer ids per (side, depth), ordered
-lexicographically by (state sequence, action-pair sequence), so LP column
-order is reproducible.
+states. Its id is the mixed-radix number
+
+    id = rank(states) * P**(t-1) + rank(pairs),    P = num_a * num_b,
+
+where rank(states) reads k_1 .. k_t as base-(number of own states) digits,
+rank(pairs) reads the pair ranks a_s * num_b + b_s as base-P digits, and
+the first digit is the most significant. Ids are dense per (side, depth)
+and ordered lexicographically by (state sequence, action-pair sequence),
+so LP column order is reproducible. In C order the ids of depth t reshape
+to an array with axes (k_1, ..., k_t, pair_1, ..., pair_(t-1)); the
+solvers work on that layout and no per-history table exists.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
+
+import numpy as np
 
 from .errors import CapacityError
 from .game_model import GameSpec
@@ -17,79 +27,81 @@ from .game_model import GameSpec
 DEFAULT_MAX_VARS = 5_000_000
 
 
-def projected_var_count(spec: GameSpec, depth: int) -> int:
-    """Rough scalar-variable count of a sequence-form LP at this depth."""
-    pairs = spec.num_a * spec.num_b
-    total = 0
-    for t in range(1, depth + 1):
-        c1 = spec.num_k ** t * pairs ** (t - 1)
-        c2 = spec.num_l ** t * pairs ** (t - 1)
-        total += c1 * (spec.num_a + 1) + c2 * (spec.num_b + 1)
-    return total
-
-
 class HistoryIndex:
-    """Dense id tables for both players' histories up to `depth`."""
+    """Id arithmetic for both players' histories up to `depth`."""
 
     def __init__(self, spec: GameSpec, depth: int,
                  max_vars: int = DEFAULT_MAX_VARS):
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        if projected_var_count(spec, depth) > max_vars:
-            raise CapacityError(
-                f"projected variable count {projected_var_count(spec, depth)} "
-                f"exceeds limit {max_vars} at depth {depth}")
         self.spec = spec
-        self.depth = depth
-        self._pairs = [(a, b) for a in range(spec.num_a) for b in range(spec.num_b)]
-        # _levels[side][t] -> list of (states, acts); _ids inverse; _public
-        # groups ids at depth t by their action-pair sequence.
-        self._levels = {1: {}, 2: {}}
-        self._ids = {1: {}, 2: {}}
-        self._public = {1: {}, 2: {}}
-        for side, ns in ((1, spec.num_k), (2, spec.num_l)):
-            for t in range(1, depth + 1):
-                level = []
-                ids = {}
-                public = {}
-                for states in product(range(ns), repeat=t):
-                    for acts in product(self._pairs, repeat=t - 1):
-                        hid = len(level)
-                        level.append((states, acts))
-                        ids[(states, acts)] = hid
-                        public.setdefault(acts, []).append(hid)
-                self._levels[side][t] = level
-                self._ids[side][t] = ids
-                self._public[side][t] = public
+        self.num_pairs = spec.num_a * spec.num_b
+        # rough sequence-form LP size, summed only until it passes the limit
+        total = 0
+        for t in range(1, depth + 1):
+            total += (self.count(1, t) * (spec.num_a + 1)
+                      + self.count(2, t) * (spec.num_b + 1))
+            if total > max_vars:
+                raise CapacityError(f"sequence-form LP at depth {depth} would "
+                                    f"exceed the limit of {max_vars} variables")
 
     def count(self, side: int, t: int) -> int:
-        return len(self._levels[side][t])
+        return self.spec.side(side).num_states ** t * self.num_pairs ** (t - 1)
 
     def histories(self, side: int, t: int):
         """All (states, acts) tuples at depth t, in id order."""
-        return self._levels[side][t]
+        return [self.history(side, t, hid) for hid in range(self.count(side, t))]
 
-    def history(self, side: int, t: int, hid: int):
-        return self._levels[side][t][hid]
+    def history(self, side: int, t: int, hid):
+        """(states, acts) of id `hid`: t own states and t-1 (a, b) pairs,
+        as ints, or as int arrays for an array of ids."""
+        ns = self.spec.side(side).num_states
+        radices = [ns] * t + [self.spec.num_a, self.spec.num_b] * (t - 1)
+        digits = np.unravel_index(hid, radices)
+        if np.ndim(hid) == 0:
+            digits = [int(d) for d in digits]
+        return tuple(digits[:t]), tuple(zip(digits[t::2], digits[t + 1::2]))
 
     def id_of(self, side: int, t: int, states, acts) -> int:
-        return self._ids[side][t][(tuple(states), tuple(acts))]
+        ns = self.spec.num_k if side == 1 else self.spec.num_l
+        num_pairs, num_b = self.num_pairs, self.spec.num_b
+        hid = 0
+        for s in states:
+            hid = hid * ns + s
+        for a, b in acts:
+            hid = hid * num_pairs + a * num_b + b
+        return hid
 
     def compatible(self, side: int, public) -> list[int]:
         """Ids at depth len(public)+1 whose action-pair projection is `public`."""
         t = len(public) + 1
-        return self._public[side][t].get(tuple(public), [])
+        rank = self.id_of(side, t, (0,) * t, public)
+        return list(range(rank, self.count(side, t), self.num_pairs ** (t - 1)))
 
-    def child_id(self, side: int, t: int, hid: int, a: int, b: int,
-                 next_state: int) -> int:
-        states, acts = self._levels[side][t][hid]
-        return self._ids[side][t + 1][(states + (next_state,), acts + ((a, b),))]
+    def child_id(self, side: int, t: int, hid, a, b, next_state):
+        """Id of the depth-(t+1) extension of `hid`; takes arrays too."""
+        stride = self.num_pairs ** (t - 1)
+        states, pairs = divmod(hid, stride)
+        ns = self.spec.side(side).num_states
+        return ((states * ns + next_state) * stride * self.num_pairs
+                + pairs * self.num_pairs + a * self.spec.num_b + b)
 
-    def parent(self, side: int, t: int, hid: int):
-        """(parent id, (a, b)) of a depth-t history, t >= 2."""
-        states, acts = self._levels[side][t][hid]
-        pid = self._ids[side][t - 1][(states[:-1], acts[:-1])]
-        return pid, acts[-1]
+    def parent(self, side: int, t: int, hid):
+        """(parent id, (a, b)) of a depth-t history, t >= 2; takes arrays too."""
+        stride = self.num_pairs ** (t - 1)
+        states, pairs = divmod(hid, stride)
+        ns = self.spec.side(side).num_states
+        pid = states // ns * (stride // self.num_pairs) + pairs // self.num_pairs
+        return pid, divmod(pairs % self.num_pairs, self.spec.num_b)
+
+    def keys(self, side: int, n: int, width: int = 0) -> list[tuple]:
+        """Keys (t, hid) of depths 1..n in id order, or (t, hid, k) for
+        k < `width`: the order of a plan's values, a strategy's table and
+        a payoff map, and of the LP variables they are read from."""
+        extra = (range(width),) if width else ()
+        return list(chain.from_iterable(
+            product((t,), range(self.count(side, t)), *extra)
+            for t in range(1, n + 1)))
 
 
 def build_index(spec: GameSpec, depth: int,

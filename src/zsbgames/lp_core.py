@@ -40,29 +40,48 @@ class LpSolution:
 class LpBuilder:
     """Incremental construction of an LP, compiled by `build`.
 
-    Coefficients are accumulated per row, so duplicate variable mentions
-    within one `add_row` call are merged.
+    Rows are added in blocks of arrays (`add_rows`); `add_row` adds one row
+    from a {var: coeff} dict.
     """
 
     def __init__(self):
-        self._bounds = []
-        self._rows = []
+        self._bounds = []               # (lower, upper) per variable
+        # (row, col, value) entry arrays and rhs array per add_rows call
+        self._entries = [(np.zeros(0, dtype=np.int64),) * 2 + (np.zeros(0),)]
+        self._rhs = [np.zeros(0)]
+        self._rels = []                 # relation of each row
+
+    def new_vars(self, count: int, lower=-math.inf, upper=math.inf) -> range:
+        self._bounds += [(lower, upper)] * count
+        return range(len(self._bounds) - count, len(self._bounds))
 
     def new_var(self, lower=-math.inf, upper=math.inf) -> int:
-        self._bounds.append((lower, upper))
-        return len(self._bounds) - 1
+        return self.new_vars(1, lower, upper)[0]
 
-    def new_vars(self, count: int, lower=-math.inf, upper=math.inf) -> list[int]:
-        return [self.new_var(lower, upper) for _ in range(count)]
+    def add_rows(self, rel: str, rhs, entries) -> range:
+        """Append len(rhs) rows with relation `rel`; returns their indices
+        in the built LP's `rels`. `entries` is a list of (row, col, value)
+        triples of broadcastable arrays, `row` counted from the block's
+        first row; a (row, col) pair may occur only once in a block."""
+        start = len(self._rels)
+        for row, col, val in entries:
+            row, col, val = np.broadcast_arrays(row, col, val)
+            self._entries.append((row.ravel() + start, col.ravel(), val.ravel()))
+        self._rhs.append(np.array(rhs, dtype=float))
+        self._rels += [rel] * self._rhs[-1].size
+        return range(start, len(self._rels))
 
     def add_row(self, coeffs: dict, rel: str, rhs: float) -> int:
         """Append a row; returns its index in the built LP's `rels`."""
-        self._rows.append(_row(coeffs, rel, rhs))
-        return len(self._rows) - 1
+        cols = np.fromiter(coeffs, np.int64, len(coeffs))
+        vals = np.fromiter(coeffs.values(), float, len(coeffs))
+        return self.add_rows(rel, [rhs], [(np.zeros_like(cols), cols, vals)])[0]
 
     def build(self, sense: str, objective: dict) -> CompiledLP:
         """The LP that minimizes (MIN) or maximizes (MAX) `objective`, a
-        {var: coeff} dict, subject to the rows and bounds added so far."""
+        {var: coeff} dict, subject to the rows and bounds added so far.
+        Zero entries are dropped, columns sorted within each row and >=
+        rows negated into <= form."""
         num_vars = len(self._bounds)
         c = np.zeros(num_vars)
         for var, coef in objective.items():
@@ -70,39 +89,30 @@ class LpBuilder:
                 c[var] = coef
         if sense == MAX:
             c = -c
-        rels = [rel for _, rel, _ in self._rows]
-        is_eq = np.array([rel == "=" for rel in rels], dtype=bool)
+        is_eq = np.array([rel == "=" for rel in self._rels], dtype=bool)
         slots = np.where(is_eq, np.cumsum(is_eq), np.cumsum(~is_eq)) - 1
-        a_ub, b_ub = _stack([r for r in self._rows if r[1] != "="], num_vars)
-        a_eq, b_eq = _stack([r for r in self._rows if r[1] == "="], num_vars)
+        sign = np.array([_SIGN.get(rel, 1.0) for rel in self._rels])
+        rhs = sign * np.concatenate(self._rhs)
+        row, col, val = (np.concatenate(part) for part in zip(*self._entries))
+        keep = val != 0.0
+        order = np.lexsort((col[keep], row[keep]))
+        row, col = row[keep][order], col[keep][order]
+        val = sign[row] * val[keep][order]
+        mats = []                       # entries are in CSR order already
+        for eq in (False, True):
+            take = is_eq[row] == eq
+            num_rows = np.count_nonzero(is_eq == eq)
+            indptr = np.concatenate([[0], np.cumsum(
+                np.bincount(slots[row[take]], minlength=num_rows))])
+            mats.append(sp.csr_matrix((val[take], col[take], indptr),
+                                      shape=(num_rows, num_vars))
+                        if num_rows else None)
         bounds = np.array(self._bounds, dtype=float).reshape(num_vars, 2)
-        return CompiledLP(sense, c, a_ub, b_ub, a_eq, b_eq, bounds, rels,
-                          slots)
-
-
-def _row(coeffs: dict, rel: str, rhs: float):
-    items = [(v, c) for v, c in coeffs.items() if c != 0.0]
-    items.sort()
-    return items, rel, float(rhs)
+        return CompiledLP(sense, c, mats[0], rhs[~is_eq], mats[1], rhs[is_eq],
+                          bounds, list(self._rels), slots)
 
 
 _SIGN = {"<=": 1.0, ">=": -1.0}
-
-
-def _stack(rows, num_vars: int):
-    """CSR matrix and rhs of `rows`; >= rows are negated into <= form."""
-    data, row_i, col_j, rhs_out = [], [], [], []
-    for coeffs, rel, rhs in rows:
-        sign = _SIGN.get(rel, 1.0)
-        row = len(rhs_out)
-        rhs_out.append(sign * rhs)
-        for var, coef in coeffs:
-            row_i.append(row)
-            col_j.append(var)
-            data.append(sign * coef)
-    mat = sp.csr_matrix((data, (row_i, col_j)),
-                        shape=(len(rhs_out), num_vars)) if rhs_out else None
-    return mat, np.array(rhs_out)
 
 
 @dataclass
@@ -131,10 +141,11 @@ class CompiledLP:
     def num_vars(self) -> int:
         return self.c.size
 
-    def with_rhs(self, rows, values, extra_rows=()) -> CompiledLP:
+    def with_rhs(self, rows, values,
+                 extra: LpBuilder | None = None) -> CompiledLP:
         """Copy whose rows `rows` have right-hand sides `values` and whose
-        <= block ends with `extra_rows`, given as (coeffs dict, "<=" or ">=",
-        rhs) like `LpBuilder.add_row` takes them. Matrices are shared."""
+        <= block ends with the rows of `extra`, a builder over the same
+        variables with only <= and >= rows. Matrices are shared."""
         b_ub, b_eq = self.b_ub.copy(), self.b_eq.copy()
         for row, value in zip(rows, values):
             rel = self.rels[row]
@@ -143,12 +154,11 @@ class CompiledLP:
             else:
                 b_ub[self.slots[row]] = _SIGN[rel] * float(value)
         a_ub = self.a_ub
-        if extra_rows:
-            block, b_block = _stack([_row(*r) for r in extra_rows],
-                                    self.num_vars)
-            a_ub = (block if a_ub is None
-                    else sp.vstack([a_ub, block], format="csr"))
-            b_ub = np.concatenate([b_ub, b_block])
+        if extra is not None:
+            block = extra.build(MIN, {})
+            a_ub = (block.a_ub if a_ub is None
+                    else sp.vstack([a_ub, block.a_ub], format="csr"))
+            b_ub = np.concatenate([b_ub, block.b_ub])
         return replace(self, a_ub=a_ub, b_ub=b_ub, b_eq=b_eq)
 
 
@@ -308,7 +318,7 @@ def solve(lp: CompiledLP) -> LpSolution:
 def write_lp_text(lp: CompiledLP, path) -> None:
     """Dump in CPLEX LP text format, for debugging with external tools.
 
-    Rows are written in the order `LpBuilder.add_row` added them, with
+    Rows are written in the order `LpBuilder` added them, with
     their relations and signs as given; `with_rhs`'s extra rows are not."""
     def terms(cols, coefs):
         return "".join(f" {'+' if coef >= 0 else '-'} {abs(coef):.17g} x{var}"

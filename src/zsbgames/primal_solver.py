@@ -37,6 +37,15 @@ class RealizationPlan:
     root: np.ndarray
     values: dict
 
+    def depth_weights(self) -> list[np.ndarray]:
+        """`values` as one (history, own action) array per depth 1..depth."""
+        width = self.index.spec.side(self.side).num_actions
+        keys = self.index.keys(self.side, self.depth, width)
+        flat = np.fromiter(map(self.values.__getitem__, keys), float, len(keys))
+        ends = np.cumsum([self.index.count(self.side, t) * width
+                          for t in range(1, self.depth + 1)])
+        return [part.reshape(-1, width) for part in np.split(flat, ends[:-1])]
+
 
 @dataclass
 class BehavioralStrategy:
@@ -52,11 +61,11 @@ class BehavioralStrategy:
         return self.table[(t, self.index.id_of(self.side, t, states, acts))]
 
     def stage1_matrix(self) -> np.ndarray:
-        """Stage-1 strategy as an (own action, own state) matrix."""
+        """Stage-1 strategy as an (own action, own state) matrix; depth-1
+        history ids are the own states."""
         view = self.index.spec.side(self.side)
-        cols = [self.table[(1, self.index.id_of(self.side, 1, (s,), ()))]
-                for s in range(view.num_states)]
-        return np.stack(cols, axis=1)
+        return np.stack([self.table[(1, s)] for s in range(view.num_states)],
+                        axis=1)
 
 
 @dataclass
@@ -69,9 +78,10 @@ class PrimalResult:
 
 
 class SequenceSystem(NamedTuple):
-    plan_vars: dict                 # (t, hid, own action) -> var, own histories
-    payoff_vars: dict               # (t, hid) -> var, opponent histories
-    root_rows: list                 # [s] -> flow row whose rhs is root_dist[s]
+    plan_vars: range                # own (t, hid, own action), in id order
+    payoff_vars: range              # opponent (t, hid), in id order, so
+                                    # payoff_vars[s] is opponent state s's root
+    root_rows: range                # [s] -> flow row whose rhs is root_dist[s]
 
 
 def add_sequence_system(builder: LpBuilder, spec: GameSpec, index: HistoryIndex,
@@ -86,64 +96,63 @@ def add_sequence_system(builder: LpBuilder, spec: GameSpec, index: HistoryIndex,
     `root_dist`, through their right-hand sides.
     """
     view = spec.side(side)
-    opp = view.opp
+    ns, no = view.num_states, view.num_opp_states
+    num_own, num_opp = view.num_actions, view.num_opp_actions
+    own_counts = [index.count(side, t) for t in range(1, n + 1)]
+    opp_counts = [index.count(view.opp, t) for t in range(1, n + 1)]
+    plan_vars = builder.new_vars(num_own * sum(own_counts), lower=0.0)
+    payoff_vars = builder.new_vars(sum(opp_counts))
+    # first variable of depth t: plan_at[t - 1], payoff_at[t - 1]
+    plan_at = plan_vars.start + num_own * np.cumsum([0] + own_counts)
+    payoff_at = payoff_vars.start + np.cumsum([0] + opp_counts)
+
+    # payoff rows: one per (opponent history j, opponent action o); the
+    # own histories compatible with j = (S, r), state sequence S and pair
+    # sequence r, are (S', r) for every own state sequence S'
     rel = ">=" if side == 1 else "<="
-
-    plan_vars = {}
     for t in range(1, n + 1):
-        for hid in range(index.count(side, t)):
-            for act in range(view.num_actions):
-                plan_vars[(t, hid, act)] = builder.new_var(lower=0.0)
-    payoff_vars = {}
-    for t in range(1, n + 1):
-        for hid in range(index.count(opp, t)):
-            payoff_vars[(t, hid)] = builder.new_var()
+        R = index.num_pairs ** (t - 1)
+        j, o = np.ogrid[:opp_counts[t - 1], :num_opp]
+        j, o = j[..., None], o[..., None]
+        row = j * num_opp + o
+        own_seq, act = np.divmod(np.arange(ns ** t * num_own), num_own)
+        entries = [(row, payoff_at[t - 1] + j, -1.0),
+                   (row, plan_at[t - 1] + (own_seq * R + j % R) * num_own + act,
+                    (lam ** (t - 1) * view.payoff)[own_seq % ns, j // R % no,
+                                                   act, o])]
+        if t < n:
+            act, nxt = np.divmod(np.arange(num_own * no), no)
+            a, b = view.pair(act, o)
+            entries.append((row, payoff_at[t] + index.child_id(
+                view.opp, t, j, a, b, nxt), view.opp_trans[a, b, j // R % no, nxt]))
+        builder.add_rows(rel, np.zeros(opp_counts[t - 1] * num_opp), entries)
 
-    # payoff rows: one per (opponent history, opponent action)
-    for t in range(1, n + 1):
-        disc = lam ** (t - 1)
-        for j, (jstates, jacts) in enumerate(index.histories(opp, t)):
-            opp_state = jstates[-1]
-            compat = index.compatible(side, jacts)
-            for opp_act in range(view.num_opp_actions):
-                coeffs = {payoff_vars[(t, j)]: -1.0}
-                for i in compat:
-                    istates, _ = index.history(side, t, i)
-                    own_state = istates[-1]
-                    for act in range(view.num_actions):
-                        var = plan_vars[(t, i, act)]
-                        coeffs[var] = coeffs.get(var, 0.0) + \
-                            disc * view.payoff[own_state, opp_state, act, opp_act]
-                if t < n:
-                    for act in range(view.num_actions):
-                        a, b = view.pair(act, opp_act)
-                        for nxt in range(view.num_opp_states):
-                            child = index.child_id(opp, t, j, a, b, nxt)
-                            var = payoff_vars[(t + 1, child)]
-                            coeffs[var] = coeffs.get(var, 0.0) + \
-                                view.opp_trans[a, b, opp_state, nxt]
-                builder.add_row(coeffs, rel, 0.0)
-
-    # flow rows; depth-1 history ids are the own states in order
-    root_rows = []
-    for hid in range(index.count(side, 1)):
-        states, _ = index.history(side, 1, hid)
-        coeffs = {plan_vars[(1, hid, act)]: 1.0
-                  for act in range(view.num_actions)}
-        root_rows.append(builder.add_row(coeffs, "=",
-                                         float(root_dist[states[0]])))
+    # flow rows, one per own history: its plan weights sum to the weight it
+    # extends; depth-1 ids are the own states
+    act = np.arange(num_own)
+    h = np.arange(ns)[:, None]
+    root_rows = builder.add_rows("=", root_dist,
+                                 [(h, plan_at[0] + h * num_own + act, 1.0)])
     for t in range(2, n + 1):
-        for hid, (states, acts) in enumerate(index.histories(side, t)):
-            pid, (a_prev, b_prev) = index.parent(side, t, hid)
-            own_prev, _ = view.pair(a_prev, b_prev)
-            coeffs = {plan_vars[(t, hid, act)]: 1.0
-                      for act in range(view.num_actions)}
-            trans = view.trans[a_prev, b_prev, states[-2], states[-1]]
-            var = plan_vars[(t - 1, pid, own_prev)]
-            coeffs[var] = coeffs.get(var, 0.0) - trans
-            builder.add_row(coeffs, "=", 0.0)
+        h = np.arange(own_counts[t - 1])[:, None]
+        extends, step = _parent_steps(index, view, t)
+        builder.add_rows("=", np.zeros(h.size), [
+            (h, plan_at[t - 1] + h * num_own + act, 1.0),
+            (h[:, 0], plan_at[t - 2] + extends, -step)])
 
     return SequenceSystem(plan_vars, payoff_vars, root_rows)
+
+
+def _parent_steps(index: HistoryIndex, view, t: int):
+    """For each depth-t history (t >= 2) of `view`'s side, in id order: the
+    position (parent id * own actions + own action) of the depth-(t-1)
+    plan weight it extends, and the transition probability of its last
+    state."""
+    hid = np.arange(index.count(view.side, t))
+    pid, (a, b) = index.parent(view.side, t, hid)
+    states, _ = index.history(view.side, t, hid)
+    return (pid * view.num_actions + view.pair(a, b)[0],
+            view.trans[a, b, states[-2], states[-1]])
 
 
 def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
@@ -160,16 +169,17 @@ def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
     builder = LpBuilder()
     plan_vars, payoff_vars, _ = add_sequence_system(
         builder, spec, index, side, n, lam, np.asarray(own, dtype=float))
-    objective = {payoff_vars[(1, index.id_of(view.opp, 1, (s,), ()))]:
-                 float(other[s]) for s in range(view.num_opp_states)}
+    objective = {payoff_vars[s]: float(other[s])
+                 for s in range(view.num_opp_states)}
     lp = builder.build(lp_core.MAX if side == 1 else lp_core.MIN, objective)
     return lp, plan_vars, payoff_vars, index
 
 
 def plan_from_solution(index: HistoryIndex, side: int, n: int,
-                       plan_vars: dict, primal: np.ndarray,
+                       plan_vars: range, primal: np.ndarray,
                        root: np.ndarray) -> RealizationPlan:
-    values = {key: float(primal[var]) for key, var in plan_vars.items()}
+    keys = index.keys(side, n, index.spec.side(side).num_actions)
+    values = dict(zip(keys, primal[plan_vars].tolist()))
     return RealizationPlan(side=side, depth=n, index=index,
                            root=np.asarray(root, dtype=float), values=values)
 
@@ -180,26 +190,21 @@ def extract_strategy(plan: RealizationPlan, spec: GameSpec) -> BehavioralStrateg
     At information sets whose reach weight is below UNREACHABLE_TOL the
     plan pins down nothing; those sets get the uniform distribution.
     """
-    index = plan.index
-    side = plan.side
+    index, side = plan.index, plan.side
     view = spec.side(side)
-    uniform = np.full(view.num_actions, 1.0 / view.num_actions)
-    table = {}
-    for t in range(1, plan.depth + 1):
-        for hid, (states, acts) in enumerate(index.histories(side, t)):
-            if t == 1:
-                denom = float(plan.root[states[0]])
-            else:
-                pid, (a_prev, b_prev) = index.parent(side, t, hid)
-                own_prev, _ = view.pair(a_prev, b_prev)
-                denom = (view.trans[a_prev, b_prev, states[-2], states[-1]]
-                         * plan.values[(t - 1, pid, own_prev)])
-            if denom <= UNREACHABLE_TOL:
-                table[(t, hid)] = uniform.copy()
-            else:
-                table[(t, hid)] = np.maximum(np.array(
-                    [plan.values[(t, hid, act)] / denom
-                     for act in range(view.num_actions)]), 0.0)
+    weights = plan.depth_weights()
+    probs = []
+    for t, w in enumerate(weights, start=1):
+        if t == 1:
+            denom = plan.root
+        else:
+            extends, step = _parent_steps(index, view, t)
+            denom = step * weights[t - 2].ravel()[extends]
+        reached = ~(denom <= UNREACHABLE_TOL)
+        dist = np.full(w.shape, 1.0 / view.num_actions)
+        dist[reached] = np.maximum(w[reached] / denom[reached, None], 0.0)
+        probs.append(dist)
+    table = dict(zip(index.keys(side, plan.depth), np.concatenate(probs)))
     return BehavioralStrategy(side=side, depth=plan.depth, index=index,
                               table=table)
 

@@ -102,7 +102,8 @@ class UpdateTemplate:
         # summed over the plan owner's action m
         bar = star @ belief             # bar[m] = sum_s belief(s) star(m, s)
         rel = ">=" if kind == 1 else "<="
-        block = []
+        block = LpBuilder()
+        block.new_vars(self.lp.num_vars)
         for o in range(view.num_actions):
             for s in range(view.num_states):
                 coeffs = {self.scalar: 1.0}
@@ -114,8 +115,8 @@ class UpdateTemplate:
                     for s2, var in enumerate(self.vector_vars[pair]):
                         coeffs[var] = coeffs.get(var, 0.0) + \
                             lam * float(bar[m]) * view.trans[pair][s, s2]
-                block.append((coeffs, rel, rhs))
-        return self.lp.with_rhs(rows, roots, extra_rows=block)
+                block.add_row(coeffs, rel, rhs)
+        return self.lp.with_rhs(rows, roots, extra=block)
 
 
 def update_template(spec: GameSpec, kind: int, n: int,
@@ -138,8 +139,7 @@ def update_template(spec: GameSpec, kind: int, n: int,
             for s in range(view.num_states):
                 coeffs = {vec[s]: 1.0, tail: -1.0}
                 if n >= 2:
-                    root = sub_index.id_of(kind, 1, (s,), ())
-                    coeffs[payoff_vars[(1, root)]] = 1.0
+                    coeffs[payoff_vars[s]] = 1.0
                 builder.add_row(coeffs, rel, 0.0)
     lp = builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {scalar: 1.0})
     return UpdateTemplate(spec=spec, kind=kind, n=n, lam=lam, lp=lp,

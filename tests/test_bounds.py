@@ -51,7 +51,11 @@ def test_matrix_game_known_values():
 
 def test_pure_strategy_count():
     # sizes 2, n=2: 2 + 2*2*2 = 10 observation nodes, 2 actions each
-    assert _pure_strategy_count(2, 2, 2, 2) == 2 ** 10
+    assert _pure_strategy_count(2, 2, 2, 2, 4096) == 2 ** 10
+    # past the limit the count reads limit + 1, without taking the power
+    assert _pure_strategy_count(2, 2, 2, 2, 2 ** 10 - 1) == 2 ** 10
+    assert _pure_strategy_count(3, 2, 2, 10 ** 6, 4096) == 4097
+    assert _pure_strategy_count(3, 1, 2, 10 ** 6, 4096) == 1
 
 
 def test_oracle_matches_primal(rng):

@@ -133,6 +133,16 @@ def test_oracle_capacity_exit_code(tmp_path, rng):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("command,horizon", [("solve", 4000), ("oracle", 6)])
+def test_case_study_capacity_exit_code(command, horizon):
+    """A horizon far past the size limits exits 3 with a one-line message,
+    without forming the size it refuses."""
+    result = CliRunner().invoke(main, [command, "--spec", str(case_study_path()),
+                                       "--horizon", str(horizon)])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith("error: ") and len(result.output) < 120
+
+
 def test_oracle_uncertified_lp_exit_code(tmp_path, rng, monkeypatch):
     """A matrix-game LP whose point fails the certificate is a solver
     failure (exit 4), not a crash."""

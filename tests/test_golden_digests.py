@@ -1,0 +1,117 @@
+"""Byte-level pins of the case-study LPs and of what is read off them.
+
+Each LP test stops `lp_core.linprog` at its first call and hashes every
+array it was given, so a change anywhere between the history ids and
+HiGHS (sequence system, row blocks, sign handling, sparse assembly) shows
+up even where all values agree to the last digit but one, or only in the
+sign of a zero. The solve tests hash the best-response roots and payoff
+map and the strategy table, which depend on HiGHS's output and hence on
+its build (these were computed with the HiGHS bundled with scipy 1.17.1
+on x86-64).
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from zsbgames import (best_response_vs_p1, best_response_vs_p2, lp_core,
+                      solve_dual1, solve_dual2, solve_primal, update_mu,
+                      update_nu)
+
+MU = np.array([-120.0, -60.0, -10.0])        # over player 1's states
+NU = np.array([-100.0, -50.0])               # over player 2's states
+Y_STAR = np.array([[0.25, 0.5], [0.75, 0.5]])
+X_STAR = np.array([[0.5, 0.2, 1.0], [0.5, 0.8, 0.0]])
+
+LP_DIGESTS = {
+    "primal-n3-side1":
+        "a6e838c453711c0a2732b4235da7c16c473ca7045aaaa2e5d408ecc22a5711e0",
+    "primal-n3-side2":
+        "8bb3129d26af22b000d99827a21cebf541c71f42d58a482814001152ae00dbc2",
+    "primal-n4-side1":
+        "0c51542a283d83c5c7a46af4197821b5b9000a0dd9f86422d645df6b75ace34c",
+    "primal-n4-side2":
+        "ac91e604df0875f1c90e7b172dcb9c8970d9ee575391b23556688e2e09873b77",
+    "dual1-n2":
+        "d0c25916fec5f3a718760f3281c6333624c461eb647d615a64079136e1990c5f",
+    "dual2-n2":
+        "085512a90b7604c9c438078efe690a1c04f973aad41418fdebc2fd24ac09ff48",
+    "update1-n2":
+        "b336ae290b3ccfbb11307e9317ba626260928080708fdf4407025c23893cbdbc",
+    "update2-n2":
+        "c9307533159c93791dc8277a8b361d9aa70a1c3e4416b667ed6efa60d8df504c",
+}
+
+SOLVE_DIGESTS = {
+    "n3-side1":
+        "2117c8d53fcd439dc7bddc9480c4c01a7c7183fa7786bcfd9253ec0fa1489ede",
+    "n3-side2":
+        "4ff4e2d8283748bf3b29ea4d12b6a2b79f54c7cc7ca754f70305e526f9f5391e",
+}
+
+
+class _Stop(Exception):
+    pass
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _first_lp_digest(monkeypatch, call) -> str:
+    seen = []
+
+    def stop(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+        seen.append(_digest(
+            c, A_ub.data, A_ub.indices, A_ub.indptr, b_ub,
+            A_eq.data, A_eq.indices, A_eq.indptr, b_eq, bounds))
+        raise _Stop
+
+    monkeypatch.setattr(lp_core, "linprog", stop)
+    with pytest.raises(_Stop):
+        call()
+    return seen[0]
+
+
+def _lp_calls(spec):
+    lam = spec.lam
+    calls = {}
+    for n in (3, 4):
+        for side in (1, 2):
+            calls[f"primal-n{n}-side{side}"] = (
+                lambda n=n, side=side:
+                solve_primal(spec, spec.p0, spec.q0, n, lam, side))
+    calls["dual1-n2"] = lambda: solve_dual1(spec, MU, spec.q0, 2, lam)
+    calls["dual2-n2"] = lambda: solve_dual2(spec, spec.p0, NU, 2, lam)
+    calls["update1-n2"] = lambda: update_mu(spec, MU, spec.q0, Y_STAR, 1, 0,
+                                            2, lam)
+    calls["update2-n2"] = lambda: update_nu(spec, NU, spec.p0, X_STAR, 0, 1,
+                                            2, lam)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(LP_DIGESTS))
+def test_highs_input_digest(case_study, monkeypatch, name):
+    call = _lp_calls(case_study)[name]
+    assert _first_lp_digest(monkeypatch, call) == LP_DIGESTS[name]
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_best_response_and_strategy_digest(case_study, side):
+    spec, n = case_study, 3
+    res = solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side)
+    vs_plan = best_response_vs_p1 if side == 1 else best_response_vs_p2
+    br = vs_plan(spec, res.plan, spec.q0 if side == 1 else spec.p0, n,
+                 spec.lam)
+    keys = sorted(res.strategy.table)
+    digest = _digest(
+        br.roots, np.array(sorted(br.payoff_map)),
+        np.array([br.payoff_map[k] for k in sorted(br.payoff_map)]),
+        np.array(keys), np.stack([res.strategy.table[k] for k in keys]))
+    assert digest == SOLVE_DIGESTS[f"n{n}-side{side}"]

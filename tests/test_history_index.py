@@ -1,3 +1,6 @@
+from collections import defaultdict
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -63,3 +66,31 @@ def test_capacity_guard():
                        num_a=3, num_b=3)
     with pytest.raises(CapacityError):
         build_index(spec, 8, max_vars=10_000)
+
+
+def test_layout_matches_product_enumeration(case_study):
+    """Ids number the histories as itertools.product lists them: state
+    sequences major, then action-pair sequences, pairs a-major."""
+    spec, depth = case_study, 4
+    index = build_index(spec, depth)
+    pairs = list(product(range(spec.num_a), range(spec.num_b)))
+    for side, ns in ((1, spec.num_k), (2, spec.num_l)):
+        prev = {}
+        for t in range(1, depth + 1):
+            level = list(product(product(range(ns), repeat=t),
+                                 product(pairs, repeat=t - 1)))
+            assert index.count(side, t) == len(level)
+            ids, public = {}, defaultdict(list)
+            for hid, (states, acts) in enumerate(level):
+                ids[(states, acts)] = hid
+                public[acts].append(hid)
+                assert index.id_of(side, t, states, acts) == hid
+                assert index.history(side, t, hid) == (states, acts)
+                if t > 1:
+                    pid = prev[(states[:-1], acts[:-1])]
+                    assert index.parent(side, t, hid) == (pid, acts[-1])
+                    assert index.child_id(side, t - 1, pid, *acts[-1],
+                                          states[-1]) == hid
+            for acts, hids in public.items():
+                assert index.compatible(side, acts) == hids
+            prev = ids

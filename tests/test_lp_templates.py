@@ -55,7 +55,7 @@ def _direct_update_lp(spec, kind, vec, belief, star, n, lam):
             for s in range(num_vec):
                 row = {vecs[(aa, bb)][s]: 1.0, tail[(aa, bb)]: -1.0}
                 if n >= 2:
-                    row[pay[(1, index.id_of(kind, 1, (s,), ()))]] = 1.0
+                    row[pay[index.id_of(kind, 1, (s,), ())]] = 1.0
                 builder.add_row(row, rel, 0.0)
     bar = star @ belief
     for o in range(spec.num_a if kind == 1 else spec.num_b):
@@ -81,7 +81,7 @@ def _direct_dual_lp(spec, kind, root, vector, n, lam):
     _, pay, _ = add_sequence_system(builder, spec, index, side, n, lam, root)
     v0 = builder.new_var()
     for s, val in enumerate(vector):
-        builder.add_row({pay[(1, index.id_of(kind, 1, (s,), ()))]: 1.0,
+        builder.add_row({pay[index.id_of(kind, 1, (s,), ())]: 1.0,
                          v0: -1.0}, "<=" if kind == 1 else ">=", -float(val))
     return builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0})
 

@@ -36,7 +36,7 @@ def test_optimal_plan_is_feasible(rng):
                                            spec.lam, 1)
     res = solve_primal(spec, spec.p0, spec.q0, 3, spec.lam, 1)
     point = np.zeros(lp.num_vars)
-    for key, var in plan_vars.items():
+    for key, var in zip(index.keys(1, 3, spec.num_a), plan_vars):
         point[var] = res.plan.values[key]
     # the = rows are the flow rows, one per own history; they involve only
     # plan variables, so the payoff variables can stay at 0

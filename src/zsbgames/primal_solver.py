@@ -10,6 +10,7 @@ player-2 system uses <= rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -54,18 +55,22 @@ class BehavioralStrategy:
     side: int
     depth: int
     index: HistoryIndex
-    table: dict                     # (t, hid) -> np.ndarray over own actions
+    probs: list                     # [t - 1]: (hid, own action) array
 
     def action_probs(self, states, acts) -> np.ndarray:
         t = len(states)
-        return self.table[(t, self.index.id_of(self.side, t, states, acts))]
+        return self.probs[t - 1][self.index.id_of(self.side, t, states, acts)]
 
     def stage1_matrix(self) -> np.ndarray:
         """Stage-1 strategy as an (own action, own state) matrix; depth-1
         history ids are the own states."""
-        view = self.index.spec.side(self.side)
-        return np.stack([self.table[(1, s)] for s in range(view.num_states)],
-                        axis=1)
+        return np.ascontiguousarray(self.probs[0].T)
+
+    @cached_property
+    def table(self) -> dict:
+        """The distributions keyed by (t, hid)."""
+        return dict(zip(self.index.keys(self.side, self.depth),
+                        np.concatenate(self.probs)))
 
 
 @dataclass
@@ -204,9 +209,8 @@ def extract_strategy(plan: RealizationPlan, spec: GameSpec) -> BehavioralStrateg
         dist = np.full(w.shape, 1.0 / view.num_actions)
         dist[reached] = np.maximum(w[reached] / denom[reached, None], 0.0)
         probs.append(dist)
-    table = dict(zip(index.keys(side, plan.depth), np.concatenate(probs)))
     return BehavioralStrategy(side=side, depth=plan.depth, index=index,
-                              table=table)
+                              probs=probs)
 
 
 def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,

@@ -3,9 +3,11 @@
 A `WindowAgent` solves the first window with the primal LP and every
 later window with its dual LP at the current sufficient statistic
 (belief about its own state as seen from outside, plus the vector payoff
-over the opponent-visible states). The statistic advances every stage:
-the belief through the Bayes rule, the vector payoff through the joint
-update LP.
+over the opponent-visible states). The statistic advances every stage.
+The agent keeps the posterior of its own state sequences in the current
+window given the public actions and its own strategy; the belief is that
+posterior's marginal over the last state. The vector payoff advances
+through the joint update LP.
 
 `OptimalAgent` plays the full-horizon security strategy; `FixedPolicyAgent`
 plays a stationary per-state distribution. All agents expose the same
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import dual_solver, primal_solver, stat_updater
 from .errors import ParseError, ValidationError
-from .game_model import GameSpec
+from .game_model import GameSpec, SideView
 
 FIXED_N = "fixed_n"
 REMAINING_WINDOW = "remaining_window"
@@ -43,6 +45,17 @@ class WindowConfig:
         if self.update_horizon_mode not in (FIXED_N, REMAINING_WINDOW):
             raise ValidationError(
                 f"unknown update_horizon_mode {self.update_horizon_mode!r}")
+
+
+def _check_input(view: SideView, own_state, a=0, b=0) -> None:
+    """Reject a state or action pair outside the game: the agents index
+    their strategies and policies with them."""
+    own, opp = view.pair(a, b)
+    if not (0 <= own_state < view.num_states and 0 <= own < view.num_actions
+            and 0 <= opp < view.num_opp_actions):
+        raise ValidationError(
+            f"player {view.side} got state {own_state} and action pair "
+            f"({a}, {b}), outside the game")
 
 
 def _stat_key(*arrays_and_scalars):
@@ -143,6 +156,7 @@ class WindowAgent:
     # -- episode lifecycle -------------------------------------------------
 
     def begin_episode(self, own_state: int) -> None:
+        _check_input(self._view, own_state)
         spec = self.spec
         n, N = self.config.window_n, self.config.total_horizon
         self.t = 1
@@ -158,70 +172,41 @@ class WindowAgent:
     def _reset_window_tracking(self, own_state: int) -> None:
         self.own_states = (own_state,)
         self.window_acts = ()
-        self.window_pos = 1
-        # conditional weights of own-state histories given public actions,
-        # used to marginalize the acting strategy into a stage matrix
-        self._weights = {(s,): float(self.belief[s])
-                         for s in range(self._view.num_states)}
+        # posterior over the window's own-state sequences, in the id order
+        # of the histories compatible with window_acts
+        self._weights = self.belief.copy()
 
     # -- acting ------------------------------------------------------------
 
     def act(self) -> np.ndarray:
         return self.strategy.action_probs(self.own_states, self.window_acts)
 
-    def _stage_matrix(self) -> np.ndarray:
-        """Acting strategy marginalized to an (action, own state) matrix."""
-        view = self._view
-        X = np.empty((view.num_actions, view.num_states))
-        for s in range(view.num_states):
-            num = np.zeros(view.num_actions)
-            den = 0.0
-            for (states, acts), w in self._hist_items():
-                if states[-1] != s:
-                    continue
-                num += w * self.strategy.action_probs(states, acts)
-                den += w
-            X[:, s] = num / den if den > 1e-12 else 1.0 / view.num_actions
-        return X
-
-    def _hist_items(self):
-        for states, w in self._weights.items():
-            yield (states, self.window_acts), w
-
     # -- observation -------------------------------------------------------
 
     def observe(self, a: int, b: int, own_next_state: int) -> None:
         spec, view = self.spec, self._view
-        N = self.config.total_horizon
-        if self.t >= N:
+        _check_input(view, own_next_state, a, b)
+        if self.t >= self.config.total_horizon:
             raise ValidationError("observe called past the horizon")
-        X = self._stage_matrix()
-        own_act, _ = view.pair(a, b)
 
-        # advance the conditional own-history weights, then the belief;
-        # if the played own action has zero modeled likelihood, drop the
-        # likelihood factor (mirrors the belief update's degenerate rule)
-        for use_likelihood in (True, False):
-            new_weights = {}
-            for (states, acts), w in self._hist_items():
-                reach = w
-                if use_likelihood:
-                    reach *= float(self.strategy.action_probs(states, acts)[own_act])
-                if reach <= 0.0:
-                    continue
-                for nxt in range(view.num_states):
-                    step = reach * view.trans[a, b, states[-1], nxt]
-                    if step > 0.0:
-                        key = states + (nxt,)
-                        new_weights[key] = new_weights.get(key, 0.0) + step
-            total = sum(new_weights.values())
+        # advance the posterior: weight each sequence by the modeled
+        # likelihood of the played own action and extend it by its last
+        # state's transition; if that action has zero modeled likelihood,
+        # drop the likelihood factor (the belief update's degenerate rule)
+        ns = view.num_states
+        probs = self.strategy.probs[len(self.window_acts)][
+            self.strategy.index.compatible(self.side, self.window_acts)]
+        trans = view.trans[a, b][np.arange(self._weights.size) % ns]
+        for reach in (self._weights * probs[:, view.pair(a, b)[0]],
+                      self._weights):
+            weights = (reach[:, None] * trans).ravel()
+            weights[~(weights > 0.0)] = 0.0
+            total = sum(weights.tolist())
             if total > 1e-12:
                 break
-        self._weights = {k: v / total for k, v in new_weights.items()}
+        self._weights = weights / total
         prior_belief = self.belief
-        update_belief = (stat_updater.update_belief_p if self.side == 1
-                         else stat_updater.update_belief_q)
-        self.belief = update_belief(spec, prior_belief, X, a, b)
+        self.belief = self._weights.reshape(-1, ns).sum(axis=0)
         self.own_states = self.own_states + (own_next_state,)
         self.window_acts = self.window_acts + ((a, b),)
 
@@ -233,14 +218,14 @@ class WindowAgent:
                                        self._update_horizon(), spec.lam, a, b)
 
         self.t += 1
-        self.window_pos += 1
-        if self.window_pos > self.window_len:
+        if len(self.window_acts) == self.window_len:
             self._advance_window(own_next_state)
 
     def _update_horizon(self) -> int:
+        """Horizon of the update LP at the stage just observed."""
         if self.config.update_horizon_mode == FIXED_N:
             return self.config.window_n
-        left = self.window_len - self.window_pos
+        left = self.window_len - len(self.window_acts)
         if left >= 1:
             return left
         return min(self.config.window_n, self.config.total_horizon - self.t)
@@ -264,6 +249,7 @@ class OptimalAgent:
     def __init__(self, spec: GameSpec, side: int,
                  strategy: primal_solver.BehavioralStrategy | None = None,
                  cache: SolverCache | None = None):
+        self._view = spec.side(side)
         self.spec = spec
         self.side = side
         if strategy is None:
@@ -273,6 +259,7 @@ class OptimalAgent:
         self.strategy = strategy
 
     def begin_episode(self, own_state: int) -> None:
+        _check_input(self._view, own_state)
         self.own_states = (own_state,)
         self.acts = ()
 
@@ -280,6 +267,7 @@ class OptimalAgent:
         return self.strategy.action_probs(self.own_states, self.acts)
 
     def observe(self, a: int, b: int, own_next_state: int) -> None:
+        _check_input(self._view, own_next_state, a, b)
         self.own_states = self.own_states + (own_next_state,)
         self.acts = self.acts + ((a, b),)
 
@@ -289,7 +277,7 @@ class FixedPolicyAgent:
 
     def __init__(self, spec: GameSpec, side: int, policy):
         self.side = side
-        view = spec.side(side)
+        self._view = view = spec.side(side)
         rows = np.asarray(policy, dtype=float)
         if rows.shape != (view.num_states, view.num_actions):
             raise ValidationError(
@@ -303,12 +291,14 @@ class FixedPolicyAgent:
         self._state = 0
 
     def begin_episode(self, own_state: int) -> None:
+        _check_input(self._view, own_state)
         self._state = own_state
 
     def act(self) -> np.ndarray:
         return self.policy[self._state]
 
     def observe(self, a: int, b: int, own_next_state: int) -> None:
+        _check_input(self._view, own_next_state, a, b)
         self._state = own_next_state
 
 

@@ -5,19 +5,28 @@ array it was given, so a change anywhere between the history ids and
 HiGHS (sequence system, row blocks, sign handling, sparse assembly) shows
 up even where all values agree to the last digit but one, or only in the
 sign of a zero. The solve tests hash the best-response roots and payoff
-map and the strategy table, which depend on HiGHS's output and hence on
-its build (these were computed with the HiGHS bundled with scipy 1.17.1
+map and the strategy table, and the play tests hash the results CSV of
+seeded window-play batches; these depend on HiGHS's output and hence on
+its build (they were computed with the HiGHS bundled with scipy 1.17.1
 on x86-64).
 """
 
+import dataclasses
 import hashlib
+import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zsbgames import (best_response_vs_p1, best_response_vs_p2, lp_core,
-                      solve_dual1, solve_dual2, solve_primal, update_mu,
-                      update_nu)
+import zsbgames
+from zsbgames import (FixedPolicyAgent, SolverCache, WindowAgent,
+                      WindowConfig, best_response_vs_p1, best_response_vs_p2,
+                      lp_core, run_monte_carlo, solve_dual1, solve_dual2,
+                      solve_primal, update_mu, update_nu)
+from zsbgames.simulator import write_results_csv
+from zsbgames.window_agent import FIXED_N, REMAINING_WINDOW
 
 MU = np.array([-120.0, -60.0, -10.0])        # over player 1's states
 NU = np.array([-100.0, -50.0])               # over player 2's states
@@ -48,6 +57,15 @@ SOLVE_DIGESTS = {
         "2117c8d53fcd439dc7bddc9480c4c01a7c7183fa7786bcfd9253ec0fa1489ede",
     "n3-side2":
         "4ff4e2d8283748bf3b29ea4d12b6a2b79f54c7cc7ca754f70305e526f9f5391e",
+}
+
+PLAY_DIGESTS = {
+    "duel-200":
+        "54634f18ce5f623833bd91c37772502cdd98f820e961ea644bcc5c69426cb5d1",
+    "jammer-3":
+        "8deeaca1feafe8fd3d2abab8d3b6688dbda4e143ab18dea11b546ef5418789f5",
+    "remaining-window-50":
+        "9c53b9787cd9a2072afd06df834e7cfe1c408e47a36719ce326c0cfdb80d906b",
 }
 
 
@@ -115,3 +133,33 @@ def test_best_response_and_strategy_digest(case_study, side):
         np.array([br.payoff_map[k] for k in sorted(br.payoff_map)]),
         np.array(keys), np.stack([res.strategy.table[k] for k in keys]))
     assert digest == SOLVE_DIGESTS[f"n{n}-side{side}"]
+
+
+# name -> (lambda, N, n, update horizon mode, player 2, episodes)
+PLAY_BATCHES = {
+    "duel-200": (0.6, 8, 2, FIXED_N, "window", 200),
+    "jammer-3": (0.9, 12, 3, FIXED_N, "jammer", 3),
+    "remaining-window-50": (0.6, 7, 3, REMAINING_WINDOW, "window", 50),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAY_DIGESTS))
+def test_play_digest(case_study, name):
+    """Window play on one shared cache, seeds 0.., hashed as written."""
+    lam, horizon, window_n, mode, player2, runs = PLAY_BATCHES[name]
+    game = dataclasses.replace(case_study, lam=lam, horizon_n=horizon)
+    config = WindowConfig(window_n, horizon, mode)
+    cache = SolverCache(game)
+    if player2 == "jammer":
+        policy = json.loads((Path(zsbgames.__file__).parent / "data" /
+                             "fixed_policy_jammer.json").read_text())["policy"]
+        agent2 = lambda: FixedPolicyAgent(game, 2, policy)
+    else:
+        agent2 = lambda: WindowAgent(game, config, 2, cache=cache)
+    result = run_monte_carlo(
+        game, lambda: WindowAgent(game, config, 1, cache=cache), agent2,
+        runs, 0)
+    buf = io.StringIO()
+    write_results_csv(result, buf)
+    assert (hashlib.sha256(buf.getvalue().encode()).hexdigest()
+            == PLAY_DIGESTS[name])

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from zsbgames import (FixedPolicyAgent, OptimalAgent, SolverCache,
                       ValidationError, WindowAgent, WindowConfig,
                       run_monte_carlo, solve_primal)
-from zsbgames.window_agent import REMAINING_WINDOW, load_fixed_policy
+from zsbgames.window_agent import (FIXED_N, REMAINING_WINDOW,
+                                   load_fixed_policy)
 
 from conftest import random_spec
 
@@ -99,6 +102,35 @@ def test_remaining_window_mode_runs(rng):
     assert agent.t == 4
 
 
+@pytest.mark.parametrize("mode, total, window_n, want", [
+    (REMAINING_WINDOW, 5, 2, [1, 2, 1, 1]),
+    (REMAINING_WINDOW, 7, 3, [2, 1, 3, 2, 1, 1]),
+    (REMAINING_WINDOW, 4, 4, [3, 2, 1]),
+    (FIXED_N, 5, 2, [2] * 4),
+    (FIXED_N, 7, 3, [3] * 6),
+    (FIXED_N, 4, 4, [4] * 3),
+])
+def test_update_horizon_per_observe(rng, monkeypatch, mode, total, window_n,
+                                    want):
+    """The update LP's horizon: the window size, or the stages left in the
+    window and at its last stage the next window's length."""
+    spec = random_spec(rng, num_k=1, num_l=2, horizon=total)
+    cache = SolverCache(spec)
+    seen, update = [], cache._update
+
+    def record(kind, vec, belief, n, lam, a, b):
+        seen.append(n)
+        return update(kind, vec, belief, n, lam, a, b)
+
+    monkeypatch.setattr(cache, "_update", record)
+    agent = WindowAgent(spec, WindowConfig(window_n, total, mode), 2,
+                        cache=cache)
+    agent.begin_episode(0)
+    for t in range(1, total):
+        agent.observe(t % 2, 0, t % 2)
+    assert seen == want
+
+
 def test_cache_is_shared_across_agents(rng):
     spec = random_spec(rng, horizon=4)
     cache = SolverCache(spec)
@@ -114,6 +146,34 @@ def test_cache_is_shared_across_agents(rng):
     agent.act()
     agent.observe(0, 0, 0)   # same public actions: no new solves needed
     assert len(cache._store) == stored
+
+
+def _case_agent(case_study, kind):
+    spec = dataclasses.replace(case_study, horizon_n=2)
+    if kind == "optimal":
+        return OptimalAgent(spec, 1)
+    if kind == "window":
+        return WindowAgent(spec, WindowConfig(window_n=2, total_horizon=2), 1)
+    return FixedPolicyAgent(spec, 2, [[0.5, 0.5], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize("kind, call, args", [
+    ("optimal", "observe", (0, 0, 4)),
+    ("optimal", "observe", (0, 2, 0)),
+    ("optimal", "begin_episode", (3,)),
+    ("window", "observe", (0, 0, 3)),
+    ("window", "observe", (-1, 0, 0)),
+    ("window", "begin_episode", (-1,)),
+    ("fixed", "begin_episode", (-1,)),
+    ("fixed", "observe", (0, 0, 2)),
+])
+def test_agents_reject_out_of_range_input(case_study, kind, call, args):
+    """A state or action outside the game would index another history's
+    entry (or, counted from the end, another state's row)."""
+    agent = _case_agent(case_study, kind)
+    agent.begin_episode(0)
+    with pytest.raises(ValidationError):
+        getattr(agent, call)(*args)
 
 
 def test_fixed_policy_agent(rng):

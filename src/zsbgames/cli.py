@@ -184,9 +184,8 @@ def _agent_factory(desc: str, spec, side: int, window_n, update_mode,
         f"unknown agent {desc!r}; use optimal, window, or fixed:<file>")
 
 
-def _play_once(spec, p1_desc, p2_desc, window_n, update_mode, runs, seed,
-               cache=None):
-    cache = cache if cache is not None else SolverCache(spec)
+def _play_once(spec, p1_desc, p2_desc, window_n, update_mode, runs, seed):
+    cache = SolverCache(spec)
     f1 = _agent_factory(p1_desc, spec, 1, window_n, update_mode, cache)
     f2 = _agent_factory(p2_desc, spec, 2, window_n, update_mode, cache)
     return simulator.run_monte_carlo(spec, f1, f2, runs, seed), cache
@@ -290,22 +289,15 @@ def reproduce_case_study(outdir, runs, grid_runs, seed, full_grid):
         if full_grid:
             click.echo("warning: full grid uses N=36 and can take a long "
                        "time", err=True)
-        jammer = load_fixed_policy(
-            game_model.case_study_path().parent / "fixed_policy_jammer.json")
+        jammer = game_model.case_study_path().parent / "fixed_policy_jammer.json"
         with open(out / "grid.csv", "w") as fh:
             fh.write("lambda,horizon,window,runs,mean,stddev,stderr\n")
             for lam in (0.3, 0.6, 0.9):
                 for n in (2, 3):
                     cell = dataclasses.replace(spec, lam=lam,
                                                horizon_n=grid_horizon)
-                    config = WindowConfig(window_n=n,
-                                          total_horizon=grid_horizon)
-                    cache = SolverCache(cell)
-                    result = simulator.run_monte_carlo(
-                        cell,
-                        lambda: WindowAgent(cell, config, 1, cache=cache),
-                        lambda: FixedPolicyAgent(cell, 2, jammer),
-                        grid_runs, seed)
+                    result, _ = _play_once(cell, "window", f"fixed:{jammer}",
+                                           n, FIXED_N, grid_runs, seed)
                     fh.write(f"{lam},{grid_horizon},{n},{result.num_runs},"
                              f"{result.mean:.10g},{result.stddev:.10g},"
                              f"{result.stderr:.10g}\n")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp_core
-from .errors import SolverError
 from .game_model import GameSpec
 from .history_index import HistoryIndex, build_index
 from .lp_core import CompiledLP, LpBuilder
@@ -49,7 +48,7 @@ class DualTemplate:
     index: HistoryIndex
     lp: CompiledLP
     system: SequenceSystem          # root_rows: rhs = plan owner's belief
-    coupling_rows: list             # rhs = -(vector payoff)
+    coupling_rows: range            # rhs = -(vector payoff)
 
     def lp_at(self, root, vector) -> CompiledLP:
         return self.lp.with_rhs([*self.system.root_rows, *self.coupling_rows],
@@ -65,9 +64,9 @@ def dual_template(spec: GameSpec, kind: int, n: int,
                                  np.zeros(owner.num_states))
     v0 = builder.new_var()
     rel = "<=" if kind == 1 else ">="
-    coupling_rows = [builder.add_row({system.payoff_vars[s]: 1.0, v0: -1.0},
-                                     rel, 0.0)
-                     for s in range(owner.num_opp_states)]
+    s = np.arange(owner.num_opp_states)
+    coupling_rows = builder.add_rows(rel, np.zeros(s.size), [
+        (s, system.payoff_vars.start + s, 1.0), (s, v0, -1.0)])
     lp = builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0})
     return DualTemplate(kind=kind, n=n, lam=lam, index=index, lp=lp,
                         system=system, coupling_rows=coupling_rows)
@@ -81,8 +80,6 @@ def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
                          f"{template.n}, lambda={template.lam}")
     root = np.asarray(root, dtype=float)
     sol = lp_core.solve(template.lp_at(root, np.asarray(vector, dtype=float)))
-    if sol.status != "optimal":
-        raise SolverError(f"dual-{kind} LP returned {sol.status}")
     plan = plan_from_solution(template.index, 3 - kind, n,
                               template.system.plan_vars, sol.primal, root)
     strategy = extract_strategy(plan, spec)

@@ -3,8 +3,10 @@
 The primal, dual and vector-payoff update solvers add variables and rows
 to an `LpBuilder`, whose `build` compiles them into a `CompiledLP`, the
 array form HiGHS takes, and call `solve`; the best response needs no LP.
-An LP solved many times with different right-hand sides is built once and
-patched with `CompiledLP.with_rhs`.
+An LP solved many times at different statistics is built once and patched
+with `CompiledLP.with_rhs`, which sets right-hand sides and appends <= rows
+given as arrays over fixed columns. `solve` returns only optimal solutions
+and raises for everything else, so its callers hold no status check.
 
 `linprog` is the one place that runs HiGHS. It drives the copy of HiGHS
 bundled with scipy (`scipy.optimize._highspy._core`) directly, with the
@@ -24,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.optimize._highspy import _core as highs
 
-from .errors import NumericalError
+from .errors import NumericalError, SolverError
 
 MIN = "min"
 MAX = "max"
@@ -32,7 +34,6 @@ MAX = "max"
 
 @dataclass
 class LpSolution:
-    status: str                      # "optimal" | "infeasible" | "unbounded"
     objective_value: float
     primal: np.ndarray
 
@@ -141,11 +142,14 @@ class CompiledLP:
     def num_vars(self) -> int:
         return self.c.size
 
-    def with_rhs(self, rows, values,
-                 extra: LpBuilder | None = None) -> CompiledLP:
+    def with_rhs(self, rows, values, extra=None) -> CompiledLP:
         """Copy whose rows `rows` have right-hand sides `values` and whose
-        <= block ends with the rows of `extra`, a builder over the same
-        variables with only <= and >= rows. Matrices are shared."""
+        <= block ends with the rows of `extra`. `extra` is (rel, cols,
+        coeffs, rhs): relation "<=" or ">=", (rows, k) arrays of column
+        indices, ascending within each row, and of their coefficients, and
+        the rows' right-hand sides. Zero coefficients are dropped and >=
+        rows negated, as `LpBuilder.build` does. Matrices without appended
+        rows are shared."""
         b_ub, b_eq = self.b_ub.copy(), self.b_eq.copy()
         for row, value in zip(rows, values):
             rel = self.rels[row]
@@ -155,10 +159,16 @@ class CompiledLP:
                 b_ub[self.slots[row]] = _SIGN[rel] * float(value)
         a_ub = self.a_ub
         if extra is not None:
-            block = extra.build(MIN, {})
-            a_ub = (block.a_ub if a_ub is None
-                    else sp.vstack([a_ub, block.a_ub], format="csr"))
-            b_ub = np.concatenate([b_ub, block.b_ub])
+            rel, cols, coeffs, rhs = extra
+            a_ub = _csr(a_ub, self.num_vars)
+            keep = coeffs != 0.0
+            indptr = a_ub.indptr[-1] + np.cumsum(keep.sum(axis=1))
+            a_ub = sp.csr_matrix(
+                (np.concatenate([a_ub.data, _SIGN[rel] * coeffs[keep]]),
+                 np.concatenate([a_ub.indices, cols[keep]]),
+                 np.concatenate([a_ub.indptr, indptr])),
+                shape=(a_ub.shape[0] + len(rhs), self.num_vars))
+            b_ub = np.concatenate([b_ub, _SIGN[rel] * rhs])
         return replace(self, a_ub=a_ub, b_ub=b_ub, b_eq=b_eq)
 
 
@@ -295,24 +305,18 @@ def linprog(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
 
 
 def solve(lp: CompiledLP) -> LpSolution:
-    """Solve with HiGHS through `linprog`. Raises NumericalError on a time
-    or iteration limit, a point that fails the certificate, or a status
-    that is none of optimal, infeasible and unbounded."""
+    """Solve with HiGHS through `linprog`. Raises SolverError if the LP is
+    infeasible or unbounded, and NumericalError on a time or iteration
+    limit, a point that fails the certificate, or any other status."""
     res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq,
                   b_eq=lp.b_eq, bounds=lp.bounds)
-    if res.status == 0:
-        value = float(res.fun)
-        if lp.sense == MAX:
-            value = -value
-        return LpSolution(status="optimal", objective_value=value,
-                          primal=np.asarray(res.x, dtype=float))
-    if res.status == 2:
-        return LpSolution(status="infeasible", objective_value=math.nan,
-                          primal=np.full(lp.num_vars, math.nan))
-    if res.status == 3:
-        return LpSolution(status="unbounded", objective_value=math.nan,
-                          primal=np.full(lp.num_vars, math.nan))
-    raise NumericalError(f"LP backend failed: status={res.status} ({res.message})")
+    if res.status in (2, 3):
+        raise SolverError(f"LP is {'infeasible' if res.status == 2 else 'unbounded'}"
+                          f" ({res.message})")
+    if res.status != 0:
+        raise NumericalError(f"LP backend failed: status={res.status} ({res.message})")
+    return LpSolution(objective_value=-res.fun if lp.sense == MAX else res.fun,
+                      primal=res.x)
 
 
 def write_lp_text(lp: CompiledLP, path) -> None:

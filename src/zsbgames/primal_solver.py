@@ -16,7 +16,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import best_response, lp_core
-from .errors import SolverError
 from .game_model import GameSpec
 from .history_index import HistoryIndex, build_index
 from .lp_core import LpBuilder
@@ -230,8 +229,6 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
     if inspect_lp is not None:
         inspect_lp(lp)
     sol = lp_core.solve(lp)
-    if sol.status != "optimal":
-        raise SolverError(f"primal LP (player {side}) returned {sol.status}")
     plan = plan_from_solution(index, side, n, plan_vars, sol.primal, own)
     strategy = extract_strategy(plan, spec)
     vs_plan = (best_response.best_response_vs_p1 if side == 1

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp_core
-from .errors import SolverError
 from .game_model import GameSpec
 from .history_index import build_index
 from .lp_core import CompiledLP, LpBuilder
@@ -68,11 +67,12 @@ class UpdateTemplate:
     """Update LP of one kind, compiled without its statistic.
 
     Kind 1 advances the vector payoff over player 1's states (player 2's
-    statistic, sub-systems are player 2's); kind 2 mirrors it. Everything
-    but the per-pair posteriors (flow-row right-hand sides) and the final
-    coupling block (one row per vector owner's action and state, whose
-    coefficients scale with the plan owner's stage action weights) is
-    fixed, so the block is rebuilt per solve and appended last.
+    statistic, sub-systems are player 2's); kind 2 mirrors it. A solve
+    patches the per-pair posteriors (flow-row right-hand sides) and appends
+    the coupling block: one row per vector owner's action o and state s,
+    over the fixed columns `coupling_cols` (the scalar, then for each plan
+    owner's action m the tail and vector variables of pair (o, m)), whose
+    coefficients scale with the plan owner's stage action weights.
     """
 
     spec: GameSpec
@@ -80,43 +80,35 @@ class UpdateTemplate:
     n: int
     lam: float
     lp: CompiledLP
-    scalar: int                     # rho (kind 1) or phi (kind 2)
-    tail_vars: dict                 # (a, b) -> tail value variable
-    vector_vars: dict               # (a, b) -> candidate vector payoff variables
-    root_rows: dict                 # (a, b) -> sub-system flow rows (none at n = 1)
+    tail_vars: np.ndarray           # [a, b] -> tail value variable
+    vector_vars: np.ndarray         # [a, b] -> candidate vector payoff variables
+    root_rows: np.ndarray           # [a, b] -> sub-system flow rows (none at n = 1)
+    coupling_cols: np.ndarray       # [o * states + s] -> the row's columns
 
     def lp_at(self, vec, belief, star) -> CompiledLP:
         """The template's LP at a statistic: `vec` is the vector payoff being
         advanced, `belief` and `star` the plan owner's belief and stage-1
         strategy (action, state) of the dual game at (vec, belief)."""
-        spec, kind, lam = self.spec, self.kind, self.lam
-        view = spec.side(kind)          # the vector owner's view
-        posterior = update_belief_q if kind == 1 else update_belief_p
-        rows, roots = [], []
-        if self.n >= 2:
-            for (aa, bb), flow in self.root_rows.items():
-                rows += flow
-                roots.extend(posterior(spec, belief, star, aa, bb))
+        spec, view = self.spec, self.spec.side(self.kind)   # view: the vector owner
+        posterior = update_belief_q if self.kind == 1 else update_belief_p
+        roots = [posterior(spec, belief, star, aa, bb) for aa, bb in
+                 (np.ndindex(spec.num_a, spec.num_b) if self.n >= 2 else ())]
 
-        # coupling block: one row per (vector owner's action o, state s),
-        # summed over the plan owner's action m
+        num_own, num_opp = view.num_actions, view.num_opp_actions
         bar = star @ belief             # bar[m] = sum_s belief(s) star(m, s)
-        rel = ">=" if kind == 1 else "<="
-        block = LpBuilder()
-        block.new_vars(self.lp.num_vars)
-        for o in range(view.num_actions):
-            for s in range(view.num_states):
-                coeffs = {self.scalar: 1.0}
-                rhs = float(vec[s])
-                for m in range(view.num_opp_actions):
-                    pair = view.pair(o, m)
-                    rhs += float(np.dot(view.payoff[s, :, o, m] * belief, star[m]))
-                    coeffs[self.tail_vars[pair]] = -lam * float(bar[m])
-                    for s2, var in enumerate(self.vector_vars[pair]):
-                        coeffs[var] = coeffs.get(var, 0.0) + \
-                            lam * float(bar[m]) * view.trans[pair][s, s2]
-                block.add_row(coeffs, rel, rhs)
-        return self.lp.with_rhs(rows, roots, extra=block)
+        # row (o, s): 1 for the scalar, then for each m -lam bar[m] for the
+        # tail and lam bar[m] T[s, :] for the vector of pair (o, m)
+        trans = view.trans[view.pair(*np.ogrid[:num_own, :num_opp])].transpose(0, 2, 1, 3)
+        tail = np.broadcast_to(-self.lam * bar, trans.shape[:3])[..., None]
+        per_pair = np.concatenate([tail, (self.lam * bar)[:, None] * trans], axis=3)
+        coeffs = np.insert(per_pair.reshape(len(self.coupling_cols), -1), 0, 1.0, axis=1)
+        # rhs[o, s]: vec[s] plus the stage payoff against each m, in order
+        pay = np.ascontiguousarray(view.payoff.transpose(3, 2, 0, 1)) * belief
+        rhs = np.tile(vec, num_own)
+        for star_m, pay_m in zip(star, pay):
+            rhs += [np.dot(row, star_m) for row in pay_m.reshape(-1, belief.size)]
+        return self.lp.with_rhs(self.root_rows.ravel(), np.ravel(roots), extra=(
+            ">=" if self.kind == 1 else "<=", self.coupling_cols, coeffs, rhs))
 
 
 def update_template(spec: GameSpec, kind: int, n: int,
@@ -126,25 +118,27 @@ def update_template(spec: GameSpec, kind: int, n: int,
     builder = LpBuilder()
     scalar = builder.new_var()
     sub_index = build_index(spec, n - 1) if n >= 2 else None
-    tail_vars, vector_vars, root_rows = {}, {}, {}
-    for aa in range(spec.num_a):
-        for bb in range(spec.num_b):
-            tail = tail_vars[(aa, bb)] = builder.new_var()
-            vec = vector_vars[(aa, bb)] = builder.new_vars(view.num_states)
-            root_rows[(aa, bb)] = []
-            if n >= 2:
-                _, payoff_vars, root_rows[(aa, bb)] = add_sequence_system(
-                    builder, spec, sub_index, view.opp, n - 1, lam,
-                    np.zeros(view.num_opp_states))
-            for s in range(view.num_states):
-                coeffs = {vec[s]: 1.0, tail: -1.0}
-                if n >= 2:
-                    coeffs[payoff_vars[s]] = 1.0
-                builder.add_row(coeffs, rel, 0.0)
+    s = np.arange(view.num_states)
+    tail_vars = np.zeros((spec.num_a, spec.num_b), int)
+    vector_vars = np.zeros(tail_vars.shape + s.shape, int)
+    root_rows = np.zeros(tail_vars.shape + (view.num_opp_states * (n >= 2),), int)
+    for aa, bb in np.ndindex(tail_vars.shape):
+        tail_vars[aa, bb] = builder.new_var()
+        vector_vars[aa, bb] = builder.new_vars(view.num_states)
+        entries = [(s, vector_vars[aa, bb], 1.0), (s, tail_vars[aa, bb], -1.0)]
+        if n >= 2:
+            _, payoff_vars, root_rows[aa, bb] = add_sequence_system(
+                builder, spec, sub_index, view.opp, n - 1, lam,
+                np.zeros(view.num_opp_states))
+            entries.append((s, payoff_vars.start + s, 1.0))
+        builder.add_rows(rel, np.zeros(s.size), entries)
     lp = builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {scalar: 1.0})
+    pair = view.pair(*np.ogrid[:view.num_actions, :view.num_opp_actions])
+    cols = np.dstack([tail_vars[pair], vector_vars[pair]]).reshape(view.num_actions, -1)
     return UpdateTemplate(spec=spec, kind=kind, n=n, lam=lam, lp=lp,
-                          scalar=scalar, tail_vars=tail_vars,
-                          vector_vars=vector_vars, root_rows=root_rows)
+                          tail_vars=tail_vars, vector_vars=vector_vars,
+                          root_rows=root_rows, coupling_cols=np.repeat(
+                              np.insert(cols, 0, scalar, axis=1), s.size, axis=0))
 
 
 def _update(spec, kind, vec, belief, star, a, b, n, lam,
@@ -157,11 +151,8 @@ def _update(spec, kind, vec, belief, star, a, b, n, lam,
     sol = lp_core.solve(template.lp_at(np.asarray(vec, dtype=float),
                                        np.asarray(belief, dtype=float),
                                        np.asarray(star, dtype=float)))
-    if sol.status != "optimal":
-        raise SolverError(
-            f"vector-payoff update LP (type {kind}) returned {sol.status}")
-    all_vectors = {key: sol.primal[vars_]
-                   for key, vars_ in template.vector_vars.items()}
+    vectors = sol.primal[template.vector_vars]
+    all_vectors = {key: vectors[key] for key in np.ndindex(vectors.shape[:2])}
     return UpdateResult(vector=all_vectors[(a, b)],
                         w=sol.objective_value, all_vectors=all_vectors)
 

@@ -158,6 +158,16 @@ def test_oracle_uncertified_lp_exit_code(tmp_path, rng, monkeypatch):
     assert "matrix game LP failed" in result.output
 
 
+def test_solve_infeasible_lp_exit_code(tmp_path, rng, monkeypatch):
+    """An LP that HiGHS reports infeasible is a solver failure (exit 4)."""
+    path = _write(tmp_path, random_spec(rng))
+    monkeypatch.setattr(lp_core, "linprog", lambda *args, **kwargs: lp_core.HighsResult(
+        None, None, 2, 0, "HiGHS model status Infeasible"))
+    result = CliRunner().invoke(main, ["solve", "--spec", path])
+    assert result.exit_code == 4, result.output
+    assert result.output.startswith("error: LP is infeasible")
+
+
 def test_bound_command():
     result = CliRunner().invoke(main, [
         "bound", "--lambda", "0.3", "--window", "2", "--horizon", "4",

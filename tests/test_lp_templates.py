@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from zsbgames import (SolverCache, WindowAgent, WindowConfig, lp_core,
-                      run_episode, solve_dual1, solve_dual2, update_mu,
-                      update_nu)
+                      run_episode, solve_dual1, solve_dual2, stat_updater,
+                      update_mu, update_nu)
 from zsbgames.dual_solver import dual_template
 from zsbgames.history_index import build_index
 from zsbgames.lp_core import LpBuilder
@@ -109,13 +109,14 @@ def test_reused_templates_match_one_shot_builds(n):
     lam = spec.lam
     d1_tpl, d2_tpl = dual_template(spec, 1, n, lam), dual_template(spec, 2, n, lam)
     u1_tpl, u2_tpl = update_template(spec, 1, n, lam), update_template(spec, 2, n, lam)
+    first = []                      # trial 0's (patched, direct) LP pairs
     for trial in range(5):
         p, q = rng.dirichlet(np.ones(spec.num_k)), rng.dirichlet(np.ones(spec.num_l))
         mu = rng.uniform(-20.0, 0.0, spec.num_k)
         nu = rng.uniform(-20.0, 0.0, spec.num_l)
 
-        _assert_same_lp(d1_tpl.lp_at(q, mu), _direct_dual_lp(spec, 1, q, mu, n, lam))
-        _assert_same_lp(d2_tpl.lp_at(p, nu), _direct_dual_lp(spec, 2, p, nu, n, lam))
+        pairs = [(d1_tpl.lp_at(q, mu), _direct_dual_lp(spec, 1, q, mu, n, lam)),
+                 (d2_tpl.lp_at(p, nu), _direct_dual_lp(spec, 2, p, nu, n, lam))]
         d1 = solve_dual1(spec, mu, q, n, lam, template=d1_tpl)
         d2 = solve_dual2(spec, p, nu, n, lam, template=d2_tpl)
         _same_dual(d1, solve_dual1(spec, mu, q, n, lam))
@@ -129,14 +130,40 @@ def test_reused_templates_match_one_shot_builds(n):
             y_star[0] = 1.0
             x_star = np.zeros_like(x_star)
             x_star[1] = 1.0
-        _assert_same_lp(u1_tpl.lp_at(mu, q, y_star),
-                        _direct_update_lp(spec, 1, mu, q, y_star, n, lam))
-        _assert_same_lp(u2_tpl.lp_at(nu, p, x_star),
-                        _direct_update_lp(spec, 2, nu, p, x_star, n, lam))
+        pairs += [(u1_tpl.lp_at(mu, q, y_star),
+                   _direct_update_lp(spec, 1, mu, q, y_star, n, lam)),
+                  (u2_tpl.lp_at(nu, p, x_star),
+                   _direct_update_lp(spec, 2, nu, p, x_star, n, lam))]
+        for got, want in pairs:
+            _assert_same_lp(got, want)
+        if trial == 0:
+            first = pairs
         _same_update(update_mu(spec, mu, q, y_star, 0, 2, n, lam, template=u1_tpl),
                      update_mu(spec, mu, q, y_star, 0, 2, n, lam))
         _same_update(update_nu(spec, nu, p, x_star, 1, 1, n, lam, template=u2_tpl),
                      update_nu(spec, nu, p, x_star, 1, 1, n, lam))
+    # later patches must not write into arrays the first LPs share
+    for got, want in first:
+        _assert_same_lp(got, want)
+
+
+def test_update_lp_at_builds_no_lp(monkeypatch):
+    rng = np.random.default_rng(7)
+    spec = random_spec(rng, num_k=3, num_l=2, num_a=2, num_b=3)
+    cases = []
+    for kind, vec, belief, num_acts in ((1, [-3.0, -1.0, -2.0], spec.q0, spec.num_b),
+                                        (2, [-4.0, -5.0], spec.p0, spec.num_a)):
+        star = rng.dirichlet(np.ones(num_acts), size=belief.size).T
+        cases.append((update_template(spec, kind, 2, spec.lam), np.array(vec),
+                      belief, star,
+                      _direct_update_lp(spec, kind, vec, belief, star, 2, spec.lam)))
+
+    def no_builder(*args, **kwargs):
+        raise AssertionError("LpBuilder used to patch a template")
+    monkeypatch.setattr(stat_updater, "LpBuilder", no_builder)
+    monkeypatch.setattr(lp_core, "LpBuilder", no_builder)
+    for tpl, vec, belief, star, want in cases:
+        _assert_same_lp(tpl.lp_at(vec, belief, star), want)
 
 
 def test_zero_stage_weight_drops_coupling_coefficients():

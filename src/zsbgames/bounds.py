@@ -9,6 +9,8 @@ for desk-scale instances only and is capped accordingly.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -127,11 +129,7 @@ def oracle_value(spec: GameSpec, p, q, n: int, lam: float,
                                 view.num_opp_actions, n, max_pure) > max_pure:
             raise CapacityError(f"player {view.side} has more than {max_pure} "
                                 f"pure strategies at horizon {n}")
-    base = GameSpec(num_k=spec.num_k, num_l=spec.num_l, num_a=spec.num_a,
-                    num_b=spec.num_b, payoff=spec.payoff,
-                    p0=np.asarray(p, dtype=float), q0=np.asarray(q, dtype=float),
-                    trans_p=spec.trans_p, trans_q=spec.trans_q,
-                    lam=lam, horizon_n=n)
+    base = dataclasses.replace(spec, p0=p, q0=q, lam=lam, horizon_n=n)
     index = build_index(base, n)
     plans1 = _pure_plans(base, index, 1, n)
     plans2 = _pure_plans(base, index, 2, n)

@@ -184,11 +184,11 @@ def _agent_factory(desc: str, spec, side: int, window_n, update_mode,
         f"unknown agent {desc!r}; use optimal, window, or fixed:<file>")
 
 
-def _play_once(spec, p1_desc, p2_desc, window_n, update_mode, runs, seed):
-    cache = SolverCache(spec)
+def _play_once(spec, p1_desc, p2_desc, window_n, update_mode, runs, seed,
+               cache: SolverCache):
     f1 = _agent_factory(p1_desc, spec, 1, window_n, update_mode, cache)
     f2 = _agent_factory(p2_desc, spec, 2, window_n, update_mode, cache)
-    return simulator.run_monte_carlo(spec, f1, f2, runs, seed), cache
+    return simulator.run_monte_carlo(spec, f1, f2, runs, seed)
 
 
 def _bound_check_line(spec, result, window_n, cache) -> str:
@@ -234,8 +234,9 @@ def play(spec_file, window_n, horizon, runs, seed, p1_desc, p2_desc,
     if horizon is not None:
         spec = dataclasses.replace(spec, horizon_n=horizon)
         game_model.validate(spec)
-    result, cache = _play_once(spec, p1_desc, p2_desc, window_n, update_mode,
-                               runs, seed)
+    cache = SolverCache(spec)
+    result = _play_once(spec, p1_desc, p2_desc, window_n, update_mode, runs,
+                        seed, cache)
     if out_file is not None:
         with open(out_file, "w") as fh:
             simulator.write_results_csv(result, fh)
@@ -266,8 +267,10 @@ def reproduce_case_study(outdir, runs, grid_runs, seed, full_grid):
     window_n = 2
     gbar = game_model.g_bar(spec)
 
-    value = primal_solver.solve_primal(spec, spec.p0, spec.q0,
-                                       spec.horizon_n, spec.lam, 1).value
+    # one cache for the value and both matchups, so the full-horizon primal
+    # is solved once; the matchups' window agents share no other key
+    cache = SolverCache(spec)
+    value = cache.primal(spec.p0, spec.q0, spec.horizon_n, spec.lam, 1).value
     gap = bounds.window_bound(spec.lam, window_n, spec.horizon_n, gbar)
     summary = [f"value={value:.6f}", f"bound={gap:.6f}"]
     click.echo(summary[0])
@@ -276,8 +279,8 @@ def reproduce_case_study(outdir, runs, grid_runs, seed, full_grid):
     for name, p1_desc, p2_desc in (
             ("p1_optimal_vs_p2_window", "optimal", "window"),
             ("p1_window_vs_p2_optimal", "window", "optimal")):
-        result, cache = _play_once(spec, p1_desc, p2_desc, window_n,
-                                   FIXED_N, runs, seed)
+        result = _play_once(spec, p1_desc, p2_desc, window_n, FIXED_N, runs,
+                            seed, cache)
         with open(out / f"mc_{name}.csv", "w") as fh:
             simulator.write_results_csv(result, fh)
         line = _bound_check_line(spec, result, window_n, cache)
@@ -296,8 +299,9 @@ def reproduce_case_study(outdir, runs, grid_runs, seed, full_grid):
                 for n in (2, 3):
                     cell = dataclasses.replace(spec, lam=lam,
                                                horizon_n=grid_horizon)
-                    result, _ = _play_once(cell, "window", f"fixed:{jammer}",
-                                           n, FIXED_N, grid_runs, seed)
+                    result = _play_once(cell, "window", f"fixed:{jammer}", n,
+                                        FIXED_N, grid_runs, seed,
+                                        SolverCache(cell))
                     fh.write(f"{lam},{grid_horizon},{n},{result.num_runs},"
                              f"{result.mean:.10g},{result.stddev:.10g},"
                              f"{result.stderr:.10g}\n")

@@ -193,6 +193,8 @@ def loads_spec(text: str) -> GameSpec:
         if isinstance(val, bool) or (isinstance(val, float)
                                      and not val.is_integer()):
             raise ValidationError(f"{key} must be an integer, got {val!r}")
+    if isinstance(doc["lambda"], bool):
+        raise ValidationError(f"lambda must be a number, got {doc['lambda']!r}")
     try:
         spec = GameSpec(
             num_k=int(doc["num_k"]),

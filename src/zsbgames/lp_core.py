@@ -106,8 +106,7 @@ class LpBuilder:
             indptr = np.concatenate([[0], np.cumsum(
                 np.bincount(slots[row[take]], minlength=num_rows))])
             mats.append(sp.csr_matrix((val[take], col[take], indptr),
-                                      shape=(num_rows, num_vars))
-                        if num_rows else None)
+                                      shape=(num_rows, num_vars)))
         bounds = np.array(self._bounds, dtype=float).reshape(num_vars, 2)
         return CompiledLP(sense, c, mats[0], rhs[~is_eq], mats[1], rhs[is_eq],
                           bounds, list(self._rels), slots)
@@ -130,9 +129,9 @@ class CompiledLP:
 
     sense: str
     c: np.ndarray
-    a_ub: sp.csr_matrix | None
+    a_ub: sp.csr_matrix
     b_ub: np.ndarray
-    a_eq: sp.csr_matrix | None
+    a_eq: sp.csr_matrix
     b_eq: np.ndarray
     bounds: np.ndarray               # (num_vars, 2)
     rels: list
@@ -160,7 +159,6 @@ class CompiledLP:
         a_ub = self.a_ub
         if extra is not None:
             rel, cols, coeffs, rhs = extra
-            a_ub = _csr(a_ub, self.num_vars)
             keep = coeffs != 0.0
             indptr = a_ub.indptr[-1] + np.cumsum(keep.sum(axis=1))
             a_ub = sp.csr_matrix(
@@ -201,30 +199,16 @@ class HighsResult:
 
 
 def _csr(mat, num_vars: int) -> sp.csr_matrix:
-    """`mat` (any sparse or dense 2-D matrix, or None for no rows) as CSR
-    with sorted column indices and no duplicate entries."""
+    """`mat`, which must be a finite CSR matrix in canonical format (sorted
+    column indices, no duplicates) with `num_vars` columns; None is a
+    matrix with no rows."""
     if mat is None:
         return sp.csr_matrix((0, num_vars))
-    if not (sp.issparse(mat) and mat.format == "csr"):
-        mat = sp.csr_matrix(mat, dtype=float)
-    if not mat.has_canonical_format:
-        mat = mat.copy()
-        mat.sum_duplicates()
-    if mat.shape[1] != num_vars or not np.isfinite(mat.data).all():
-        raise ValueError("A_ub and A_eq must be finite with one column per variable")
+    if not (sp.issparse(mat) and mat.format == "csr" and mat.has_canonical_format
+            and mat.shape[1] == num_vars and np.isfinite(mat.data).all()):
+        raise ValueError("A_ub and A_eq must be finite canonical CSR matrices "
+                         "with one column per variable")
     return mat
-
-
-def _colwise(upper: sp.csr_matrix, lower: sp.csr_matrix):
-    """Column-wise (start, index, value) arrays of `upper` stacked on
-    `lower`, row indices ascending within each column."""
-    counts = np.concatenate([np.diff(upper.indptr), np.diff(lower.indptr)])
-    rows = np.repeat(np.arange(counts.size), counts)
-    cols = np.concatenate([upper.indices, lower.indices])
-    order = np.argsort(cols, kind="stable")
-    start = np.zeros(upper.shape[1] + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=upper.shape[1]), out=start[1:])
-    return start, rows[order], np.concatenate([upper.data, lower.data])[order]
 
 
 def _rhs(b, mat, name: str) -> np.ndarray:
@@ -245,13 +229,13 @@ def _solution(model):
 def linprog(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     """Minimize c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq and
     bounds[:, 0] <= x <= bounds[:, 1] with HiGHS, as
-    `scipy.optimize.linprog(..., method="highs")` does for sparse A_ub and
-    A_eq and an (n, 2) bounds array.
+    `scipy.optimize.linprog(..., method="highs")` does for canonical CSR
+    (or None) A_ub and A_eq and an (n, 2) bounds array.
 
-    Raises ValueError for non-finite c, b_ub, b_eq or matrix entries,
-    mismatched shapes or a lower bound above its upper bound. An optimal
-    point that breaks a row or bound by more than CERT_TOL is reported with
-    status 4.
+    Raises ValueError for non-finite c, b_ub, b_eq or matrix entries, a
+    matrix that is not canonical CSR, mismatched shapes or a lower bound
+    above its upper bound. An optimal point that breaks a row or bound by
+    more than CERT_TOL is reported with status 4.
     """
     c = np.asarray(c, dtype=float)
     num_vars = c.size
@@ -268,9 +252,11 @@ def linprog(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = num_vars
     lp.num_row_ = lp.a_matrix_.num_row_ = num_ub + b_eq.size
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    (lp.a_matrix_.start_, lp.a_matrix_.index_,
-     lp.a_matrix_.value_) = _colwise(A_ub, A_eq)
+    # HiGHS copies the rows into its column-wise form in row order
+    lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
+    lp.a_matrix_.start_ = np.concatenate([A_ub.indptr, A_eq.indptr[1:] + A_ub.nnz])
+    lp.a_matrix_.index_ = np.concatenate([A_ub.indices, A_eq.indices])
+    lp.a_matrix_.value_ = np.concatenate([A_ub.data, A_eq.data])
     lp.col_cost_ = c
     lp.col_lower_ = lb
     lp.col_upper_ = ub

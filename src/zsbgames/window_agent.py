@@ -58,14 +58,8 @@ def _check_input(view: SideView, own_state, a=0, b=0) -> None:
             f"({a}, {b}), outside the game")
 
 
-def _stat_key(*arrays_and_scalars):
-    parts = []
-    for item in arrays_and_scalars:
-        if isinstance(item, np.ndarray):
-            parts.append(np.round(item, 12).tobytes())
-        else:
-            parts.append(item)
-    return tuple(parts)
+def _stat_key(*arrays):
+    return tuple(np.round(arr, 12).tobytes() for arr in arrays)
 
 
 class SolverCache:
@@ -95,14 +89,14 @@ class SolverCache:
         return self._templates[key]
 
     def primal(self, p, q, n, lam, side):
-        key = ("primal", side, n, lam, _stat_key(np.asarray(p), np.asarray(q)))
+        key = ("primal", side, n, lam, _stat_key(p, q))
         return self._memo(key, lambda: primal_solver.solve_primal(
             self.spec, p, q, n, lam, side))
 
     def _dual(self, kind, x1, x2, n, lam):
         """Dual-`kind` solve; x1, x2 are its player-1 and player-2 inputs."""
         solve = dual_solver.solve_dual1 if kind == 1 else dual_solver.solve_dual2
-        key = (f"dual{kind}", n, lam, _stat_key(np.asarray(x1), np.asarray(x2)))
+        key = (f"dual{kind}", n, lam, _stat_key(x1, x2))
         return self._memo(key, lambda: solve(
             self.spec, x1, x2, n, lam,
             template=self._template(dual_solver.dual_template, kind, n, lam)))
@@ -119,8 +113,7 @@ class SolverCache:
         belief); `pair` puts those two in the dual's player order."""
         update = stat_updater.update_mu if kind == 1 else stat_updater.update_nu
         dual = self.dual1 if kind == 1 else self.dual2
-        key = (f"upd{kind}", n, lam,
-               _stat_key(np.asarray(vec), np.asarray(belief)))
+        key = (f"upd{kind}", n, lam, _stat_key(vec, belief))
         res = self._memo(key, lambda: update(
             self.spec, vec, belief,
             dual(*self.spec.side(kind).pair(vec, belief), n, lam)
@@ -309,4 +302,7 @@ def load_fixed_policy(path) -> np.ndarray:
         raise ParseError(f"cannot load fixed policy {path}: {exc}") from exc
     if not isinstance(doc, dict) or "policy" not in doc:
         raise ParseError("fixed policy file must be an object with key 'policy'")
-    return np.asarray(doc["policy"], dtype=float)
+    try:
+        return np.asarray(doc["policy"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"fixed policy must be a numeric matrix: {exc}") from exc

@@ -246,6 +246,22 @@ def test_reproduce_case_study_tiny(tmp_path):
     assert "bound=18.064800" in summary
 
 
+def test_reproduce_case_study_solves_full_primal_once(tmp_path, monkeypatch):
+    """The printed value and both matchups share the n=4 side-1 primal."""
+    calls = []
+    real = primal_solver.solve_primal
+
+    def counting(spec, p, q, n, lam, side, **kwargs):
+        calls.append((n, side))
+        return real(spec, p, q, n, lam, side, **kwargs)
+    monkeypatch.setattr(primal_solver, "solve_primal", counting)
+    result = CliRunner().invoke(main, [
+        "reproduce-case-study", "--outdir", str(tmp_path / "out"),
+        "--runs", "2", "--grid-runs", "0"])
+    assert result.exit_code == 0, result.output
+    assert calls.count((4, 1)) == 1
+
+
 @pytest.mark.parametrize("flag,value", [("--horizon", "0"), ("--lambda", "7")])
 def test_oracle_rejects_bad_horizon_and_lambda(tmp_path, rng, flag, value):
     path = _write(tmp_path, random_spec(rng, horizon=2))
@@ -271,6 +287,19 @@ def test_play_rejects_nan_fixed_policy(tmp_path, rng):
         "--p2", f"fixed:{pol}"])
     assert result.exit_code == 2
     assert "fixed policy rows must be distributions" in result.output
+
+
+@pytest.mark.parametrize("policy", ["[[1, 0], [0.5]]", '"abc"'],
+                         ids=["ragged", "string"])
+def test_play_malformed_fixed_policy_exit_5(tmp_path, rng, policy):
+    path = _write(tmp_path, random_spec(rng, horizon=2))
+    pol = tmp_path / "pol.json"
+    pol.write_text(f'{{"policy": {policy}}}')
+    result = CliRunner().invoke(main, [
+        "play", "--spec", path, "--runs", "2", "--p1", "optimal",
+        "--p2", f"fixed:{pol}"])
+    assert result.exit_code == 5, result.output
+    assert result.output.startswith("error: fixed policy must be")
 
 
 @pytest.mark.parametrize("args", [

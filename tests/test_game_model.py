@@ -123,6 +123,11 @@ def test_load_rejects_boolean_sizes_and_horizon(key):
         loads_spec(_spec_doc(**{key: True}))
 
 
+def test_load_rejects_boolean_lambda():
+    with pytest.raises(ValidationError, match="lambda must be a number"):
+        loads_spec(_spec_doc(**{"lambda": True}))
+
+
 def test_load_accepts_integral_floats():
     spec = constant_spec()
     loaded = loads_spec(_spec_doc(num_k=float(spec.num_k),

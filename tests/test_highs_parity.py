@@ -8,6 +8,7 @@ here."""
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
 from zsbgames import (lp_core, oracle_value, solve_dual1, solve_dual2,
                       solve_primal, update_mu, update_nu)
@@ -74,6 +75,31 @@ def test_case_study_primal_matches_scipy(case_study, captured, monkeypatch):
     _assert_parity(c, kwargs)
 
 
+def test_highs_column_copy_is_the_stacked_rows(case_study, captured,
+                                               monkeypatch):
+    """HiGHS gets A_ub and A_eq as rows and builds its own column copy,
+    which must be the column form of A_ub stacked on A_eq, byte for byte:
+    for the n=3 primal and for an update LP with rows appended to A_ub."""
+    copies = []
+    real = lp_core._solution
+
+    def read(model):
+        mat = model.getLp().a_matrix_
+        copies.append((mat.start_, mat.index_, mat.value_))
+        return real(model)
+    monkeypatch.setattr(lp_core, "_solution", read)
+    spec = case_study
+    solve_primal(spec, spec.p0, spec.q0, 3, spec.lam, 1)
+    update_mu(spec, np.array([-120.0, -60.0, -10.0]), spec.q0,
+              np.array([[0.25, 0.5], [0.75, 0.5]]), 1, 0, 2, spec.lam)
+    assert len(copies) == len(captured) == 2
+    for (start, index, value), (_, kwargs) in zip(copies, captured):
+        want = sp.vstack([kwargs["A_ub"], kwargs["A_eq"]]).tocsc()
+        assert np.array_equal(start, want.indptr)
+        assert np.array_equal(index, want.indices)
+        assert np.asarray(value).tobytes() == want.data.tobytes()
+
+
 def test_matrix_game_lp_matches_scipy(rng, captured, monkeypatch):
     spec = random_spec(rng, horizon=1)
     oracle_value(spec, spec.p0, spec.q0, 1, spec.lam)
@@ -113,6 +139,7 @@ def test_edge_case_lps_match_scipy(rows, objective, sense, bounds, status):
     ("b_eq", [np.nan]),
     ("b_ub", [1.0, 2.0]),
     ("bounds", [[1.0, 0.0], [0.0, 1.0]]),
+    ("A_ub", [[1.0, 0.0]]),                     # dense, not CSR
 ])
 def test_invalid_input_raises(name, value):
     c, kwargs = _compiled([({0: 1.0}, "<=", 1.0), ({1: 1.0}, "=", 0.5)],

@@ -25,11 +25,9 @@ def _assert_same_lp(got, want):
     np.testing.assert_array_equal(got.bounds, want.bounds)
     for name in ("a_ub", "a_eq"):
         g, w = getattr(got, name), getattr(want, name)
-        assert (g is None) == (w is None)
-        if g is not None:
-            assert g.nnz == w.nnz == np.count_nonzero(w.data)
-            for part in ("data", "indices", "indptr"):
-                assert getattr(g, part).tobytes() == getattr(w, part).tobytes()
+        assert g.nnz == w.nnz == np.count_nonzero(w.data)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(g, part).tobytes() == getattr(w, part).tobytes()
     for name in ("b_ub", "b_eq"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 

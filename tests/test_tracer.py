@@ -69,7 +69,7 @@ def test_tracer_sees_every_highs_run(rng):
     for side in (1, 2):
         lp = zsbgames.primal_solver.build_primal(
             spec, spec.p0, spec.q0, 2, spec.lam, side)[0]
-        mats = [m for m in (lp.a_ub, lp.a_eq) if m is not None]
+        mats = (lp.a_ub, lp.a_eq)
         want["vars"] += lp.num_vars
         want["rows"] += sum(m.shape[0] for m in mats)
         want["nnz"] += sum(m.nnz for m in mats)

@@ -201,3 +201,7 @@ def test_load_fixed_policy_files(tmp_path):
         load_fixed_policy(bad)
     with pytest.raises(ParseError):
         load_fixed_policy(tmp_path / "missing.json")
+    for policy in ('[[1, 0], [0.5]]', '"abc"'):
+        bad.write_text(f'{{"policy": {policy}}}')
+        with pytest.raises(ParseError, match="numeric matrix"):
+            load_fixed_policy(bad)

@@ -10,6 +10,7 @@ for desk-scale instances only and is capped accordingly.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,8 +29,8 @@ def window_bound(lam: float, n: int, total_n: int, g_bar: float) -> float:
         raise DomainError(f"lambda must lie in (0, 1], got {lam}")
     if not (1 <= n <= total_n):
         raise DomainError(f"need 1 <= n <= N, got n={n}, N={total_n}")
-    if g_bar < 0:
-        raise DomainError(f"g_bar must be nonnegative, got {g_bar}")
+    if not (0.0 <= g_bar < math.inf):       # NaN fails too
+        raise DomainError(f"g_bar must be finite and nonnegative, got {g_bar}")
     if lam == 1.0:
         return (total_n - n) * g_bar
     return lam ** n * (1.0 - lam ** (total_n - n)) / (1.0 - lam) * g_bar
@@ -121,13 +122,13 @@ def _matrix_game_value(payoff: np.ndarray) -> float:
     return float(-res.fun)
 
 
-def oracle_value(spec: GameSpec, p, q, n: int, lam: float,
-                 max_pure: int = DEFAULT_MAX_PURE) -> float:
+def oracle_value(spec: GameSpec, p, q, n: int, lam: float) -> float:
     """Exact game value by full pure-strategy enumeration (tiny games only)."""
+    limit = DEFAULT_MAX_PURE
     for view in (spec.side(1), spec.side(2)):
         if _pure_strategy_count(view.num_states, view.num_actions,
-                                view.num_opp_actions, n, max_pure) > max_pure:
-            raise CapacityError(f"player {view.side} has more than {max_pure} "
+                                view.num_opp_actions, n, limit) > limit:
+            raise CapacityError(f"player {view.side} has more than {limit} "
                                 f"pure strategies at horizon {n}")
     base = dataclasses.replace(spec, p0=p, q0=q, lam=lam, horizon_n=n)
     index = build_index(base, n)

@@ -233,7 +233,6 @@ def play(spec_file, window_n, horizon, runs, seed, p1_desc, p2_desc,
     spec = game_model.load_spec(spec_file)
     if horizon is not None:
         spec = dataclasses.replace(spec, horizon_n=horizon)
-        game_model.validate(spec)
     cache = SolverCache(spec)
     result = _play_once(spec, p1_desc, p2_desc, window_n, update_mode, runs,
                         seed, cache)

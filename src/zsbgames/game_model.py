@@ -18,6 +18,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 
 PROB_TOL = 1e-9
+_ARRAY_FIELDS = ("payoff", "p0", "q0", "trans_p", "trans_q")
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,8 @@ class GameSpec:
     """Immutable description of a two-player zero-sum stochastic Bayesian game.
 
     payoff is indexed [k, l, a, b]; trans_p is indexed [a, b, k, k_next]
-    (conditional distribution of player 1's next state) and trans_q is
-    indexed [a, b, l, l_next]. All indices are 0-based internally.
+    (player 1's next-state distribution) and trans_q [a, b, l, l_next], all
+    0-based. Every construction, `dataclasses.replace` too, runs `validate`.
     """
 
     num_k: int
@@ -42,11 +43,10 @@ class GameSpec:
     horizon_n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "payoff", np.asarray(self.payoff, dtype=float))
-        object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float))
-        object.__setattr__(self, "q0", np.asarray(self.q0, dtype=float))
-        object.__setattr__(self, "trans_p", np.asarray(self.trans_p, dtype=float))
-        object.__setattr__(self, "trans_q", np.asarray(self.trans_q, dtype=float))
+        for name in _ARRAY_FIELDS:
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=float))
+        validate(self)
 
     def side(self, side: int) -> SideView:
         """The game as player `side` sees it."""
@@ -89,22 +89,12 @@ class SideView:
         return (own, opp) if self.side == 1 else (opp, own)
 
 
-def _check_distribution(vec: np.ndarray, name: str) -> None:
-    if np.any(vec < -PROB_TOL):
-        i = int(np.argmin(vec))
-        raise ValidationError(f"{name}[{i}] = {vec[i]} is negative")
-    if abs(float(vec.sum()) - 1.0) > PROB_TOL:
-        raise ValidationError(f"{name} sums to {vec.sum()}, expected 1")
-
-
 def validate(spec: GameSpec) -> None:
     """Raise ValidationError naming the first violated invariant, else return."""
-    for field, val in (("num_k", spec.num_k), ("num_l", spec.num_l),
-                       ("num_a", spec.num_a), ("num_b", spec.num_b)):
+    for field in ("num_k", "num_l", "num_a", "num_b", "horizon_n"):
+        val = getattr(spec, field)
         if not isinstance(val, (int, np.integer)) or val < 1:
             raise ValidationError(f"{field} must be a positive integer, got {val!r}")
-    if not isinstance(spec.horizon_n, (int, np.integer)) or spec.horizon_n < 1:
-        raise ValidationError(f"horizon_n must be a positive integer, got {spec.horizon_n!r}")
     if not (0.0 < spec.lam <= 1.0):
         raise ValidationError(f"lambda must lie in (0, 1], got {spec.lam}")
 
@@ -126,21 +116,17 @@ def validate(spec: GameSpec) -> None:
         raise ValidationError(
             f"payoff{list(idx)} = {spec.payoff[idx]} is negative; all payoffs must be >= 0")
 
-    _check_distribution(spec.p0, "p0")
-    _check_distribution(spec.q0, "q0")
-
-    for name, arr, ns in (("trans_p", spec.trans_p, spec.num_k),
-                          ("trans_q", spec.trans_q, spec.num_l)):
-        for a in range(spec.num_a):
-            for b in range(spec.num_b):
-                for s in range(ns):
-                    row = arr[a, b, s]
-                    if np.any(row < -PROB_TOL):
-                        raise ValidationError(
-                            f"{name}[{a},{b},{s},:] has a negative entry")
-                    if abs(float(row.sum()) - 1.0) > PROB_TOL:
-                        raise ValidationError(
-                            f"{name}[{a},{b},{s},:] sums to {row.sum()}, expected 1")
+    # p0, q0 and every next-state row of the kernels are distributions
+    for name in ("p0", "q0", "trans_p", "trans_q"):
+        arr = getattr(spec, name)
+        sums = arr.sum(axis=-1)
+        bad = np.any(arr < -PROB_TOL, axis=-1) | (np.abs(sums - 1.0) > PROB_TOL)
+        if bad.any():
+            row = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            where = "".join(f"{i}," for i in row)
+            raise ValidationError(
+                f"{name}[{where}:] is not a distribution: it has a negative "
+                f"entry or sums to {sums[row]}, expected 1")
 
 
 def g_bar(spec: GameSpec) -> float:
@@ -148,8 +134,11 @@ def g_bar(spec: GameSpec) -> float:
     return float(spec.payoff.max())
 
 
-_FILE_KEYS = ("num_k", "num_l", "num_a", "num_b", "lambda", "horizon",
-              "p0", "q0", "payoff", "trans_p", "trans_q")
+# what each scalar key of a game file holds; the other keys hold arrays
+_SCALAR_KEYS = {"num_k": "an integer", "num_l": "an integer",
+                "num_a": "an integer", "num_b": "an integer",
+                "lambda": "a number", "horizon": "an integer"}
+_FILE_KEYS = (*_SCALAR_KEYS, "p0", "q0", "payoff", "trans_p", "trans_q")
 
 
 def save_spec(spec: GameSpec, path) -> None:
@@ -178,6 +167,35 @@ def load_spec(path) -> GameSpec:
     return loads_spec(text)
 
 
+def read_numbers(value, name: str):
+    """A number or a numeric matrix read from a JSON document.
+
+    A scalar key of a game file (`name` one of its keys) yields a Python
+    int or float, and an integer key accepts integral floats such as 2.0;
+    anything else yields a float array. A boolean anywhere is a wrong
+    value (ValidationError); a string, null, object or ragged list is a
+    malformed file (ParseError).
+    """
+    want = _SCALAR_KEYS.get(name, "a numeric matrix")
+    arr = np.array(value, dtype=object)
+    for item in arr.ravel().tolist():   # a ragged list's items are lists
+        if isinstance(item, bool):
+            raise ValidationError(f"{name} must be {want}, got {item!r}")
+        if not isinstance(item, (int, float)):
+            raise ParseError(f"{name} must be {want}, got {item!r}")
+    if name in _SCALAR_KEYS and arr.ndim:
+        raise ParseError(f"{name} must be {want}, got {value!r}")
+    if want == "an integer":
+        if not (isinstance(value, int) or value.is_integer()):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        floats = arr.astype(float)
+    except OverflowError as exc:
+        raise ValidationError(f"{name} has an entry beyond the float range") from exc
+    return float(floats) if want == "a number" else floats
+
+
 def loads_spec(text: str) -> GameSpec:
     try:
         doc = json.loads(text)
@@ -188,31 +206,9 @@ def loads_spec(text: str) -> GameSpec:
     missing = [k for k in _FILE_KEYS if k not in doc]
     if missing:
         raise ParseError(f"missing keys: {', '.join(missing)}")
-    for key in ("num_k", "num_l", "num_a", "num_b", "horizon"):
-        val = doc[key]
-        if isinstance(val, bool) or (isinstance(val, float)
-                                     and not val.is_integer()):
-            raise ValidationError(f"{key} must be an integer, got {val!r}")
-    if isinstance(doc["lambda"], bool):
-        raise ValidationError(f"lambda must be a number, got {doc['lambda']!r}")
-    try:
-        spec = GameSpec(
-            num_k=int(doc["num_k"]),
-            num_l=int(doc["num_l"]),
-            num_a=int(doc["num_a"]),
-            num_b=int(doc["num_b"]),
-            payoff=np.array(doc["payoff"], dtype=float),
-            p0=np.array(doc["p0"], dtype=float),
-            q0=np.array(doc["q0"], dtype=float),
-            trans_p=np.array(doc["trans_p"], dtype=float),
-            trans_q=np.array(doc["trans_q"], dtype=float),
-            lam=float(doc["lambda"]),
-            horizon_n=int(doc["horizon"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"malformed field: {exc}") from exc
-    validate(spec)
-    return spec
+    fields = {key: read_numbers(doc[key], key) for key in _FILE_KEYS}
+    fields["lam"], fields["horizon_n"] = fields.pop("lambda"), fields.pop("horizon")
+    return GameSpec(**fields)
 
 
 def case_study_path() -> Path:

@@ -3,7 +3,8 @@
 A `WindowAgent` solves the first window with the primal LP and every
 later window with its dual LP at the current sufficient statistic
 (belief about its own state as seen from outside, plus the vector payoff
-over the opponent-visible states). The statistic advances every stage.
+over the opponent-visible states). The belief advances every stage, the
+vector payoff every stage before the last window.
 The agent keeps the posterior of its own state sequences in the current
 window given the public actions and its own strategy; the belief is that
 posterior's marginal over the last state. The vector payoff advances
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import dual_solver, primal_solver, stat_updater
 from .errors import ParseError, ValidationError
-from .game_model import GameSpec, SideView
+from .game_model import GameSpec, SideView, read_numbers
 
 FIXED_N = "fixed_n"
 REMAINING_WINDOW = "remaining_window"
@@ -135,7 +136,9 @@ class WindowAgent:
     With `update_horizon_mode == FIXED_N` the vector-payoff update LP is
     always invoked with the configured window size; REMAINING_WINDOW uses
     the number of stages left in the current window instead (falling back
-    to the next window's length at a window's last stage).
+    to the next window's length at a window's last stage). The window that
+    ends at the horizon solves no update LP: only a later window's dual LP
+    reads the vector payoff, and `act()` reads only the strategy.
     """
 
     def __init__(self, spec: GameSpec, config: WindowConfig, side: int,
@@ -203,12 +206,15 @@ class WindowAgent:
         self.own_states = self.own_states + (own_next_state,)
         self.window_acts = self.window_acts + ((a, b),)
 
-        # the vector payoff advances through the update LP solved at the
-        # pre-stage statistic; the LP forms its own per-pair posteriors
-        update = (self.cache.update_nu if self.side == 1
-                  else self.cache.update_mu)
-        self.vector_payoff, _ = update(self.vector_payoff, prior_belief,
-                                       self._update_horizon(), spec.lam, a, b)
+        # the update LP at the pre-stage statistic (it forms its own per-pair
+        # posteriors) advances the vector payoff, read only by later windows
+        if (self.t - len(self.window_acts) + self.window_len
+                < self.config.total_horizon):
+            update = (self.cache.update_nu if self.side == 1
+                      else self.cache.update_mu)
+            self.vector_payoff, _ = update(
+                self.vector_payoff, prior_belief, self._update_horizon(),
+                spec.lam, a, b)
 
         self.t += 1
         if len(self.window_acts) == self.window_len:
@@ -302,7 +308,4 @@ def load_fixed_policy(path) -> np.ndarray:
         raise ParseError(f"cannot load fixed policy {path}: {exc}") from exc
     if not isinstance(doc, dict) or "policy" not in doc:
         raise ParseError("fixed policy file must be an object with key 'policy'")
-    try:
-        return np.asarray(doc["policy"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"fixed policy must be a numeric matrix: {exc}") from exc
+    return read_numbers(doc["policy"], "fixed policy")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from zsbgames import (CapacityError, DomainError, oracle_value, solve_primal,
-                      window_bound)
+from zsbgames import (CapacityError, DomainError, ValidationError,
+                      oracle_value, solve_primal, window_bound)
 from zsbgames.bounds import _matrix_game_value, _pure_strategy_count
 
 from conftest import random_spec
@@ -37,6 +37,12 @@ def test_bound_domain_errors():
         window_bound(0.5, 5, 4, 1.0)
     with pytest.raises(DomainError):
         window_bound(0.5, 2, 4, -1.0)
+
+
+@pytest.mark.parametrize("g_bar", [float("nan"), float("inf")])
+def test_bound_rejects_non_finite_g_bar(g_bar):
+    with pytest.raises(DomainError, match="g_bar"):
+        window_bound(0.5, 2, 4, g_bar)
 
 
 def test_matrix_game_known_values():
@@ -77,3 +83,11 @@ def test_oracle_capacity_cap(rng):
     spec = random_spec(rng, num_k=2, num_l=2, num_a=2, num_b=2, horizon=3)
     with pytest.raises(CapacityError):
         oracle_value(spec, spec.p0, spec.q0, 3, spec.lam)
+
+
+@pytest.mark.parametrize("p,lam", [([0.9, 0.9], 0.5), ([0.5, 0.5], 3.0)],
+                         ids=["belief", "lambda"])
+def test_oracle_rejects_invalid_game(p, lam):
+    spec = random_spec(np.random.default_rng(0), horizon=2)
+    with pytest.raises(ValidationError):
+        oracle_value(spec, p, spec.q0, 2, lam)

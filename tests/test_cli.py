@@ -42,6 +42,22 @@ def test_validate_invalid_model(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("key,value,code", [
+    ("lambda", "0.5", 5), ("horizon", "2", 5), ("p0", ["0.5", 0.5], 5),
+    ("p0", [None, 0.5], 5), ("p0", [True, False, False], 2),
+    ("p0", [True, 0.5], 2),
+])
+def test_validate_rejects_non_numbers(tmp_path, key, value, code):
+    path = tmp_path / "game.json"
+    save_spec(constant_spec(), path)
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert result.exit_code == code, result.output
+    assert result.output.startswith(f"error: {key} must be")
+
+
 def test_solve_constant_payoff(tmp_path):
     path = _write(tmp_path, constant_spec(c=1.0, lam=0.5, horizon=3))
     result = CliRunner().invoke(main, ["solve", "--spec", path])
@@ -183,6 +199,15 @@ def test_bound_domain_error_exit_code():
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("gbar", ["nan", "inf"])
+def test_bound_rejects_non_finite_gbar(gbar):
+    result = CliRunner().invoke(main, [
+        "bound", "--lambda", "0.5", "--window", "2", "--horizon", "4",
+        "--gbar", gbar])
+    assert result.exit_code == 2, result.output
+    assert "g_bar must be finite" in result.output
+
+
 def test_play_window_vs_optimal(tmp_path, rng):
     path = _write(tmp_path, random_spec(rng, horizon=3))
     result = CliRunner().invoke(main, [
@@ -299,6 +324,17 @@ def test_play_malformed_fixed_policy_exit_5(tmp_path, rng, policy):
         "play", "--spec", path, "--runs", "2", "--p1", "optimal",
         "--p2", f"fixed:{pol}"])
     assert result.exit_code == 5, result.output
+    assert result.output.startswith("error: fixed policy must be")
+
+
+def test_play_boolean_fixed_policy_exit_2(tmp_path, rng):
+    path = _write(tmp_path, random_spec(rng, horizon=2))
+    pol = tmp_path / "pol.json"
+    pol.write_text('{"policy": [[true, false], [false, true]]}')
+    result = CliRunner().invoke(main, [
+        "play", "--spec", path, "--runs", "2", "--p1", "optimal",
+        "--p2", f"fixed:{pol}"])
+    assert result.exit_code == 2, result.output
     assert result.output.startswith("error: fixed policy must be")
 
 

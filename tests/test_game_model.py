@@ -1,8 +1,11 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zsbgames import (GameSpec, ParseError, ValidationError, g_bar,
                       load_spec, save_spec, validate)
@@ -53,6 +56,20 @@ def test_validate_rejects_shape_mismatch():
     spec = constant_spec()
     with pytest.raises(ValidationError, match="shape"):
         validate(dataclasses.replace(spec, num_k=3))
+
+
+def test_construction_and_replace_validate():
+    spec = constant_spec()
+    bad = spec.trans_p.copy()
+    bad[1, 0, 1] = [0.6, 0.6]
+    fields = {**dataclasses.asdict(spec), "trans_p": bad}
+    with pytest.raises(ValidationError,
+                       match=r"trans_p\[1,0,1,:\] .* sums to 1.2"):
+        GameSpec(**fields)
+    with pytest.raises(ValidationError, match=r"p0\[:\] .* sums to 1.8"):
+        dataclasses.replace(spec, p0=[0.9, 0.9])
+    with pytest.raises(ValidationError, match="q0"):
+        dataclasses.replace(spec, q0=[1.5, -0.5])
 
 
 def test_g_bar_is_max_entry():
@@ -128,6 +145,27 @@ def test_load_rejects_boolean_lambda():
         loads_spec(_spec_doc(**{"lambda": True}))
 
 
+@pytest.mark.parametrize("changes", [
+    {"lambda": "0.5"}, {"horizon": "2"}, {"p0": ["0.5", 0.5]},
+    {"p0": [None, 0.5]}, {"lambda": [0.5]}, {"payoff": [[1.0], 2.0]},
+], ids=["lambda-string", "horizon-string", "p0-string", "p0-null",
+        "lambda-list", "payoff-ragged"])
+def test_load_rejects_non_numbers(changes):
+    with pytest.raises(ParseError, match=f"{next(iter(changes))} must be"):
+        loads_spec(_spec_doc(**changes))
+
+
+@pytest.mark.parametrize("p0", [[True, False, False], [True, 0.5]])
+def test_load_rejects_booleans_in_arrays(p0):
+    with pytest.raises(ValidationError, match="p0 must be"):
+        loads_spec(_spec_doc(p0=p0))
+
+
+def test_load_rejects_numbers_beyond_float_range():
+    with pytest.raises(ValidationError, match="float range"):
+        loads_spec(_spec_doc(**{"lambda": 10 ** 400}))
+
+
 def test_load_accepts_integral_floats():
     spec = constant_spec()
     loaded = loads_spec(_spec_doc(num_k=float(spec.num_k),
@@ -167,3 +205,43 @@ def test_side_views_mirror_each_other():
     assert two.pair("own", "opp") == ("opp", "own")
     with pytest.raises(ValueError):
         spec.side(3)
+
+
+_KEYS = ("num_k", "num_l", "num_a", "num_b", "lambda", "horizon", "p0", "q0",
+         "payoff", "trans_p", "trans_q")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(st.integers(1, 3), min_size=4, max_size=4),
+       st.floats(1e-3, 1.0), st.integers(1, 5), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(_KEYS), st.integers(0, 10 ** 6),
+       st.sampled_from([True, False, "string", None]))
+def test_spec_parsing_property(sizes, lam, horizon, seed, key, pos, plant):
+    """save_spec then loads_spec gives the spec back; a boolean, numeric
+    string or null planted at any key or array position is rejected."""
+    spec = random_spec(np.random.default_rng(seed), *sizes, horizon=horizon,
+                       lam=lam)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_spec(spec, Path(tmp) / "game.json")
+        text = (Path(tmp) / "game.json").read_text()
+    again = loads_spec(text)
+    for name in ("payoff", "p0", "q0", "trans_p", "trans_q"):
+        assert np.array_equal(getattr(spec, name), getattr(again, name))
+    assert ((again.num_k, again.num_l, again.num_a, again.num_b, again.lam,
+             again.horizon_n) == (*sizes, lam, horizon))
+
+    doc = json.loads(text)
+    holder, slot = doc, key
+    if isinstance(doc[key], list):
+        shape = np.shape(doc[key])
+        *path, slot = np.unravel_index(pos % int(np.prod(shape)), shape)
+        holder = doc[key]
+        for i in path:
+            holder = holder[i]
+        slot = int(slot)
+    if plant == "string":
+        plant = str(holder[slot])
+    holder[slot] = plant
+    error = ValidationError if isinstance(plant, bool) else ParseError
+    with pytest.raises(error, match=f"{key} must be"):
+        loads_spec(json.dumps(doc))

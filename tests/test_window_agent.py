@@ -105,15 +105,18 @@ def test_remaining_window_mode_runs(rng):
 @pytest.mark.parametrize("mode, total, window_n, want", [
     (REMAINING_WINDOW, 5, 2, [1, 2, 1, 1]),
     (REMAINING_WINDOW, 7, 3, [2, 1, 3, 2, 1, 1]),
-    (REMAINING_WINDOW, 4, 4, [3, 2, 1]),
+    (REMAINING_WINDOW, 4, 4, []),
     (FIXED_N, 5, 2, [2] * 4),
     (FIXED_N, 7, 3, [3] * 6),
-    (FIXED_N, 4, 4, [4] * 3),
+    (FIXED_N, 4, 4, []),
+    (REMAINING_WINDOW, 6, 3, [2, 1, 3]),
+    (FIXED_N, 6, 3, [3] * 3),
 ])
 def test_update_horizon_per_observe(rng, monkeypatch, mode, total, window_n,
                                     want):
     """The update LP's horizon: the window size, or the stages left in the
-    window and at its last stage the next window's length."""
+    window and at its last stage the next window's length. The window that
+    ends at the horizon solves no update LP."""
     spec = random_spec(rng, num_k=1, num_l=2, horizon=total)
     cache = SolverCache(spec)
     seen, update = [], cache._update

@@ -223,7 +223,7 @@ def _bound_check_line(spec, result, window_n, cache) -> str:
               help="Player 2 agent: optimal, window, or fixed:<file>.")
 @click.option("--update-mode", type=click.Choice([FIXED_N, REMAINING_WINDOW]),
               default=FIXED_N, show_default=True,
-              help="Horizon fed to the vector-payoff update LP.")
+              help="Horizon of the vector-payoff update.")
 @click.option("--out", "out_file", type=click.Path(), default=None,
               help="Write the CSV here instead of stdout.")
 @_handle_errors

@@ -31,7 +31,6 @@ class DualResult:
     value: float
     strategy: BehavioralStrategy
     plan: RealizationPlan
-    weighted_payoffs: dict          # (t, hid) on the plan owner's opponent side
 
 
 @dataclass
@@ -82,11 +81,8 @@ def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
     sol = lp_core.solve(template.lp_at(root, np.asarray(vector, dtype=float)))
     plan = plan_from_solution(template.index, 3 - kind, n,
                               template.system.plan_vars, sol.primal, root)
-    strategy = extract_strategy(plan, spec)
-    payoffs = dict(zip(template.index.keys(kind, n),
-                       sol.primal[template.system.payoff_vars].tolist()))
-    return DualResult(value=sol.objective_value, strategy=strategy,
-                      plan=plan, weighted_payoffs=payoffs)
+    return DualResult(value=sol.objective_value,
+                      strategy=extract_strategy(plan, spec), plan=plan)
 
 
 def solve_dual1(spec: GameSpec, mu, q, n: int, lam: float,

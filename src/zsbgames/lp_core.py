@@ -3,10 +3,10 @@
 The primal, dual and vector-payoff update solvers add variables and rows
 to an `LpBuilder`, whose `build` compiles them into a `CompiledLP`, the
 array form HiGHS takes, and call `solve`; the best response needs no LP.
-An LP solved many times at different statistics is built once and patched
-with `CompiledLP.with_rhs`, which sets right-hand sides and appends <= rows
-given as arrays over fixed columns. `solve` returns only optimal solutions
-and raises for everything else, so its callers hold no status check.
+The dual LP, solved many times at different statistics, is built once and
+patched with `CompiledLP.with_rhs`, which sets right-hand sides. `solve`
+returns only optimal solutions and raises for everything else, so its
+callers hold no status check.
 
 `linprog` is the one place that runs HiGHS. It drives the copy of HiGHS
 bundled with scipy (`scipy.optimize._highspy._core`) directly, with the
@@ -141,14 +141,9 @@ class CompiledLP:
     def num_vars(self) -> int:
         return self.c.size
 
-    def with_rhs(self, rows, values, extra=None) -> CompiledLP:
-        """Copy whose rows `rows` have right-hand sides `values` and whose
-        <= block ends with the rows of `extra`. `extra` is (rel, cols,
-        coeffs, rhs): relation "<=" or ">=", (rows, k) arrays of column
-        indices, ascending within each row, and of their coefficients, and
-        the rows' right-hand sides. Zero coefficients are dropped and >=
-        rows negated, as `LpBuilder.build` does. Matrices without appended
-        rows are shared."""
+    def with_rhs(self, rows, values) -> CompiledLP:
+        """Copy whose rows `rows` have right-hand sides `values`; the
+        matrices are shared."""
         b_ub, b_eq = self.b_ub.copy(), self.b_eq.copy()
         for row, value in zip(rows, values):
             rel = self.rels[row]
@@ -156,18 +151,7 @@ class CompiledLP:
                 b_eq[self.slots[row]] = float(value)
             else:
                 b_ub[self.slots[row]] = _SIGN[rel] * float(value)
-        a_ub = self.a_ub
-        if extra is not None:
-            rel, cols, coeffs, rhs = extra
-            keep = coeffs != 0.0
-            indptr = a_ub.indptr[-1] + np.cumsum(keep.sum(axis=1))
-            a_ub = sp.csr_matrix(
-                (np.concatenate([a_ub.data, _SIGN[rel] * coeffs[keep]]),
-                 np.concatenate([a_ub.indices, cols[keep]]),
-                 np.concatenate([a_ub.indptr, indptr])),
-                shape=(a_ub.shape[0] + len(rhs), self.num_vars))
-            b_ub = np.concatenate([b_ub, _SIGN[rel] * rhs])
-        return replace(self, a_ub=a_ub, b_ub=b_ub, b_eq=b_eq)
+        return replace(self, b_ub=b_ub, b_eq=b_eq)
 
 
 # the options scipy.optimize.linprog(method="highs") sets; the others keep
@@ -309,7 +293,7 @@ def write_lp_text(lp: CompiledLP, path) -> None:
     """Dump in CPLEX LP text format, for debugging with external tools.
 
     Rows are written in the order `LpBuilder` added them, with
-    their relations and signs as given; `with_rhs`'s extra rows are not."""
+    their relations and signs as given."""
     def terms(cols, coefs):
         return "".join(f" {'+' if coef >= 0 else '-'} {abs(coef):.17g} x{var}"
                        for var, coef in zip(cols, coefs))

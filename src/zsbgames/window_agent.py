@@ -8,7 +8,9 @@ vector payoff every stage before the last window.
 The agent keeps the posterior of its own state sequences in the current
 window given the public actions and its own strategy; the belief is that
 posterior's marginal over the last state. The vector payoff advances
-through the joint update LP.
+by a read-out of the plan of the dual game at the pre-stage statistic
+(`SolverCache._update`), so play solves no update LP except for an
+observed pair that plan never plays.
 
 `OptimalAgent` plays the full-horizon security strategy; `FixedPolicyAgent`
 plays a stationary per-state distribution. All agents expose the same
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dual_solver, primal_solver, stat_updater
+from . import best_response, dual_solver, primal_solver, stat_updater
 from .errors import ParseError, ValidationError
 from .game_model import GameSpec, SideView, read_numbers
 
@@ -64,13 +66,13 @@ def _stat_key(*arrays):
 
 
 class SolverCache:
-    """Memoizes LP solves keyed on the rounded statistic.
+    """Memoizes LP solves and read-outs keyed on the rounded statistic.
 
     The statistic trajectory of a window agent depends only on the public
     action sequence, so sharing one cache across the episodes of a Monte
-    Carlo run removes almost all repeated solves. A miss on a dual or
-    update LP patches that LP's template, compiled on first use per (kind,
-    n, lambda) and kept for the cache's lifetime.
+    Carlo run removes almost all repeated solves. A miss on a dual LP
+    patches its template, compiled on first use per (kind, n, lambda) and
+    kept for the cache's lifetime.
     """
 
     def __init__(self, spec: GameSpec):
@@ -83,12 +85,6 @@ class SolverCache:
             self._store[key] = compute()
         return self._store[key]
 
-    def _template(self, make, kind, n, lam):
-        key = (make.__name__, kind, n, lam)
-        if key not in self._templates:
-            self._templates[key] = make(self.spec, kind, n, lam)
-        return self._templates[key]
-
     def primal(self, p, q, n, lam, side):
         key = ("primal", side, n, lam, _stat_key(p, q))
         return self._memo(key, lambda: primal_solver.solve_primal(
@@ -97,10 +93,12 @@ class SolverCache:
     def _dual(self, kind, x1, x2, n, lam):
         """Dual-`kind` solve; x1, x2 are its player-1 and player-2 inputs."""
         solve = dual_solver.solve_dual1 if kind == 1 else dual_solver.solve_dual2
+        if (kind, n, lam) not in self._templates:
+            self._templates[kind, n, lam] = dual_solver.dual_template(
+                self.spec, kind, n, lam)
         key = (f"dual{kind}", n, lam, _stat_key(x1, x2))
         return self._memo(key, lambda: solve(
-            self.spec, x1, x2, n, lam,
-            template=self._template(dual_solver.dual_template, kind, n, lam)))
+            self.spec, x1, x2, n, lam, template=self._templates[kind, n, lam]))
 
     def dual1(self, mu, q, n, lam):
         return self._dual(1, mu, q, n, lam)
@@ -109,19 +107,38 @@ class SolverCache:
         return self._dual(2, p, nu, n, lam)
 
     def _update(self, kind, vec, belief, n, lam, a, b):
-        """Advance the vector payoff over player `kind`'s states, solving the
-        update LP at the stage strategy of the dual-`kind` game at (vec,
-        belief); `pair` puts those two in the dual's player order."""
-        update = stat_updater.update_mu if kind == 1 else stat_updater.update_nu
-        dual = self.dual1 if kind == 1 else self.dual2
+        """Vector payoff over player `kind`'s states after pair (a, b), read
+        off the plan of the dual-`kind` game at (vec, belief): -BR(s) /
+        (lam bar[m]), with BR(s) the responder's best-response value at its
+        depth-2 history ending in (a, b) and state s, and bar[m] the plan
+        owner's stage weight of its action in (a, b). It is 0 at n = 1 (no
+        continuation) and the update LP's at bar[m] <= DEGENERATE_TOL."""
+        view = self.spec.side(kind)
+        if n == 1:
+            return np.zeros(view.num_states)
         key = (f"upd{kind}", n, lam, _stat_key(vec, belief))
-        res = self._memo(key, lambda: update(
-            self.spec, vec, belief,
-            dual(*self.spec.side(kind).pair(vec, belief), n, lam)
-            .strategy.stage1_matrix(),
-            a, b, n, lam,
-            template=self._template(stat_updater.update_template, kind, n, lam)))
-        return res.all_vectors[(a, b)], res.w
+        star, bar, br = self._memo(key, lambda: self._read_out(
+            view, vec, belief, n, lam))
+        m = view.pair(a, b)[1]
+        if bar[m] > stat_updater.DEGENERATE_TOL:
+            return -br[a, b] / (lam * bar[m])
+        update = stat_updater.update_mu if kind == 1 else stat_updater.update_nu
+        return self._memo(key + ((a, b),), lambda: update(
+            self.spec, vec, belief, star, a, b, n, lam).vector)
+
+    def _read_out(self, view, vec, belief, n, lam):
+        """(star, bar, BR) of `_update`, with BR[a, b, s] read at the history
+        (0, (a, b), s): a depth-2 value does not depend on the first state."""
+        dual = (self.dual1 if view.side == 1 else self.dual2)(
+            *view.pair(vec, belief), n, lam)
+        vs_plan = (best_response.best_response_vs_p2 if view.side == 1
+                   else best_response.best_response_vs_p1)
+        payoff = vs_plan(self.spec, dual.plan, np.zeros(view.num_states), n,
+                         lam).payoff_map
+        shape = (view.num_states, self.spec.num_a, self.spec.num_b)
+        br = [payoff[2, hid] for hid in range(np.prod(shape))]
+        star = dual.strategy.stage1_matrix()
+        return star, star @ belief, np.reshape(br, shape).transpose(1, 2, 0)
 
     def update_mu(self, mu, q, n, lam, a, b):
         return self._update(1, mu, q, n, lam, a, b)
@@ -133,11 +150,11 @@ class SolverCache:
 class WindowAgent:
     """Plays one side of the game window by window.
 
-    With `update_horizon_mode == FIXED_N` the vector-payoff update LP is
-    always invoked with the configured window size; REMAINING_WINDOW uses
-    the number of stages left in the current window instead (falling back
-    to the next window's length at a window's last stage). The window that
-    ends at the horizon solves no update LP: only a later window's dual LP
+    With `update_horizon_mode == FIXED_N` the vector payoff is advanced
+    with the configured window size as horizon; REMAINING_WINDOW uses the
+    number of stages left in the current window instead (falling back to
+    the next window's length at a window's last stage). The window that
+    ends at the horizon does not advance it: only a later window's dual LP
     reads the vector payoff, and `act()` reads only the strategy.
     """
 
@@ -206,13 +223,13 @@ class WindowAgent:
         self.own_states = self.own_states + (own_next_state,)
         self.window_acts = self.window_acts + ((a, b),)
 
-        # the update LP at the pre-stage statistic (it forms its own per-pair
-        # posteriors) advances the vector payoff, read only by later windows
+        # the dual game at the pre-stage statistic advances the vector
+        # payoff, read only by later windows
         if (self.t - len(self.window_acts) + self.window_len
                 < self.config.total_horizon):
             update = (self.cache.update_nu if self.side == 1
                       else self.cache.update_mu)
-            self.vector_payoff, _ = update(
+            self.vector_payoff = update(
                 self.vector_payoff, prior_belief, self._update_horizon(),
                 spec.lam, a, b)
 
@@ -221,7 +238,7 @@ class WindowAgent:
             self._advance_window(own_next_state)
 
     def _update_horizon(self) -> int:
-        """Horizon of the update LP at the stage just observed."""
+        """Horizon of the vector-payoff update at the stage just observed."""
         if self.config.update_horizon_mode == FIXED_N:
             return self.config.window_n
         left = self.window_len - len(self.window_acts)

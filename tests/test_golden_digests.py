@@ -61,11 +61,11 @@ SOLVE_DIGESTS = {
 
 PLAY_DIGESTS = {
     "duel-200":
-        "54634f18ce5f623833bd91c37772502cdd98f820e961ea644bcc5c69426cb5d1",
+        "d45fc12e605cb5d517e0557bde4cb9fe02ac2592576a568ac8b510c208d499bb",
     "jammer-3":
         "8deeaca1feafe8fd3d2abab8d3b6688dbda4e143ab18dea11b546ef5418789f5",
     "remaining-window-50":
-        "9c53b9787cd9a2072afd06df834e7cfe1c408e47a36719ce326c0cfdb80d906b",
+        "c8389293f3d4b30d7d2fdd0a6e693b43ef3acbaf8d8939baaa05d9f211bfd837",
 }
 
 

@@ -79,7 +79,7 @@ def test_highs_column_copy_is_the_stacked_rows(case_study, captured,
                                                monkeypatch):
     """HiGHS gets A_ub and A_eq as rows and builds its own column copy,
     which must be the column form of A_ub stacked on A_eq, byte for byte:
-    for the n=3 primal and for an update LP with rows appended to A_ub."""
+    for the n=3 primal and for an update LP."""
     copies = []
     real = lp_core._solution
 

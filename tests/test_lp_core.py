@@ -123,8 +123,7 @@ End
 
 
 def test_empty_blocks_are_zero_row_csr():
-    """A block without rows compiles as a 0-row CSR matrix, to which
-    `with_rhs` appends rows as to any other."""
+    """A block without rows compiles as a 0-row CSR matrix."""
     lp, x, y = _knapsack_lp()
     assert lp.a_eq.format == "csr" and lp.a_eq.shape == (0, 2)
     assert lp.b_eq.shape == (0,)
@@ -133,14 +132,7 @@ def test_empty_blocks_are_zero_row_csr():
     b.add_row({x: 1.0, y: 1.0}, "=", 1.0)
     lp = b.build(lp_core.MAX, {x: 1.0})
     assert lp.a_ub.format == "csr" and lp.a_ub.shape == (0, 2)
-    # x >= 0.25 + 0.5 y and x <= 0.5 (0.0 dropped): optimum x = 0.5
-    patched = lp.with_rhs([], [], extra=(">=", np.array([[x, y], [x, y]]),
-                                         np.array([[1.0, -0.5], [-1.0, 0.0]]),
-                                         np.array([0.25, -0.5])))
-    assert patched.a_ub.toarray().tolist() == [[-1.0, 0.5], [1.0, 0.0]]
-    assert patched.b_ub.tolist() == [-0.25, 0.5]
-    sol = lp_core.solve(patched)
-    assert sol.objective_value == pytest.approx(0.5, abs=1e-9)
+    assert lp_core.solve(lp).objective_value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solution_deterministic():

@@ -1,6 +1,6 @@
-"""Compiled dual and update LPs: a template patched for a statistic must
-give HiGHS the same LP, and hence the same answers, as a build with that
-statistic in place."""
+"""Dual and update LPs: a dual template patched for a statistic, and the
+update LP's one-shot build, must give HiGHS the same LP, and hence the
+same answers, as a row-by-row build with that statistic in place."""
 
 import dataclasses
 
@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from zsbgames import (SolverCache, WindowAgent, WindowConfig, lp_core,
-                      run_episode, solve_dual1, solve_dual2, stat_updater,
+                      run_episode, solve_dual1, solve_dual2,
                       update_mu, update_nu)
 from zsbgames.dual_solver import dual_template
 from zsbgames.history_index import build_index
 from zsbgames.lp_core import LpBuilder
 from zsbgames.primal_solver import add_sequence_system
-from zsbgames.stat_updater import (update_belief_p, update_belief_q,
-                                   update_template)
+from zsbgames.stat_updater import update_belief_p, update_belief_q
 
 from conftest import random_spec
 
@@ -86,27 +85,31 @@ def _direct_dual_lp(spec, kind, root, vector, n, lam):
 
 def _same_dual(got, want):
     assert got.value == want.value
-    assert got.weighted_payoffs == want.weighted_payoffs
     assert got.strategy.table.keys() == want.strategy.table.keys()
     for key, probs in want.strategy.table.items():
         assert got.strategy.table[key].tobytes() == probs.tobytes()
 
 
-def _same_update(got, want):
-    assert got.w == want.w
-    assert got.vector.tobytes() == want.vector.tobytes()
-    assert got.all_vectors.keys() == want.all_vectors.keys()
-    for key, vec in want.all_vectors.items():
-        assert got.all_vectors[key].tobytes() == vec.tobytes()
+def _update_lp(monkeypatch, update, *args):
+    """The LP `update(*args)` hands to `lp_core.solve`."""
+    seen, solve = [], lp_core.solve
+
+    def record(lp):
+        seen.append(lp)
+        return solve(lp)
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_core, "solve", record)
+        update(*args)
+    (lp,) = seen
+    return lp
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_reused_templates_match_one_shot_builds(n):
+def test_reused_templates_match_one_shot_builds(n, monkeypatch):
     rng = np.random.default_rng(100 + n)
     spec = random_spec(rng, num_k=3, num_l=2, num_a=2, num_b=3, lam=0.8)
     lam = spec.lam
     d1_tpl, d2_tpl = dual_template(spec, 1, n, lam), dual_template(spec, 2, n, lam)
-    u1_tpl, u2_tpl = update_template(spec, 1, n, lam), update_template(spec, 2, n, lam)
     first = []                      # trial 0's (patched, direct) LP pairs
     for trial in range(5):
         p, q = rng.dirichlet(np.ones(spec.num_k)), rng.dirichlet(np.ones(spec.num_l))
@@ -128,49 +131,28 @@ def test_reused_templates_match_one_shot_builds(n):
             y_star[0] = 1.0
             x_star = np.zeros_like(x_star)
             x_star[1] = 1.0
-        pairs += [(u1_tpl.lp_at(mu, q, y_star),
+        pairs += [(_update_lp(monkeypatch, update_mu,
+                              spec, mu, q, y_star, 0, 2, n, lam),
                    _direct_update_lp(spec, 1, mu, q, y_star, n, lam)),
-                  (u2_tpl.lp_at(nu, p, x_star),
+                  (_update_lp(monkeypatch, update_nu,
+                              spec, nu, p, x_star, 1, 1, n, lam),
                    _direct_update_lp(spec, 2, nu, p, x_star, n, lam))]
         for got, want in pairs:
             _assert_same_lp(got, want)
         if trial == 0:
             first = pairs
-        _same_update(update_mu(spec, mu, q, y_star, 0, 2, n, lam, template=u1_tpl),
-                     update_mu(spec, mu, q, y_star, 0, 2, n, lam))
-        _same_update(update_nu(spec, nu, p, x_star, 1, 1, n, lam, template=u2_tpl),
-                     update_nu(spec, nu, p, x_star, 1, 1, n, lam))
     # later patches must not write into arrays the first LPs share
     for got, want in first:
         _assert_same_lp(got, want)
 
 
-def test_update_lp_at_builds_no_lp(monkeypatch):
-    rng = np.random.default_rng(7)
-    spec = random_spec(rng, num_k=3, num_l=2, num_a=2, num_b=3)
-    cases = []
-    for kind, vec, belief, num_acts in ((1, [-3.0, -1.0, -2.0], spec.q0, spec.num_b),
-                                        (2, [-4.0, -5.0], spec.p0, spec.num_a)):
-        star = rng.dirichlet(np.ones(num_acts), size=belief.size).T
-        cases.append((update_template(spec, kind, 2, spec.lam), np.array(vec),
-                      belief, star,
-                      _direct_update_lp(spec, kind, vec, belief, star, 2, spec.lam)))
-
-    def no_builder(*args, **kwargs):
-        raise AssertionError("LpBuilder used to patch a template")
-    monkeypatch.setattr(stat_updater, "LpBuilder", no_builder)
-    monkeypatch.setattr(lp_core, "LpBuilder", no_builder)
-    for tpl, vec, belief, star, want in cases:
-        _assert_same_lp(tpl.lp_at(vec, belief, star), want)
-
-
-def test_zero_stage_weight_drops_coupling_coefficients():
+def test_zero_stage_weight_drops_coupling_coefficients(monkeypatch):
     spec = random_spec(np.random.default_rng(3), num_a=2, num_b=2)
-    tpl = update_template(spec, 1, 2, spec.lam)
     mu, q = np.array([-3.0, -4.0]), spec.q0
     mixed = np.full((2, 2), 0.5)
     pure = np.array([[1.0, 1.0], [0.0, 0.0]])
-    full, sparse = tpl.lp_at(mu, q, mixed), tpl.lp_at(mu, q, pure)
+    full, sparse = (_update_lp(monkeypatch, update_mu, spec, mu, q, star,
+                               0, 0, 2, spec.lam) for star in (mixed, pure))
     assert np.count_nonzero(sparse.a_ub.data) == sparse.a_ub.nnz
     # per (a, s) row, the b=1 tail and both b=1 vector entries vanish
     assert full.a_ub.nnz - sparse.a_ub.nnz == spec.num_a * spec.num_k * 3
@@ -181,9 +163,6 @@ def test_template_must_match_the_requested_lp():
     with pytest.raises(ValueError, match="template"):
         solve_dual1(spec, [0.0, 0.0], spec.q0, 2, spec.lam,
                     template=dual_template(spec, 1, 1, spec.lam))
-    with pytest.raises(ValueError, match="template"):
-        update_nu(spec, [0.0, 0.0], spec.p0, np.full((2, 2), 0.5), 0, 0, 2,
-                  spec.lam, template=update_template(spec, 1, 2, spec.lam))
 
 
 def test_shared_cache_is_order_independent(case_study):

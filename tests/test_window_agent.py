@@ -1,11 +1,15 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zsbgames
 from zsbgames import (FixedPolicyAgent, OptimalAgent, SolverCache,
-                      ValidationError, WindowAgent, WindowConfig,
-                      run_monte_carlo, solve_primal)
+                      ValidationError, WindowAgent, WindowConfig, lp_core,
+                      run_monte_carlo, solve_dual1, solve_primal,
+                      stat_updater)
 from zsbgames.window_agent import (FIXED_N, REMAINING_WINDOW,
                                    load_fixed_policy)
 
@@ -114,9 +118,9 @@ def test_remaining_window_mode_runs(rng):
 ])
 def test_update_horizon_per_observe(rng, monkeypatch, mode, total, window_n,
                                     want):
-    """The update LP's horizon: the window size, or the stages left in the
-    window and at its last stage the next window's length. The window that
-    ends at the horizon solves no update LP."""
+    """The vector-payoff update's horizon: the window size, or the stages
+    left in the window and at its last stage the next window's length. The
+    window that ends at the horizon does not advance the vector payoff."""
     spec = random_spec(rng, num_k=1, num_l=2, horizon=total)
     cache = SolverCache(spec)
     seen, update = [], cache._update
@@ -132,6 +136,73 @@ def test_update_horizon_per_observe(rng, monkeypatch, mode, total, window_n,
     for t in range(1, total):
         agent.observe(t % 2, 0, t % 2)
     assert seen == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_read_out_keeps_the_update_lp_value(n):
+    """Fixing every pair's vector variables of the update LP to the vector
+    `SolverCache` reads off the dual's plan (at a degenerate pair, the
+    update LP's own vector) keeps the LP's optimum w."""
+    rng = np.random.default_rng(300 + n)
+    for _ in range(6):
+        sizes = rng.integers(1, 4, size=4)
+        spec = random_spec(rng, *map(int, sizes), horizon=n)
+        cache = SolverCache(spec)
+        for kind in (1, 2):
+            view = spec.side(kind)
+            vec = rng.uniform(-20.0, 0.0, view.num_states)
+            belief = rng.dirichlet(np.ones(view.num_opp_states))
+            dual = (cache.dual1 if kind == 1 else cache.dual2)(
+                *view.pair(vec, belief), n, spec.lam)
+            lp, vector_vars = stat_updater._update_lp(
+                spec, kind, vec, belief, dual.strategy.stage1_matrix(), n,
+                spec.lam)
+            w = lp_core.solve(lp).objective_value
+            bounds = lp.bounds.copy()
+            for a, b in np.ndindex(spec.num_a, spec.num_b):
+                vector = cache._update(kind, vec, belief, n, spec.lam, a, b)
+                if n == 1:
+                    assert np.array_equal(vector, np.zeros(view.num_states))
+                bounds[vector_vars[a, b]] = vector[:, None]
+            fixed = lp_core.solve(dataclasses.replace(lp, bounds=bounds))
+            assert fixed.objective_value == pytest.approx(w, rel=1e-9,
+                                                          abs=1e-9)
+
+
+def test_degenerate_pair_gets_the_update_lp_vector(case_study, monkeypatch):
+    """A statistic met in a REMAINING_WINDOW batch (lambda=0.6, N=7, n=3,
+    seed 0): player 2's dual plan never plays b = 1, which was observed."""
+    spec = dataclasses.replace(case_study, lam=0.6, horizon_n=7)
+    mu = np.array([-172.33215250082952, -154.14574, -42.10464240093827])
+    q = np.array([0.7, 0.3])
+    y_star = solve_dual1(spec, mu, q, 2, spec.lam).strategy.stage1_matrix()
+    assert (y_star @ q)[1] <= stat_updater.DEGENERATE_TOL
+    want = stat_updater.update_mu(spec, mu, q, y_star, 1, 1, 2, spec.lam)
+    calls, update_mu = [], stat_updater.update_mu
+
+    def record(*args):
+        calls.append(args)
+        return update_mu(*args)
+    monkeypatch.setattr(stat_updater, "update_mu", record)
+    got = SolverCache(spec).update_mu(mu, q, 2, spec.lam, 1, 1)
+    assert len(calls) == 1
+    assert np.isfinite(got).all()
+    assert got.tobytes() == want.vector.tobytes()
+
+
+def test_window_play_against_the_jammer_solves_no_update_lp(case_study,
+                                                           monkeypatch):
+    def refuse(*args):
+        raise AssertionError("update LP solved in window play")
+    monkeypatch.setattr(stat_updater, "update_mu", refuse)
+    monkeypatch.setattr(stat_updater, "update_nu", refuse)
+    spec = dataclasses.replace(case_study, lam=0.9, horizon_n=12)
+    policy = json.loads((Path(zsbgames.__file__).parent / "data" /
+                         "fixed_policy_jammer.json").read_text())["policy"]
+    config = WindowConfig(window_n=3, total_horizon=12)
+    result = run_monte_carlo(spec, lambda: WindowAgent(spec, config, 1),
+                             lambda: FixedPolicyAgent(spec, 2, policy), 1, 0)
+    assert len(result.totals) == 1
 
 
 def test_cache_is_shared_across_agents(rng):

@@ -8,12 +8,16 @@ keeps the two formulations structurally identical.
 The statistic enters a dual LP only through right-hand sides: the plan
 owner's belief in the depth-1 flow rows and the vector payoff in the
 coupling rows. A `DualTemplate` is therefore compiled once per (kind, n,
-lambda) and patched for each solve.
+lambda) and patched for each solve. For the same reason an optimal basis
+at one statistic stays dual feasible at every other: each solve starts
+from the template's reference basis, that of one cold solve at the plan
+owner's prior and a zero vector payoff, so a result depends on its
+statistic alone and never on what was solved before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,7 +42,8 @@ class DualTemplate:
     """Dual LP of one kind, compiled with placeholder right-hand sides.
 
     Kind 1: player 1 picks its initial state against a vector payoff over
-    its states, the plan is player 2's; kind 2 mirrors it.
+    its states, the plan is player 2's; kind 2 mirrors it. The reference
+    basis is taken into `lp` by the template's first solve.
     """
 
     kind: int
@@ -77,6 +82,11 @@ def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
     elif (template.kind, template.n, template.lam) != (kind, n, lam):
         raise ValueError(f"template is for dual-{template.kind} at n="
                          f"{template.n}, lambda={template.lam}")
+    if template.lp.basis is None:
+        owner = spec.side(3 - kind)
+        ref = lp_core.solve(template.lp_at(owner.prior,
+                                           np.zeros(owner.num_opp_states)))
+        template.lp = replace(template.lp, basis=ref.basis)
     root = np.asarray(root, dtype=float)
     sol = lp_core.solve(template.lp_at(root, np.asarray(vector, dtype=float)))
     plan = plan_from_solution(template.index, 3 - kind, n,

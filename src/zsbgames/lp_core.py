@@ -12,9 +12,10 @@ callers hold no status check.
 bundled with scipy (`scipy.optimize._highspy._core`) directly, with the
 options `scipy.optimize.linprog(method="highs")` sets, and repeats that
 function's input checks, status codes and solution certificate without its
-per-call overhead. Every solve gets a fresh HiGHS model and no warm start,
-so identical input gives bit-identical output, which the rest of the
-package relies on for reproducible strategy extraction.
+per-call overhead. Every solve gets a fresh HiGHS model, warm-started only
+from a basis that is part of its input (`CompiledLP.basis`), so identical
+input gives bit-identical output whatever was solved before, which the
+rest of the package relies on for reproducible strategy extraction.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ MAX = "max"
 class LpSolution:
     objective_value: float
     primal: np.ndarray
+    basis: object                   # HiGHS's optimal basis
 
 
 class LpBuilder:
@@ -124,7 +126,8 @@ class CompiledLP:
 
     `rels[row]` is the relation row `row` was added with and `slots[row]`
     where it sits in b_ub or b_eq, so `with_rhs` can patch right-hand sides
-    without reassembling the matrices.
+    without reassembling the matrices. `basis`, if set, is the HiGHS basis
+    every solve of the LP and its patched copies starts from.
     """
 
     sense: str
@@ -136,6 +139,7 @@ class CompiledLP:
     bounds: np.ndarray               # (num_vars, 2)
     rels: list
     slots: np.ndarray
+    basis: object = None
 
     @property
     def num_vars(self) -> int:
@@ -143,7 +147,7 @@ class CompiledLP:
 
     def with_rhs(self, rows, values) -> CompiledLP:
         """Copy whose rows `rows` have right-hand sides `values`; the
-        matrices are shared."""
+        matrices and the basis are shared."""
         b_ub, b_eq = self.b_ub.copy(), self.b_eq.copy()
         for row, value in zip(rows, values):
             rel = self.rels[row]
@@ -180,6 +184,7 @@ class HighsResult:
     status: int                      # scipy.optimize.linprog's codes 0-4
     nit: int                         # simplex (or IPM) iterations
     message: str
+    basis: object = None             # HiGHS's basis, if status is 0
 
 
 def _csr(mat, num_vars: int) -> sp.csr_matrix:
@@ -210,11 +215,13 @@ def _solution(model):
     return np.array(sol.col_value), np.array(sol.row_value)
 
 
-def linprog(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+def linprog(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+            basis=None):
     """Minimize c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq and
     bounds[:, 0] <= x <= bounds[:, 1] with HiGHS, as
     `scipy.optimize.linprog(..., method="highs")` does for canonical CSR
-    (or None) A_ub and A_eq and an (n, 2) bounds array.
+    (or None) A_ub and A_eq and an (n, 2) bounds array. With `basis`, a
+    HiGHS basis of an LP of the same shape, the simplex starts from it.
 
     Raises ValueError for non-finite c, b_ub, b_eq or matrix entries, a
     matrix that is not canonical CSR, mismatched shapes or a lower bound
@@ -252,6 +259,8 @@ def linprog(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     # as in scipy: a model HiGHS rejects is a model error, and a run that
     # errors reports no iterations and, like any non-optimal run, no point
     loaded = model.passModel(lp) != highs.HighsStatus.kError
+    if loaded and basis is not None:
+        loaded = model.setBasis(basis) != highs.HighsStatus.kError
     ran = loaded and model.run() != highs.HighsStatus.kError
     status = model.getModelStatus() if loaded else _MODEL.kModelError
     message = f"HiGHS model status {model.modelStatusToString(status)}"
@@ -271,7 +280,7 @@ def linprog(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     if not certified:
         return HighsResult(x, fun, 4, nit, message + ", but the point breaks "
                            f"a row or bound by more than {CERT_TOL:.2e}")
-    return HighsResult(x, fun, 0, nit, message)
+    return HighsResult(x, fun, 0, nit, message, model.getBasis())
 
 
 def solve(lp: CompiledLP) -> LpSolution:
@@ -279,14 +288,14 @@ def solve(lp: CompiledLP) -> LpSolution:
     infeasible or unbounded, and NumericalError on a time or iteration
     limit, a point that fails the certificate, or any other status."""
     res = linprog(lp.c, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq,
-                  b_eq=lp.b_eq, bounds=lp.bounds)
+                  b_eq=lp.b_eq, bounds=lp.bounds, basis=lp.basis)
     if res.status in (2, 3):
         raise SolverError(f"LP is {'infeasible' if res.status == 2 else 'unbounded'}"
                           f" ({res.message})")
     if res.status != 0:
         raise NumericalError(f"LP backend failed: status={res.status} ({res.message})")
     return LpSolution(objective_value=-res.fun if lp.sense == MAX else res.fun,
-                      primal=res.x)
+                      primal=res.x, basis=res.basis)
 
 
 def write_lp_text(lp: CompiledLP, path) -> None:

@@ -1,6 +1,8 @@
 """Byte-level pins of the case-study LPs and of what is read off them.
 
-Each LP test stops `lp_core.linprog` at its first call and hashes every
+Each LP test stops `lp_core.linprog` at its first call (for a dual LP,
+its first call warm-started from the template's reference basis; the
+reference LP solved cold before it is pinned on its own) and hashes every
 array it was given, so a change anywhere between the history ids and
 HiGHS (sequence system, row blocks, sign handling, sparse assembly) shows
 up even where all values agree to the last digit but one, or only in the
@@ -46,6 +48,10 @@ LP_DIGESTS = {
         "d0c25916fec5f3a718760f3281c6333624c461eb647d615a64079136e1990c5f",
     "dual2-n2":
         "085512a90b7604c9c438078efe690a1c04f973aad41418fdebc2fd24ac09ff48",
+    "dual1-n2-reference":
+        "957abb39a82a5f829b45cce3c24d3692695c18fd3d77504ee66e206412ea297c",
+    "dual2-n2-reference":
+        "5327e5f050ede50421a8b6961c11c331bfd2da3e810e72235a6226730c4209c0",
     "update1-n2":
         "b336ae290b3ccfbb11307e9317ba626260928080708fdf4407025c23893cbdbc",
     "update2-n2":
@@ -61,11 +67,11 @@ SOLVE_DIGESTS = {
 
 PLAY_DIGESTS = {
     "duel-200":
-        "d45fc12e605cb5d517e0557bde4cb9fe02ac2592576a568ac8b510c208d499bb",
+        "e6b18037f73cc9de2b98769ecb550fb4c00d4c850dcaa8644e0ae84f89462bed",
     "jammer-3":
         "8deeaca1feafe8fd3d2abab8d3b6688dbda4e143ab18dea11b546ef5418789f5",
     "remaining-window-50":
-        "c8389293f3d4b30d7d2fdd0a6e693b43ef3acbaf8d8939baaa05d9f211bfd837",
+        "6e34b28a03198611bc974da7f4433f1caab3d8c722d936d6471f3cbb5b2809a3",
 }
 
 
@@ -82,10 +88,15 @@ def _digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _first_lp_digest(monkeypatch, call) -> str:
+def _first_lp_digest(monkeypatch, call, warm=False) -> str:
     seen = []
+    real = lp_core.linprog
 
-    def stop(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    def stop(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+             basis=None):
+        if warm and basis is None:
+            return real(c, bounds=bounds, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq,
+                        b_eq=b_eq)
         seen.append(_digest(
             c, A_ub.data, A_ub.indices, A_ub.indptr, b_ub,
             A_eq.data, A_eq.indices, A_eq.indptr, b_eq, bounds))
@@ -107,6 +118,8 @@ def _lp_calls(spec):
                 solve_primal(spec, spec.p0, spec.q0, n, lam, side))
     calls["dual1-n2"] = lambda: solve_dual1(spec, MU, spec.q0, 2, lam)
     calls["dual2-n2"] = lambda: solve_dual2(spec, spec.p0, NU, 2, lam)
+    for kind in (1, 2):
+        calls[f"dual{kind}-n2-reference"] = calls[f"dual{kind}-n2"]
     calls["update1-n2"] = lambda: update_mu(spec, MU, spec.q0, Y_STAR, 1, 0,
                                             2, lam)
     calls["update2-n2"] = lambda: update_nu(spec, NU, spec.p0, X_STAR, 0, 1,
@@ -117,7 +130,8 @@ def _lp_calls(spec):
 @pytest.mark.parametrize("name", sorted(LP_DIGESTS))
 def test_highs_input_digest(case_study, monkeypatch, name):
     call = _lp_calls(case_study)[name]
-    assert _first_lp_digest(monkeypatch, call) == LP_DIGESTS[name]
+    warm = name in ("dual1-n2", "dual2-n2")
+    assert _first_lp_digest(monkeypatch, call, warm) == LP_DIGESTS[name]
 
 
 @pytest.mark.parametrize("side", [1, 2])

@@ -3,7 +3,8 @@ exactly what scipy.optimize.linprog(method="highs") returns for the same
 LP: the same x and objective bit for bit, the same status and the same
 simplex iteration count. scipy's own linprog stays the reference, so a
 scipy upgrade that changes the private HiGHS API or its options shows up
-here."""
+here. A solve warm-started from a basis, which scipy cannot do, must give
+scipy's status and objective."""
 
 import numpy as np
 import pytest
@@ -19,8 +20,12 @@ from conftest import random_spec
 
 def _assert_parity(c, kwargs):
     got = lp_core.linprog(c, **kwargs)
-    want = scipy.optimize.linprog(c, method="highs", **kwargs)
+    cold = {k: v for k, v in kwargs.items() if k != "basis"}
+    want = scipy.optimize.linprog(c, method="highs", **cold)
     assert got.status == want.status
+    if kwargs.get("basis") is not None:
+        assert abs(got.fun - want.fun) <= 1e-9
+        return
     assert got.nit == want.nit
     if want.x is None:
         assert got.x is None and got.fun is None
@@ -61,7 +66,9 @@ def test_solver_lps_match_scipy(n, captured, monkeypatch):
     for y, x in ((y_star, x_star), (y_pure, x_pure)):
         update_mu(spec, mu, spec.q0, y, 0, 2, n, spec.lam)
         update_nu(spec, nu, spec.p0, x, 1, 1, n, spec.lam)
-    assert len(captured) == 8
+    # each dual adds the cold solve that gives its template the basis
+    assert len(captured) == 10
+    assert sum(kw.get("basis") is not None for _, kw in captured) == 2
     monkeypatch.undo()
     for c, kwargs in captured:
         _assert_parity(c, kwargs)

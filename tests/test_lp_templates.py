@@ -1,15 +1,20 @@
 """Dual and update LPs: a dual template patched for a statistic, and the
 update LP's one-shot build, must give HiGHS the same LP, and hence the
-same answers, as a row-by-row build with that statistic in place."""
+same answers, as a row-by-row build with that statistic in place. A dual
+solve starts from its template's reference basis, so it must give a cold
+solve's value, and the same bytes whatever was solved before it."""
 
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zsbgames import (SolverCache, WindowAgent, WindowConfig, lp_core,
-                      run_episode, solve_dual1, solve_dual2,
-                      update_mu, update_nu)
+import zsbgames
+from zsbgames import (FixedPolicyAgent, SolverCache, WindowAgent,
+                      WindowConfig, lp_core, run_episode, solve_dual1,
+                      solve_dual2, update_mu, update_nu)
 from zsbgames.dual_solver import dual_template
 from zsbgames.history_index import build_index
 from zsbgames.lp_core import LpBuilder
@@ -182,3 +187,69 @@ def test_shared_cache_is_order_independent(case_study):
     in_order = totals(seeds, SolverCache(spec))
     assert totals(seeds[::-1], SolverCache(spec)) == in_order
     assert totals(seeds[::-1]) == in_order
+
+
+def test_jammer_episodes_are_order_independent(case_study):
+    spec = dataclasses.replace(case_study, lam=0.9, horizon_n=9)
+    policy = json.loads((Path(zsbgames.__file__).parent / "data" /
+                         "fixed_policy_jammer.json").read_text())["policy"]
+    config = WindowConfig(window_n=3, total_horizon=9)
+    seeds = list(range(6))
+
+    def totals(order):
+        cache = SolverCache(spec)
+        return {seed: run_episode(
+            spec, WindowAgent(spec, config, 1, cache=cache),
+            FixedPolicyAgent(spec, 2, policy), seed).total for seed in order}
+
+    assert totals(seeds[::-1]) == totals(seeds)
+
+
+def _solve_dual(spec, kind, root, vector, n, template):
+    if kind == 1:
+        return solve_dual1(spec, vector, root, n, spec.lam, template=template)
+    return solve_dual2(spec, root, vector, n, spec.lam, template=template)
+
+
+def _random_statistic(rng, spec, kind):
+    owner = spec.side(3 - kind)
+    return (rng.dirichlet(np.ones(owner.num_states)),
+            rng.uniform(-20.0, 0.0, owner.num_opp_states))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_warm_dual_solves_match_cold_ones(n):
+    rng = np.random.default_rng(300 + n)
+    for _ in range(2):
+        spec = random_spec(rng, num_k=int(rng.integers(2, 4)),
+                           num_l=int(rng.integers(2, 4)), lam=0.8)
+        for kind in (1, 2):
+            template = dual_template(spec, kind, n, spec.lam)
+            for _ in range(3):
+                root, vector = _random_statistic(rng, spec, kind)
+                _solve_dual(spec, kind, root, vector, n, template)
+                lp = template.lp_at(root, vector)
+                assert lp.basis is not None
+                kwargs = dict(A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq,
+                              b_eq=lp.b_eq, bounds=lp.bounds)
+                warm = lp_core.linprog(lp.c, basis=lp.basis, **kwargs)
+                cold = lp_core.linprog(lp.c, **kwargs)
+                assert warm.status == cold.status == 0
+                assert abs(warm.fun - cold.fun) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", [1, 2])
+def test_dual_result_is_independent_of_solve_order(kind):
+    rng = np.random.default_rng(7 + kind)
+    spec = random_spec(rng, num_k=3, num_l=2, lam=0.8)
+    stats = [_random_statistic(rng, spec, kind) for _ in range(6)]
+    first = _solve_dual(spec, kind, *stats[-1], 3,
+                        dual_template(spec, kind, 3, spec.lam))
+    template = dual_template(spec, kind, 3, spec.lam)
+    for stat in stats[:-1]:
+        _solve_dual(spec, kind, *stat, 3, template)
+    later = _solve_dual(spec, kind, *stats[-1], 3, template)
+    _same_dual(later, first)
+    assert later.plan.values.keys() == first.plan.values.keys()
+    assert (np.array(list(later.plan.values.values())).tobytes()
+            == np.array(list(first.plan.values.values())).tobytes())

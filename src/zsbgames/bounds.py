@@ -13,7 +13,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import lp_core
 from .errors import CapacityError, DomainError, NumericalError
@@ -93,7 +92,7 @@ def _sequence_kernel(spec: GameSpec, index, n: int, lam: float) -> np.ndarray:
     """Discounted payoff coupling between the two players' sequences:
     player-1 history (S1, r) and player-2 history (S2, r') meet only where
     their pair sequences agree, r = r'."""
-    blocks = []
+    blocks = []                         # diagonal blocks, one per depth
     for t in range(1, n + 1):
         last1 = np.arange(spec.num_k ** t) % spec.num_k
         last2 = np.arange(spec.num_l ** t) % spec.num_l
@@ -101,7 +100,11 @@ def _sequence_kernel(spec: GameSpec, index, n: int, lam: float) -> np.ndarray:
         same_pairs = np.eye(index.num_pairs ** (t - 1))
         block = np.einsum("ijab,rq->irajqb", payoff, same_pairs)
         blocks.append(block.reshape(index.count(1, t) * spec.num_a, -1))
-    return sp.block_diag(blocks).toarray()
+    ends = np.cumsum([block.shape for block in blocks], axis=0)
+    kernel = np.zeros(ends[-1])
+    for (row, col), block in zip(ends, blocks):
+        kernel[row - block.shape[0]:row, col - block.shape[1]:col] = block
+    return kernel
 
 
 def _matrix_game_value(payoff: np.ndarray) -> float:
@@ -115,8 +118,10 @@ def _matrix_game_value(payoff: np.ndarray) -> float:
     a_eq = np.ones((1, n_rows + 1))
     a_eq[0, -1] = 0.0
     bounds = np.array([(0.0, np.inf)] * n_rows + [(-np.inf, np.inf)])
-    res = lp_core.linprog(c, A_ub=sp.csr_matrix(a_ub), b_ub=b_ub,
-                          A_eq=sp.csr_matrix(a_eq), b_eq=[1.0], bounds=bounds)
+    a_ub, a_eq = (lp_core.CsrMatrix.from_entries(*a.nonzero(), a[a.nonzero()],
+                                                 a.shape) for a in (a_ub, a_eq))
+    res = lp_core.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
+                          bounds=bounds)
     if res.status != 0:
         raise NumericalError(f"matrix game LP failed: {res.message}")
     return float(-res.fun)

@@ -8,9 +8,10 @@ patched with `CompiledLP.with_rhs`, which sets right-hand sides. `solve`
 returns only optimal solutions and raises for everything else, so its
 callers hold no status check.
 
-`linprog` is the one place that runs HiGHS. It drives the copy of HiGHS
-bundled with scipy (`scipy.optimize._highspy._core`) directly, with the
-options `scipy.optimize.linprog(method="highs")` sets, and repeats that
+`linprog` is the one place that runs HiGHS. It drives the HiGHS extension
+module bundled with scipy (`scipy/optimize/_highspy/_core*.so`, loaded from
+its file, so `scipy.optimize` and `scipy.sparse` are never imported) with
+the options `scipy.optimize.linprog(method="highs")` sets, and repeats that
 function's input checks, status codes and solution certificate without its
 per-call overhead. Every solve gets a fresh HiGHS model, warm-started only
 from a basis that is part of its input (`CompiledLP.basis`), so identical
@@ -20,14 +21,36 @@ rest of the package relies on for reproducible strategy extraction.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize._highspy import _core as highs
 
 from .errors import NumericalError, SolverError
+
+
+def _load_highs():
+    """scipy's HiGHS extension module, loaded from its file without running
+    the `scipy.optimize` package and registered in `sys.modules` under its
+    own name, so scipy, if imported later, uses the same module."""
+    name = "scipy.optimize._highspy._core"
+    if name not in sys.modules:
+        scipy_dir = Path(importlib.util.find_spec("scipy").origin).parent
+        folder = scipy_dir / "optimize" / "_highspy"
+        path = next(path for suffix in EXTENSION_SUFFIXES
+                    if (path := folder / f"_core{suffix}").is_file())
+        loader = ExtensionFileLoader(name, str(path))
+        sys.modules[name] = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+highs = _load_highs()
 
 MIN = "min"
 MAX = "max"
@@ -38,6 +61,28 @@ class LpSolution:
     objective_value: float
     primal: np.ndarray
     basis: object                   # HiGHS's optimal basis
+
+
+@dataclass(eq=False)
+class CsrMatrix:
+    """A matrix in compressed sparse row form with int32 index arrays: row
+    i has the values data[indptr[i]:indptr[i + 1]] in the sorted, distinct
+    columns indices[indptr[i]:indptr[i + 1]]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    @classmethod
+    def from_entries(cls, row, col, val, shape) -> CsrMatrix:
+        """The matrix with entries (row, col, val), sorted by row, then col."""
+        indptr = np.searchsorted(row, np.arange(shape[0] + 1)).astype(np.int32)
+        return cls(indptr, col.astype(np.int32), val, shape)
 
 
 class LpBuilder:
@@ -104,11 +149,9 @@ class LpBuilder:
         mats = []                       # entries are in CSR order already
         for eq in (False, True):
             take = is_eq[row] == eq
-            num_rows = np.count_nonzero(is_eq == eq)
-            indptr = np.concatenate([[0], np.cumsum(
-                np.bincount(slots[row[take]], minlength=num_rows))])
-            mats.append(sp.csr_matrix((val[take], col[take], indptr),
-                                      shape=(num_rows, num_vars)))
+            mats.append(CsrMatrix.from_entries(
+                slots[row[take]], col[take], val[take],
+                (np.count_nonzero(is_eq == eq), num_vars)))
         bounds = np.array(self._bounds, dtype=float).reshape(num_vars, 2)
         return CompiledLP(sense, c, mats[0], rhs[~is_eq], mats[1], rhs[is_eq],
                           bounds, list(self._rels), slots)
@@ -132,9 +175,9 @@ class CompiledLP:
 
     sense: str
     c: np.ndarray
-    a_ub: sp.csr_matrix
+    a_ub: CsrMatrix
     b_ub: np.ndarray
-    a_eq: sp.csr_matrix
+    a_eq: CsrMatrix
     b_eq: np.ndarray
     bounds: np.ndarray               # (num_vars, 2)
     rels: list
@@ -187,17 +230,31 @@ class HighsResult:
     basis: object = None             # HiGHS's basis, if status is 0
 
 
-def _csr(mat, num_vars: int) -> sp.csr_matrix:
-    """`mat`, which must be a finite CSR matrix in canonical format (sorted
-    column indices, no duplicates) with `num_vars` columns; None is a
-    matrix with no rows."""
+def _csr(mat, num_vars: int) -> CsrMatrix:
+    """`mat` as a `CsrMatrix`; None is a matrix with no rows. `mat` must
+    have the CSR arrays `indptr`, `indices` and `data`, with an indptr that
+    splits the entries into its rows, and a `shape` (as `CsrMatrix` records
+    and scipy CSR matrices do), with `num_vars` columns, finite values and,
+    in each row, sorted column indices in range without duplicates."""
     if mat is None:
-        return sp.csr_matrix((0, num_vars))
-    if not (sp.issparse(mat) and mat.format == "csr" and mat.has_canonical_format
-            and mat.shape[1] == num_vars and np.isfinite(mat.data).all()):
+        return CsrMatrix.from_entries([], np.zeros(0), np.zeros(0), (0, num_vars))
+    indptr, indices, data = (np.asarray(getattr(mat, name, ()))
+                             for name in ("indptr", "indices", "data"))
+    num_rows, num_cols = getattr(mat, "shape", (0, None))
+    # sorted, unique columns in each row: the keys row * num_vars + column
+    # increase strictly
+    if not (getattr(mat, "format", "csr") == "csr" and num_cols == num_vars
+            and indptr.dtype.kind in "iu" and indices.dtype.kind in "iu"
+            and indptr.shape == (num_rows + 1,) and indptr[0] == 0
+            and (np.diff(indptr) >= 0).all()
+            and indices.shape == data.shape == (indptr[-1],)
+            and (indices >= 0).all() and (indices < num_vars).all()
+            and (np.diff(np.repeat(np.arange(num_rows) * num_vars,
+                                   np.diff(indptr)) + indices) > 0).all()
+            and np.isfinite(data).all()):
         raise ValueError("A_ub and A_eq must be finite canonical CSR matrices "
                          "with one column per variable")
-    return mat
+    return CsrMatrix(indptr, indices, data, (num_rows, num_vars))
 
 
 def _rhs(b, mat, name: str) -> np.ndarray:
@@ -220,13 +277,14 @@ def linprog(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
     """Minimize c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq and
     bounds[:, 0] <= x <= bounds[:, 1] with HiGHS, as
     `scipy.optimize.linprog(..., method="highs")` does for canonical CSR
-    (or None) A_ub and A_eq and an (n, 2) bounds array. With `basis`, a
-    HiGHS basis of an LP of the same shape, the simplex starts from it.
+    (or None) A_ub and A_eq (`CsrMatrix` records or scipy CSR matrices) and
+    an (n, 2) bounds array. With `basis`, a HiGHS basis of an LP of the
+    same shape, the simplex starts from it.
 
     Raises ValueError for non-finite c, b_ub, b_eq or matrix entries, a
-    matrix that is not canonical CSR, mismatched shapes or a lower bound
-    above its upper bound. An optimal point that breaks a row or bound by
-    more than CERT_TOL is reported with status 4.
+    matrix that is not canonical CSR (see `_csr`), mismatched shapes or a
+    lower bound above its upper bound. An optimal point that breaks a row
+    or bound by more than CERT_TOL is reported with status 4.
     """
     c = np.asarray(c, dtype=float)
     num_vars = c.size

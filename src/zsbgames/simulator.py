@@ -42,9 +42,16 @@ class McResult:
 
 
 def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
-    p = np.clip(np.asarray(probs, dtype=float), 0.0, None)
-    p = p / p.sum()
-    return int(rng.choice(p.size, p=p))
+    """An index drawn with weights `probs` clipped at 0: the draw and the
+    arithmetic of `rng.choice` with the normalized weights, without its
+    per-call checks."""
+    p = np.maximum(np.asarray(probs, dtype=float), 0.0)
+    total = p.sum()
+    if not 0.0 < total < np.inf:                # NaN fails too
+        raise ValueError(f"probabilities {probs} have no positive finite sum")
+    cdf = (p / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def run_episode(spec: GameSpec, agent1, agent2, seed: int) -> EpisodeTrace:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from zsbgames import GameSpec, load_case_study
 
@@ -13,6 +14,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def scipy_csr(mat):
+    """An lp_core.CsrMatrix (or None) as a scipy CSR matrix over the same
+    arrays, for scipy's own routines."""
+    if mat is None:
+        return None
+    return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
 
 
 def random_spec(rng, num_k=2, num_l=2, num_a=2, num_b=2, horizon=2,

@@ -15,12 +15,14 @@ from zsbgames import (lp_core, oracle_value, solve_dual1, solve_dual2,
                       solve_primal, update_mu, update_nu)
 from zsbgames.lp_core import LpBuilder
 
-from conftest import random_spec
+from conftest import random_spec, scipy_csr
 
 
 def _assert_parity(c, kwargs):
     got = lp_core.linprog(c, **kwargs)
     cold = {k: v for k, v in kwargs.items() if k != "basis"}
+    for key in ("A_ub", "A_eq"):
+        cold[key] = scipy_csr(cold.get(key))
     want = scipy.optimize.linprog(c, method="highs", **cold)
     assert got.status == want.status
     if kwargs.get("basis") is not None:
@@ -101,7 +103,8 @@ def test_highs_column_copy_is_the_stacked_rows(case_study, captured,
               np.array([[0.25, 0.5], [0.75, 0.5]]), 1, 0, 2, spec.lam)
     assert len(copies) == len(captured) == 2
     for (start, index, value), (_, kwargs) in zip(copies, captured):
-        want = sp.vstack([kwargs["A_ub"], kwargs["A_eq"]]).tocsc()
+        want = sp.vstack([scipy_csr(kwargs["A_ub"]),
+                          scipy_csr(kwargs["A_eq"])]).tocsc()
         assert np.array_equal(start, want.indptr)
         assert np.array_equal(index, want.indices)
         assert np.asarray(value).tobytes() == want.data.tobytes()
@@ -140,17 +143,56 @@ def test_edge_case_lps_match_scipy(rows, objective, sense, bounds, status):
     _assert_parity(c, kwargs)
 
 
+def _record(indptr, indices, data):
+    return lp_core.CsrMatrix(np.array(indptr, dtype=np.int32),
+                             np.array(indices, dtype=np.int32),
+                             np.array(data, dtype=float), (1, 2))
+
+
 @pytest.mark.parametrize("name, value", [
-    ("c", [np.nan, 1.0]),
-    ("b_ub", [np.inf]),
-    ("b_eq", [np.nan]),
-    ("b_ub", [1.0, 2.0]),
-    ("bounds", [[1.0, 0.0], [0.0, 1.0]]),
-    ("A_ub", [[1.0, 0.0]]),                     # dense, not CSR
+    ("c", np.array([np.nan, 1.0])),
+    ("b_ub", np.array([np.inf])),
+    ("b_eq", np.array([np.nan])),
+    ("b_ub", np.array([1.0, 2.0])),
+    ("bounds", np.array([[1.0, 0.0], [0.0, 1.0]])),
+    pytest.param("A_ub", np.array([[1.0, 0.0]]), id="A_ub dense"),
+    pytest.param("A_ub", _record([0, 2], [0], [1.0]), id="A_ub indptr past nnz"),
+    pytest.param("A_ub", _record([1, 1], [0], [1.0]), id="A_ub indptr not from 0"),
+    pytest.param("A_ub", _record([0, 1, 1], [0], [1.0]), id="A_ub indptr too long"),
+    pytest.param("A_eq", _record([0, 2], [1, 0], [1.0, 1.0]), id="A_eq unsorted"),
+    pytest.param("A_eq", _record([0, 2], [1, 1], [1.0, 1.0]), id="A_eq duplicate"),
+    pytest.param("A_ub", _record([0, 1], [2], [1.0]), id="A_ub index past end"),
+    pytest.param("A_ub", _record([0, 1], [-1], [1.0]), id="A_ub negative index"),
+    pytest.param("A_eq", _record([0, 1], [1], [np.nan]), id="A_eq nan"),
+    pytest.param("A_ub", _record([0, 1], [0], [np.inf]), id="A_ub inf"),
+    pytest.param("A_ub", _record([0, 1], [0], [1.0, 2.0]), id="A_ub data past nnz"),
+    pytest.param("A_ub", sp.csr_matrix(np.eye(1, 3)), id="A_ub wrong width"),
 ])
 def test_invalid_input_raises(name, value):
     c, kwargs = _compiled([({0: 1.0}, "<=", 1.0), ({1: 1.0}, "=", 0.5)],
                           {0: 1.0})
-    kwargs = {**kwargs, "c": c, name: np.array(value)}
+    kwargs = {**kwargs, "c": c, name: value}
     with pytest.raises(ValueError):
         lp_core.linprog(**kwargs)
+
+
+def test_csc_matrix_raises():
+    """A square CSC matrix has CSR-shaped arrays, but they hold columns."""
+    c, kwargs = _compiled([({0: 1.0}, "<=", 1.0), ({1: 1.0}, "<=", 0.5)],
+                          {0: 1.0})
+    kwargs["A_ub"] = scipy_csr(kwargs["A_ub"]).tocsc()
+    with pytest.raises(ValueError):
+        lp_core.linprog(c, **kwargs)
+
+
+def test_scipy_csr_input_solves_like_a_record():
+    """Any object with CSR arrays and a shape is accepted: a scipy CSR
+    matrix gives the bytes of the lp_core record with the same arrays."""
+    c, kwargs = _compiled([({0: 1.0, 1: 2.0}, ">=", 1.0),
+                           ({0: 1.0, 1: 1.0}, "<=", 3.0),
+                           ({1: 1.0}, "=", 0.25)], {0: 1.0, 1: 1.0})
+    got = lp_core.linprog(c, **{**kwargs, "A_ub": scipy_csr(kwargs["A_ub"]),
+                                "A_eq": scipy_csr(kwargs["A_eq"])})
+    want = lp_core.linprog(c, **kwargs)
+    assert got.status == want.status == 0
+    assert got.x.tobytes() == want.x.tobytes() and got.nit == want.nit

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,10 +92,19 @@ def test_build_compiles_rows_into_arrays(tmp_path):
     lp = b.build(lp_core.MAX, {x: 1.0, y: 0.0, z: 0.5})
     # max LP: c negated; >= row: coefficients and rhs negated; 0.0 dropped
     assert lp.c.tolist() == [-1.0, 0.0, -0.5]
-    assert lp.a_ub.toarray().tolist() == [[1.0, 2.0, 0.0], [-1.0, 0.0, 1.0]]
+    # a_ub is [[1, 2, 0], [-1, 0, 1]] and a_eq [[0, 1, 1]], in CSR form
+    assert lp.a_ub.shape == (2, 3) and lp.a_eq.shape == (1, 3)
+    assert lp.a_ub.indptr.tolist() == [0, 2, 4]
+    assert lp.a_ub.indices.tolist() == [0, 1, 0, 2]
+    assert lp.a_ub.data.tolist() == [1.0, 2.0, -1.0, 1.0]
     assert lp.a_ub.nnz == 4
     assert lp.b_ub.tolist() == [4.0, 2.0]
-    assert lp.a_eq.toarray().tolist() == [[0.0, 1.0, 1.0]]
+    assert lp.a_eq.indptr.tolist() == [0, 2]
+    assert lp.a_eq.indices.tolist() == [1, 2]
+    assert lp.a_eq.data.tolist() == [1.0, 1.0]
+    # int32 indices, as scipy chooses for matrices of this size
+    for mat in (lp.a_ub, lp.a_eq):
+        assert mat.indptr.dtype == mat.indices.dtype == np.int32
     assert lp.b_eq.tolist() == [1.0]
     assert lp.bounds.tolist() == [[0.0, math.inf], [-1.0, 2.5],
                                   [-math.inf, math.inf]]
@@ -125,13 +138,13 @@ End
 def test_empty_blocks_are_zero_row_csr():
     """A block without rows compiles as a 0-row CSR matrix."""
     lp, x, y = _knapsack_lp()
-    assert lp.a_eq.format == "csr" and lp.a_eq.shape == (0, 2)
+    assert lp.a_eq.indptr.tolist() == [0] and lp.a_eq.shape == (0, 2)
     assert lp.b_eq.shape == (0,)
     b = LpBuilder()
     x, y = b.new_var(lower=0.0), b.new_var(lower=0.0)
     b.add_row({x: 1.0, y: 1.0}, "=", 1.0)
     lp = b.build(lp_core.MAX, {x: 1.0})
-    assert lp.a_ub.format == "csr" and lp.a_ub.shape == (0, 2)
+    assert lp.a_ub.indptr.tolist() == [0] and lp.a_ub.shape == (0, 2)
     assert lp_core.solve(lp).objective_value == pytest.approx(1.0, abs=1e-9)
 
 
@@ -188,3 +201,34 @@ def test_limit_raises_with_model_status(monkeypatch, changes, status):
         monkeypatch.setattr(lp_core._OPTIONS, name, value)
     with pytest.raises(NumericalError, match=f"status=1 .*{status}"):
         lp_core.solve(_knapsack_lp()[0])
+
+
+IMPORT_FOOTPRINT = """
+import importlib, sys
+import zsbgames, zsbgames.cli
+from zsbgames import lp_core
+name = "scipy.optimize._highspy._core"
+print(sys.modules[name] is lp_core.highs, sorted(
+    m for m in sys.modules
+    if m.split(".")[0] == "scipy" and not m.startswith(name)))
+import scipy.optimize
+print(importlib.import_module("scipy.optimize._highspy._core") is lp_core.highs,
+      scipy.optimize._highspy._highs_wrapper._h is lp_core.highs)
+res = scipy.optimize.linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0],
+                             method="highs")
+print(res.status, res.fun)
+"""
+
+
+def test_import_loads_highs_alone():
+    """In a fresh process, the package and its CLI load scipy's HiGHS
+    extension module and no other scipy module. A later `import
+    scipy.optimize` finds that module under its name in `sys.modules` (the
+    import system sets the package attribute only on a fresh load, so the
+    check imports the name) and its linprog still solves."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(Path(lp_core.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["True []", "True True", "0 1.0"]

@@ -5,7 +5,7 @@ from zsbgames import GameSpec, extract_strategy, solve_primal
 from zsbgames.bounds import _matrix_game_value
 from zsbgames.primal_solver import build_primal
 
-from conftest import constant_spec, random_spec
+from conftest import constant_spec, random_spec, scipy_csr
 
 
 def test_constant_payoff_value():
@@ -41,7 +41,7 @@ def test_optimal_plan_is_feasible(rng):
     # the = rows are the flow rows, one per own history; they involve only
     # plan variables, so the payoff variables can stay at 0
     assert lp.b_eq.size == sum(index.count(1, t) for t in range(1, 4))
-    assert np.all(np.abs(lp.a_eq @ point - lp.b_eq) <= 1e-6)
+    assert np.all(np.abs(scipy_csr(lp.a_eq) @ point - lp.b_eq) <= 1e-6)
 
 
 def test_strategy_rows_are_distributions(rng):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zsbgames import run_episode, run_monte_carlo
-from zsbgames.simulator import write_results_csv
+from zsbgames.simulator import _sample, write_results_csv
 
 from conftest import constant_spec, random_spec
 
@@ -83,3 +83,25 @@ def test_results_csv_layout(rng):
     assert len(lines) == 6 and lines[4] == "runs,mean,stddev,stderr"
     assert lines[1].startswith("4,")
     assert lines[5].split(",")[0] == "3"
+
+
+def test_sample_draws_what_generator_choice_draws():
+    """`_sample` must pick the index `Generator.choice` picks from the same
+    stream, with weights clipped at 0 and normalized, and leave the stream
+    where choice leaves it."""
+    gen = np.random.default_rng(5)
+    for i in range(3000):
+        probs = gen.dirichlet(np.ones(gen.integers(2, 6))) * gen.uniform(0.5, 2)
+        if i % 3 == 0:
+            probs[gen.integers(probs.size)] = -1e-17 if i % 2 else 0.0
+        p = np.clip(probs, 0.0, None)
+        want, got = np.random.default_rng(i), np.random.default_rng(i)
+        assert _sample(got, probs) == want.choice(p.size, p=p / p.sum())
+        assert got.random() == want.random()
+
+
+@pytest.mark.parametrize("probs", [[0.0, 0.0], [-0.5, 0.0], [np.nan, 1.0],
+                                   [np.inf, 1.0]])
+def test_sample_rejects_weights_without_positive_finite_sum(probs):
+    with pytest.raises(ValueError):
+        _sample(np.random.default_rng(0), np.array(probs))

@@ -63,7 +63,7 @@ class LpSolution:
     basis: object                   # HiGHS's optimal basis
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CsrMatrix:
     """A matrix in compressed sparse row form with int32 index arrays: row
     i has the values data[indptr[i]:indptr[i + 1]] in the sorted, distinct
@@ -152,6 +152,8 @@ class LpBuilder:
             mats.append(CsrMatrix.from_entries(
                 slots[row[take]], col[take], val[take],
                 (np.count_nonzero(is_eq == eq), num_vars)))
+            for arr in (mats[-1].indptr, mats[-1].indices, mats[-1].data):
+                arr.flags.writeable = False
         bounds = np.array(self._bounds, dtype=float).reshape(num_vars, 2)
         return CompiledLP(sense, c, mats[0], rhs[~is_eq], mats[1], rhs[is_eq],
                           bounds, list(self._rels), slots)
@@ -235,7 +237,14 @@ def _csr(mat, num_vars: int) -> CsrMatrix:
     have the CSR arrays `indptr`, `indices` and `data`, with an indptr that
     splits the entries into its rows, and a `shape` (as `CsrMatrix` records
     and scipy CSR matrices do), with `num_vars` columns, finite values and,
-    in each row, sorted column indices in range without duplicates."""
+    in each row, sorted column indices in range without duplicates. A
+    record with read-only arrays that own their memory (`LpBuilder.build`
+    makes them so) is checked once per `num_vars`, other input every time."""
+    frozen = isinstance(mat, CsrMatrix) and not any(
+        arr.flags.writeable or arr.base is not None
+        for arr in map(np.asarray, (mat.indptr, mat.indices, mat.data)))
+    if frozen and getattr(mat, "_checked_for", None) == num_vars:
+        return mat
     if mat is None:
         return CsrMatrix.from_entries([], np.zeros(0), np.zeros(0), (0, num_vars))
     indptr, indices, data = (np.asarray(getattr(mat, name, ()))
@@ -254,6 +263,8 @@ def _csr(mat, num_vars: int) -> CsrMatrix:
             and np.isfinite(data).all()):
         raise ValueError("A_ub and A_eq must be finite canonical CSR matrices "
                          "with one column per variable")
+    if frozen:      # the record cannot change after the check
+        object.__setattr__(mat, "_checked_for", num_vars)
     return CsrMatrix(indptr, indices, data, (num_rows, num_vars))
 
 

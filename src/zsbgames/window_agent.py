@@ -12,6 +12,11 @@ by a read-out of the plan of the dual game at the pre-stage statistic
 (`SolverCache._update`), so play solves no update LP except for an
 observed pair that plan never plays.
 
+As the statistic is fully accessible, all of an agent's state but its own
+states is fixed by the public pairs seen so far. `SolverCache` keeps it in
+a tree per (side, window size, horizon, update mode), a node per public
+prefix, so only a new prefix runs the per-stage update.
+
 `OptimalAgent` plays the full-horizon security strategy; `FixedPolicyAgent`
 plays a stationary per-state distribution. All agents expose the same
 surface: begin_episode(own_state), act() -> distribution, observe(a, b,
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +38,9 @@ from .game_model import GameSpec, SideView, read_numbers
 
 FIXED_N = "fixed_n"
 REMAINING_WINDOW = "remaining_window"
+# nodes a cache's trees hold at most (the n=2, N=8 case-study duel has
+# 21,845 public prefixes a side); past it a new node is not stored
+MAX_TREE_NODES = 50_000
 
 
 @dataclass
@@ -65,6 +74,21 @@ def _stat_key(*arrays):
     return tuple(np.round(arr, 12).tobytes() for arr in arrays)
 
 
+class _Node:
+    """A `WindowAgent`'s state after some public pairs, shared by episodes;
+    `weights` is the posterior over the window's own-state sequences, in
+    the id order of the histories compatible with `window_acts`."""
+
+    __slots__ = ("t", "window_id", "window_len", "strategy", "belief",
+                 "vector_payoff", "window_acts", "weights")
+
+    def __init__(self, *state):
+        for name, value in zip(self.__slots__, state, strict=True):
+            setattr(self, name, value)
+        for arr in (self.belief, self.vector_payoff, self.weights):
+            arr.flags.writeable = False
+
+
 class SolverCache:
     """Memoizes LP solves and read-outs keyed on the rounded statistic.
 
@@ -72,18 +96,30 @@ class SolverCache:
     action sequence, so sharing one cache across the episodes of a Monte
     Carlo run removes almost all repeated solves. A miss on a dual LP
     patches its template, compiled on first use per (kind, n, lambda) and
-    kept for the cache's lifetime.
+    kept for the cache's lifetime. It also holds the window agents' trees
+    (see the module docstring), so agents sharing it play its spec.
     """
 
     def __init__(self, spec: GameSpec):
         self.spec = spec
         self._store = {}
         self._templates = {}
+        self._tree = {}     # (node, a, b) -> child; (side, *config) -> root
 
     def _memo(self, key, compute):
         if key not in self._store:
             self._store[key] = compute()
         return self._store[key]
+
+    def _tree_node(self, key, compute):
+        """The tree node at `key`; a miss stores what `compute` returns
+        while the trees hold fewer than MAX_TREE_NODES nodes."""
+        node = self._tree.get(key)
+        if node is None:
+            node = compute()
+            if len(self._tree) < MAX_TREE_NODES:
+                self._tree[key] = node
+        return node
 
     def primal(self, p, q, n, lam, side):
         key = ("primal", side, n, lam, _stat_key(p, q))
@@ -156,6 +192,8 @@ class WindowAgent:
     the next window's length at a window's last stage). The window that
     ends at the horizon does not advance it: only a later window's dual LP
     reads the vector payoff, and `act()` reads only the strategy.
+    `own_states` are the own states in the window; the rest of the state
+    is read from the current node of the cache's tree.
     """
 
     def __init__(self, spec: GameSpec, config: WindowConfig, side: int,
@@ -170,93 +208,94 @@ class WindowAgent:
 
     def begin_episode(self, own_state: int) -> None:
         _check_input(self._view, own_state)
-        spec = self.spec
-        n, N = self.config.window_n, self.config.total_horizon
-        self.t = 1
-        self.window_id = 1
-        self.window_len = min(n, N)
-        result = self.cache.primal(spec.p0, spec.q0, self.window_len,
-                                   spec.lam, self.side)
-        self.strategy = result.strategy
-        self.vector_payoff = result.initial_vector_payoff.copy()
-        self.belief = self._view.prior.copy()
-        self._reset_window_tracking(own_state)
-
-    def _reset_window_tracking(self, own_state: int) -> None:
+        config = self.config
+        self._node = self.cache._tree_node(
+            (self.side, config.window_n, config.total_horizon,
+             config.update_horizon_mode), self._root)
         self.own_states = (own_state,)
-        self.window_acts = ()
-        # posterior over the window's own-state sequences, in the id order
-        # of the histories compatible with window_acts
-        self._weights = self.belief.copy()
+
+    def _root(self) -> _Node:
+        spec = self.spec
+        window_len = min(self.config.window_n, self.config.total_horizon)
+        result = self.cache.primal(spec.p0, spec.q0, window_len, spec.lam,
+                                   self.side)
+        belief = self._view.prior.copy()
+        return _Node(1, 1, window_len, result.strategy, belief,
+                     result.initial_vector_payoff.copy(), (), belief)
 
     # -- acting ------------------------------------------------------------
 
     def act(self) -> np.ndarray:
-        return self.strategy.action_probs(self.own_states, self.window_acts)
+        node = self._node
+        return node.strategy.action_probs(self.own_states, node.window_acts)
 
     # -- observation -------------------------------------------------------
 
     def observe(self, a: int, b: int, own_next_state: int) -> None:
-        spec, view = self.spec, self._view
-        _check_input(view, own_next_state, a, b)
-        if self.t >= self.config.total_horizon:
+        _check_input(self._view, own_next_state, a, b)
+        node = self._node
+        if node.t >= self.config.total_horizon:
             raise ValidationError("observe called past the horizon")
+        self._node = child = self.cache._tree_node(
+            (node, a, b), lambda: self._next(node, a, b))
+        self.own_states = ((*self.own_states, own_next_state)
+                           if child.window_acts else (own_next_state,))
+
+    def _next(self, node: _Node, a: int, b: int) -> _Node:
+        """The node after `node` and the pair (a, b)."""
+        spec, view, config = self.spec, self._view, self.config
 
         # advance the posterior: weight each sequence by the modeled
         # likelihood of the played own action and extend it by its last
         # state's transition; if that action has zero modeled likelihood,
         # drop the likelihood factor (the belief update's degenerate rule)
         ns = view.num_states
-        probs = self.strategy.probs[len(self.window_acts)][
-            self.strategy.index.compatible(self.side, self.window_acts)]
-        trans = view.trans[a, b][np.arange(self._weights.size) % ns]
-        for reach in (self._weights * probs[:, view.pair(a, b)[0]],
-                      self._weights):
+        probs = node.strategy.probs[len(node.window_acts)][
+            node.strategy.index.compatible(self.side, node.window_acts)]
+        trans = view.trans[a, b][np.arange(node.weights.size) % ns]
+        for reach in (node.weights * probs[:, view.pair(a, b)[0]],
+                      node.weights):
             weights = (reach[:, None] * trans).ravel()
             weights[~(weights > 0.0)] = 0.0
             total = sum(weights.tolist())
             if total > 1e-12:
                 break
-        self._weights = weights / total
-        prior_belief = self.belief
-        self.belief = self._weights.reshape(-1, ns).sum(axis=0)
-        self.own_states = self.own_states + (own_next_state,)
-        self.window_acts = self.window_acts + ((a, b),)
+        weights = weights / total
+        belief = weights.reshape(-1, ns).sum(axis=0)
+        window_acts = node.window_acts + ((a, b),)
 
         # the dual game at the pre-stage statistic advances the vector
         # payoff, read only by later windows
-        if (self.t - len(self.window_acts) + self.window_len
-                < self.config.total_horizon):
+        vector_payoff = node.vector_payoff
+        if (node.t - len(window_acts) + node.window_len
+                < config.total_horizon):
+            horizon = config.window_n
+            if config.update_horizon_mode == REMAINING_WINDOW:
+                horizon = (node.window_len - len(window_acts) or min(
+                    config.window_n, config.total_horizon - node.t))
             update = (self.cache.update_nu if self.side == 1
                       else self.cache.update_mu)
-            self.vector_payoff = update(
-                self.vector_payoff, prior_belief, self._update_horizon(),
-                spec.lam, a, b)
+            vector_payoff = update(node.vector_payoff, node.belief, horizon,
+                                   spec.lam, a, b)
 
-        self.t += 1
-        if len(self.window_acts) == self.window_len:
-            self._advance_window(own_next_state)
-
-    def _update_horizon(self) -> int:
-        """Horizon of the vector-payoff update at the stage just observed."""
-        if self.config.update_horizon_mode == FIXED_N:
-            return self.config.window_n
-        left = self.window_len - len(self.window_acts)
-        if left >= 1:
-            return left
-        return min(self.config.window_n, self.config.total_horizon - self.t)
-
-    def _advance_window(self, own_state: int) -> None:
-        spec = self.spec
-        self.window_id += 1
-        self.window_len = min(self.config.window_n,
-                              self.config.total_horizon - self.t + 1)
-        # the opponent's dual game, whose plan owner is this side
+        t = node.t + 1
+        if len(window_acts) < node.window_len:
+            return _Node(t, node.window_id, node.window_len, node.strategy,
+                         belief, vector_payoff, window_acts, weights)
+        # the next window plays the opponent's dual game, whose plan owner
+        # is this side; its posterior starts at the belief
+        window_len = min(config.window_n, config.total_horizon - t + 1)
         dual = self.cache.dual2 if self.side == 1 else self.cache.dual1
-        result = dual(*self._view.pair(self.belief, self.vector_payoff),
-                      self.window_len, spec.lam)
-        self.strategy = result.strategy
-        self._reset_window_tracking(own_state)
+        strategy = dual(*view.pair(belief, vector_payoff), window_len,
+                        spec.lam).strategy
+        return _Node(t, node.window_id + 1, window_len, strategy, belief,
+                     vector_payoff, (), belief)
+
+
+for _name in ("t", "window_id", "window_len", "strategy", "belief",
+              "vector_payoff", "window_acts"):
+    setattr(WindowAgent, _name, property(attrgetter("_node." + _name)))
+del _name
 
 
 class OptimalAgent:

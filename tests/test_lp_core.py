@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -133,6 +134,28 @@ Bounds
  -inf <= x2 <= +inf
 End
 """
+
+
+def test_built_matrices_are_checked_once():
+    """`LpBuilder.build` makes its matrices' arrays read-only and the
+    records frozen, so `linprog`'s input check passes such a record through
+    unchanged after its first check for a width. A record with writable
+    arrays is checked, and copied, on every call."""
+    lp, x, y = _knapsack_lp()
+    with pytest.raises(ValueError):
+        lp.a_ub.data[0] = math.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lp.a_ub.data = np.array([math.nan, 1.0, 1.0])
+    assert lp_core._csr(lp.a_ub, 2) is not lp.a_ub
+    assert lp_core._csr(lp.a_ub, 2) is lp.a_ub
+    with pytest.raises(ValueError):
+        lp_core._csr(lp.a_ub, 1)
+    mat = lp_core.CsrMatrix(*(arr.copy() for arr in (
+        lp.a_ub.indptr, lp.a_ub.indices, lp.a_ub.data)), lp.a_ub.shape)
+    assert lp_core._csr(mat, 2) is not mat
+    mat.data[0] = math.nan
+    with pytest.raises(ValueError):
+        lp_core._csr(mat, 2)
 
 
 def test_empty_blocks_are_zero_row_csr():

@@ -100,8 +100,41 @@ def test_sample_draws_what_generator_choice_draws():
         assert got.random() == want.random()
 
 
+def test_sample_with_a_shared_memo_draws_what_generator_choice_draws():
+    """Over 60,000 draws from a few distributions, `_sample` with one CDF
+    memo picks what `Generator.choice` picks from the same stream."""
+    gen = np.random.default_rng(6)
+    dists = [gen.dirichlet(np.ones(gen.integers(2, 6))) * gen.uniform(0.5, 2)
+             for _ in range(40)]
+    for i in range(0, 40, 4):
+        dists[i][0] = -1e-17 if i % 8 else 0.0
+    got, want, cdfs = np.random.default_rng(7), np.random.default_rng(7), {}
+    for i in range(60_000):
+        probs = dists[i % 40]
+        p = np.clip(probs, 0.0, None)
+        assert _sample(got, probs, cdfs) == want.choice(p.size, p=p / p.sum())
+    assert got.random() == want.random()
+    assert len(cdfs) == 40
+
+
+def test_sample_memo_keys_on_every_bit():
+    """Weights one ulp apart have CDFs of their own."""
+    probs = np.array([0.3, 0.7])
+    near = np.array([np.nextafter(0.3, 1.0), 0.7])
+    cdfs = {}
+    for p in (probs, near):
+        _sample(np.random.default_rng(0), p, cdfs)
+    assert cdfs.keys() == {probs.tobytes(), near.tobytes()}
+    assert cdfs[probs.tobytes()] != cdfs[near.tobytes()]
+
+
 @pytest.mark.parametrize("probs", [[0.0, 0.0], [-0.5, 0.0], [np.nan, 1.0],
                                    [np.inf, 1.0]])
 def test_sample_rejects_weights_without_positive_finite_sum(probs):
-    with pytest.raises(ValueError):
-        _sample(np.random.default_rng(0), np.array(probs))
+    """Also when valid weights have filled a memo."""
+    cdfs = {}
+    _sample(np.random.default_rng(0), np.array([0.25, 0.75]), cdfs)
+    for memo in (None, cdfs):
+        with pytest.raises(ValueError):
+            _sample(np.random.default_rng(0), np.array(probs), memo)
+    assert len(cdfs) == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 from pathlib import Path
 
@@ -7,9 +8,10 @@ import pytest
 
 import zsbgames
 from zsbgames import (FixedPolicyAgent, OptimalAgent, SolverCache,
-                      ValidationError, WindowAgent, WindowConfig, lp_core,
-                      run_monte_carlo, solve_dual1, solve_primal,
-                      stat_updater)
+                      SolverError, ValidationError, WindowAgent, WindowConfig,
+                      dual_solver, lp_core, run_episode, run_monte_carlo,
+                      solve_dual1, solve_primal, stat_updater, window_agent)
+from zsbgames.simulator import write_results_csv
 from zsbgames.window_agent import (FIXED_N, REMAINING_WINDOW,
                                    load_fixed_policy)
 
@@ -279,3 +281,120 @@ def test_load_fixed_policy_files(tmp_path):
         bad.write_text(f'{{"policy": {policy}}}')
         with pytest.raises(ParseError, match="numeric matrix"):
             load_fixed_policy(bad)
+
+
+class _Recorder:
+    """A window agent that records its belief, vector payoff and action
+    distribution, as bytes, at every stage of the episode."""
+
+    def __init__(self, agent, log):
+        self.agent, self.log = agent, log
+
+    def begin_episode(self, own_state):
+        self.agent.begin_episode(own_state)
+
+    def act(self):
+        probs = self.agent.act()
+        self.log.append((self.agent.belief.tobytes(),
+                         self.agent.vector_payoff.tobytes(), probs.tobytes()))
+        return probs
+
+    def observe(self, a, b, own_next_state):
+        self.agent.observe(a, b, own_next_state)
+
+
+def _recorded_play(spec, config, seeds, cache=None):
+    """seed -> (total, stage log); one cache for all seeds, or a fresh one
+    per episode when `cache` is None."""
+    out = {}
+    for seed in seeds:
+        shared = cache if cache is not None else SolverCache(spec)
+        log = []
+        total = run_episode(
+            spec, _Recorder(WindowAgent(spec, config, 1, cache=shared), log),
+            _Recorder(WindowAgent(spec, config, 2, cache=shared), log),
+            seed).total
+        out[seed] = (total.hex(), log)
+    return out
+
+
+@pytest.mark.parametrize("lam, total, window_n, mode, runs", [
+    (0.6, 8, 2, FIXED_N, 24),
+    (0.6, 7, 3, REMAINING_WINDOW, 10),
+])
+def test_tree_plays_as_the_per_stage_update(case_study, monkeypatch, lam,
+                                            total, window_n, mode, runs):
+    """Episodes on one shared cache, which walk its tree of public prefixes,
+    in order and reversed, play byte for byte as the per-stage update does
+    on one shared cache (the tree capped at 0 nodes). With a fresh cache
+    per episode the totals are the same too; its stage values may differ
+    in their last bits, because the solve memo rounds the statistic in its
+    keys to 12 decimals, so a shared memo returns results solved at a
+    statistic a few ulps away."""
+    spec = dataclasses.replace(case_study, lam=lam, horizon_n=total)
+    config = WindowConfig(window_n, total, mode)
+    seeds = list(range(runs))
+    for order in (seeds, seeds[::-1]):
+        cache = SolverCache(spec)
+        walked = _recorded_play(spec, config, order, cache)
+        assert len(cache._tree) < 2 * runs * (total - 1)
+        with monkeypatch.context() as patch:
+            patch.setattr(window_agent, "MAX_TREE_NODES", 0)
+            assert _recorded_play(spec, config, order,
+                                  SolverCache(spec)) == walked
+    for seed, (total_hex, log) in _recorded_play(spec, config, seeds).items():
+        assert total_hex == walked[seed][0]
+        for stage, want in zip(log, walked[seed][1], strict=True):
+            for got, ref in zip(stage, want):
+                assert np.allclose(np.frombuffer(got), np.frombuffer(ref),
+                                   rtol=0.0, atol=1e-12)
+
+
+def test_tree_nodes_are_read_only(rng):
+    spec = random_spec(rng, horizon=4)
+    agent = WindowAgent(spec, WindowConfig(window_n=2, total_horizon=4), 1)
+    agent.begin_episode(0)
+    agent.observe(0, 1, 1)
+    for arr in (agent.belief, agent.vector_payoff, agent._node.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_failed_miss_leaves_no_child(rng, monkeypatch):
+    """A solve that raises while a new prefix is computed stores no node,
+    and the agent stays where it was."""
+    spec = random_spec(rng, horizon=4)
+    agent = WindowAgent(spec, WindowConfig(window_n=2, total_horizon=4), 1)
+    agent.begin_episode(0)
+    agent.observe(0, 1, 1)
+    node, tree = agent._node, agent.cache._tree
+
+    def fail(*args, **kwargs):
+        raise SolverError("refused")
+    monkeypatch.setattr(dual_solver, "solve_dual2", fail)
+    with pytest.raises(SolverError):
+        agent.observe(1, 0, 0)     # ends the window: a dual-2 solve
+    assert agent._node is node and agent.t == 2
+    assert (node, 1, 0) not in tree and len(tree) == 2
+    monkeypatch.undo()
+    agent.observe(1, 0, 0)
+    assert tree[node, 1, 0] is agent._node and agent.window_id == 2
+
+
+def test_capped_tree_plays_the_same(case_study, monkeypatch):
+    """Past MAX_TREE_NODES a new prefix is computed and not stored."""
+    spec = dataclasses.replace(case_study, lam=0.6, horizon_n=8)
+    config = WindowConfig(window_n=2, total_horizon=8)
+
+    def csv():
+        cache = SolverCache(spec)
+        result = run_monte_carlo(
+            spec, lambda: WindowAgent(spec, config, 1, cache=cache),
+            lambda: WindowAgent(spec, config, 2, cache=cache), 200, 0)
+        buf = io.StringIO()
+        write_results_csv(result, buf)
+        return buf.getvalue(), len(cache._tree)
+
+    uncapped, nodes = csv()
+    monkeypatch.setattr(window_agent, "MAX_TREE_NODES", 5)
+    assert csv() == (uncapped, 5) and nodes > 5

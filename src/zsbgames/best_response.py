@@ -7,7 +7,8 @@ histories plus the transition-weighted values of the history's children;
 the responder takes the minimum against a player-1 plan and the maximum
 against a player-2 plan. This is the sequence-form best response (von
 Stengel 1996), exact at every history, including ones the responder
-reaches with zero prior weight.
+reaches with zero prior weight. The result keeps these values as one
+array per depth, indexed by the responder's history ids (`HistoryIndex`).
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ if TYPE_CHECKING:
 @dataclass
 class BestResponseResult:
     value: float
-    payoff_map: dict                # (t, hid) -> float, responder histories
-    roots: np.ndarray               # payoff_map at depth 1, by responder state
+    values: list                    # [t - 1]: by responder id at depth t
+    roots: np.ndarray               # values[0], by responder state
 
 
 def _solve_vs_plan(spec: GameSpec, plan: RealizationPlan, weights, n: int,
@@ -38,7 +39,7 @@ def _solve_vs_plan(spec: GameSpec, plan: RealizationPlan, weights, n: int,
     ns, no, num_own = view.num_states, view.num_opp_states, view.num_actions
     best = np.min if plan.side == 1 else np.max
     plan_weights = plan.depth_weights()
-    values = [None] * n             # values[t - 1]: by responder id at depth t
+    values = [None] * n
     for t in range(n, 0, -1):
         R = index.num_pairs ** (t - 1)
         # per pair sequence r: the plan weights of its compatible histories
@@ -61,10 +62,9 @@ def _solve_vs_plan(spec: GameSpec, plan: RealizationPlan, weights, n: int,
                     child = index.child_id(opp, t, j, a, b, nxt)
                     vals += view.opp_trans[a, b, last, nxt] * values[t][child]
         values[t - 1] = best(vals, axis=1)
-    payoff_map = dict(zip(index.keys(opp, n), np.concatenate(values).tolist()))
     roots = values[0]               # depth-1 ids are the responder states
     value = float(np.dot(np.asarray(weights, dtype=float), roots))
-    return BestResponseResult(value=value, payoff_map=payoff_map, roots=roots)
+    return BestResponseResult(value=value, values=values, roots=roots)
 
 
 def best_response_vs_p1(spec: GameSpec, plan: RealizationPlan, q, n: int,

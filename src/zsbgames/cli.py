@@ -167,9 +167,7 @@ def _agent_factory(desc: str, spec, side: int, window_n, update_mode,
                    cache: SolverCache):
     """Factory of fresh agents per episode; heavy solves shared via cache."""
     if desc == "optimal":
-        strategy = cache.primal(spec.p0, spec.q0, spec.horizon_n, spec.lam,
-                                side).strategy
-        return lambda: OptimalAgent(spec, side, strategy=strategy)
+        return lambda: OptimalAgent(spec, side, cache=cache)
     if desc == "window":
         if window_n is None:
             raise ValidationError("--window is required for window agents")

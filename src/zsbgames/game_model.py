@@ -139,22 +139,13 @@ _SCALAR_KEYS = {"num_k": "an integer", "num_l": "an integer",
                 "num_a": "an integer", "num_b": "an integer",
                 "lambda": "a number", "horizon": "an integer"}
 _FILE_KEYS = (*_SCALAR_KEYS, "p0", "q0", "payoff", "trans_p", "trans_q")
+# the GameSpec field of each game-file key, where the two names differ
+_FIELDS = {"lambda": "lam", "horizon": "horizon_n"}
 
 
 def save_spec(spec: GameSpec, path) -> None:
-    doc = {
-        "num_k": spec.num_k,
-        "num_l": spec.num_l,
-        "num_a": spec.num_a,
-        "num_b": spec.num_b,
-        "lambda": spec.lam,
-        "horizon": spec.horizon_n,
-        "p0": spec.p0.tolist(),
-        "q0": spec.q0.tolist(),
-        "payoff": spec.payoff.tolist(),
-        "trans_p": spec.trans_p.tolist(),
-        "trans_q": spec.trans_q.tolist(),
-    }
+    doc = {key: np.asarray(getattr(spec, _FIELDS.get(key, key))).tolist()
+           for key in _FILE_KEYS}
     Path(path).write_text(json.dumps(doc, indent=1))
 
 
@@ -206,9 +197,8 @@ def loads_spec(text: str) -> GameSpec:
     missing = [k for k in _FILE_KEYS if k not in doc]
     if missing:
         raise ParseError(f"missing keys: {', '.join(missing)}")
-    fields = {key: read_numbers(doc[key], key) for key in _FILE_KEYS}
-    fields["lam"], fields["horizon_n"] = fields.pop("lambda"), fields.pop("horizon")
-    return GameSpec(**fields)
+    return GameSpec(**{_FIELDS.get(key, key): read_numbers(doc[key], key)
+                       for key in _FILE_KEYS})
 
 
 def case_study_path() -> Path:

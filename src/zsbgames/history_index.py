@@ -30,8 +30,7 @@ DEFAULT_MAX_VARS = 5_000_000
 class HistoryIndex:
     """Id arithmetic for both players' histories up to `depth`."""
 
-    def __init__(self, spec: GameSpec, depth: int,
-                 max_vars: int = DEFAULT_MAX_VARS):
+    def __init__(self, spec: GameSpec, depth: int):
         if depth < 1:
             raise ValueError("depth must be >= 1")
         self.spec = spec
@@ -41,9 +40,10 @@ class HistoryIndex:
         for t in range(1, depth + 1):
             total += (self.count(1, t) * (spec.num_a + 1)
                       + self.count(2, t) * (spec.num_b + 1))
-            if total > max_vars:
+            if total > DEFAULT_MAX_VARS:
                 raise CapacityError(f"sequence-form LP at depth {depth} would "
-                                    f"exceed the limit of {max_vars} variables")
+                                    f"exceed the limit of {DEFAULT_MAX_VARS} "
+                                    "variables")
 
     def count(self, side: int, t: int) -> int:
         return self.spec.side(side).num_states ** t * self.num_pairs ** (t - 1)
@@ -96,14 +96,13 @@ class HistoryIndex:
 
     def keys(self, side: int, n: int, width: int = 0) -> list[tuple]:
         """Keys (t, hid) of depths 1..n in id order, or (t, hid, k) for
-        k < `width`: the order of a plan's values, a strategy's table and
-        a payoff map, and of the LP variables they are read from."""
+        k < `width`: the order of a plan's values and a strategy's table,
+        and of the LP variables they are read from."""
         extra = (range(width),) if width else ()
         return list(chain.from_iterable(
             product((t,), range(self.count(side, t)), *extra)
             for t in range(1, n + 1)))
 
 
-def build_index(spec: GameSpec, depth: int,
-                max_vars: int = DEFAULT_MAX_VARS) -> HistoryIndex:
-    return HistoryIndex(spec, depth, max_vars=max_vars)
+def build_index(spec: GameSpec, depth: int) -> HistoryIndex:
+    return HistoryIndex(spec, depth)

@@ -8,15 +8,17 @@ patched with `CompiledLP.with_rhs`, which sets right-hand sides. `solve`
 returns only optimal solutions and raises for everything else, so its
 callers hold no status check.
 
-`linprog` is the one place that runs HiGHS. It drives the HiGHS extension
-module bundled with scipy (`scipy/optimize/_highspy/_core*.so`, loaded from
-its file, so `scipy.optimize` and `scipy.sparse` are never imported) with
-the options `scipy.optimize.linprog(method="highs")` sets, and repeats that
-function's input checks, status codes and solution certificate without its
-per-call overhead. Every solve gets a fresh HiGHS model, warm-started only
-from a basis that is part of its input (`CompiledLP.basis`), so identical
-input gives bit-identical output whatever was solved before, which the
-rest of the package relies on for reproducible strategy extraction.
+`linprog` is the one place that runs HiGHS, on matrices given as
+`CsrMatrix` records, which check their form when they are built. It drives
+the HiGHS extension module bundled with scipy
+(`scipy/optimize/_highspy/_core*.so`, loaded from its file, so
+`scipy.optimize` and `scipy.sparse` are never imported) with the options
+`scipy.optimize.linprog(method="highs")` sets, and repeats that function's
+checks, status codes and solution certificate without its per-call
+overhead. Every solve gets a fresh HiGHS model, warm-started only from a
+basis that is part of its input (`CompiledLP.basis`), so identical input
+gives bit-identical output whatever was solved before, which the rest of
+the package relies on for reproducible strategy extraction.
 """
 
 from __future__ import annotations
@@ -65,14 +67,34 @@ class LpSolution:
 
 @dataclass(eq=False, frozen=True)
 class CsrMatrix:
-    """A matrix in compressed sparse row form with int32 index arrays: row
-    i has the values data[indptr[i]:indptr[i + 1]] in the sorted, distinct
-    columns indices[indptr[i]:indptr[i + 1]]."""
+    """A matrix in compressed sparse row form: row i has the values
+    data[indptr[i]:indptr[i + 1]] in the sorted, distinct columns
+    indices[indptr[i]:indptr[i + 1]]. Construction checks that form, integer
+    index arrays and finite values (ValueError otherwise) and makes the
+    arrays read-only: an array that owns its memory is frozen in place, a
+    view or a list is copied first, so a record cannot change."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: tuple
+
+    def __post_init__(self):
+        indptr, indices, data = arrays = [
+            arr.copy() if arr.base is not None else arr
+            for arr in map(np.asarray, (self.indptr, self.indices, self.data))]
+        num_rows, num_cols = self.shape
+        if not (indptr.dtype.kind in "iu" and indices.dtype.kind in "iu"
+                and num_rows >= 0 and indptr.shape == (num_rows + 1,)
+                and indptr[0] == 0 and (indptr[:-1] <= indptr[1:]).all()
+                and indices.shape == data.shape == (indptr[-1],)
+                and (indices >= 0).all() and (indices < num_cols).all()
+                and _columns_rise(indptr, indices)
+                and data.dtype.kind in "iuf" and np.isfinite(data).all()):
+            raise ValueError("not a canonical CSR matrix with finite data")
+        for name, arr in zip(("indptr", "indices", "data"), arrays):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def nnz(self) -> int:
@@ -83,6 +105,13 @@ class CsrMatrix:
         """The matrix with entries (row, col, val), sorted by row, then col."""
         indptr = np.searchsorted(row, np.arange(shape[0] + 1)).astype(np.int32)
         return cls(indptr, col.astype(np.int32), val, shape)
+
+
+def _columns_rise(indptr, indices) -> bool:
+    """Whether the columns rise strictly in each row of a CSR matrix: an
+    entry whose column is not above the one before must start a row."""
+    starts = np.flatnonzero(indices[1:] <= indices[:-1]) + 1
+    return bool((indptr[np.searchsorted(indptr, starts)] == starts).all())
 
 
 class LpBuilder:
@@ -152,8 +181,6 @@ class LpBuilder:
             mats.append(CsrMatrix.from_entries(
                 slots[row[take]], col[take], val[take],
                 (np.count_nonzero(is_eq == eq), num_vars)))
-            for arr in (mats[-1].indptr, mats[-1].indices, mats[-1].data):
-                arr.flags.writeable = False
         bounds = np.array(self._bounds, dtype=float).reshape(num_vars, 2)
         return CompiledLP(sense, c, mats[0], rhs[~is_eq], mats[1], rhs[is_eq],
                           bounds, list(self._rels), slots)
@@ -232,44 +259,8 @@ class HighsResult:
     basis: object = None             # HiGHS's basis, if status is 0
 
 
-def _csr(mat, num_vars: int) -> CsrMatrix:
-    """`mat` as a `CsrMatrix`; None is a matrix with no rows. `mat` must
-    have the CSR arrays `indptr`, `indices` and `data`, with an indptr that
-    splits the entries into its rows, and a `shape` (as `CsrMatrix` records
-    and scipy CSR matrices do), with `num_vars` columns, finite values and,
-    in each row, sorted column indices in range without duplicates. A
-    record with read-only arrays that own their memory (`LpBuilder.build`
-    makes them so) is checked once per `num_vars`, other input every time."""
-    frozen = isinstance(mat, CsrMatrix) and not any(
-        arr.flags.writeable or arr.base is not None
-        for arr in map(np.asarray, (mat.indptr, mat.indices, mat.data)))
-    if frozen and getattr(mat, "_checked_for", None) == num_vars:
-        return mat
-    if mat is None:
-        return CsrMatrix.from_entries([], np.zeros(0), np.zeros(0), (0, num_vars))
-    indptr, indices, data = (np.asarray(getattr(mat, name, ()))
-                             for name in ("indptr", "indices", "data"))
-    num_rows, num_cols = getattr(mat, "shape", (0, None))
-    # sorted, unique columns in each row: the keys row * num_vars + column
-    # increase strictly
-    if not (getattr(mat, "format", "csr") == "csr" and num_cols == num_vars
-            and indptr.dtype.kind in "iu" and indices.dtype.kind in "iu"
-            and indptr.shape == (num_rows + 1,) and indptr[0] == 0
-            and (np.diff(indptr) >= 0).all()
-            and indices.shape == data.shape == (indptr[-1],)
-            and (indices >= 0).all() and (indices < num_vars).all()
-            and (np.diff(np.repeat(np.arange(num_rows) * num_vars,
-                                   np.diff(indptr)) + indices) > 0).all()
-            and np.isfinite(data).all()):
-        raise ValueError("A_ub and A_eq must be finite canonical CSR matrices "
-                         "with one column per variable")
-    if frozen:      # the record cannot change after the check
-        object.__setattr__(mat, "_checked_for", num_vars)
-    return CsrMatrix(indptr, indices, data, (num_rows, num_vars))
-
-
 def _rhs(b, mat, name: str) -> np.ndarray:
-    b = np.zeros(0) if b is None else np.asarray(b, dtype=float)
+    b = np.asarray(b, dtype=float)
     if b.shape != (mat.shape[0],):
         raise ValueError(f"{name} has shape {b.shape}, expected ({mat.shape[0]},)")
     if not np.isfinite(b).all():
@@ -283,25 +274,27 @@ def _solution(model):
     return np.array(sol.col_value), np.array(sol.row_value)
 
 
-def linprog(c, *, bounds, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-            basis=None):
+def linprog(c, *, bounds, A_ub, b_ub, A_eq, b_eq, basis=None):
     """Minimize c @ x subject to A_ub @ x <= b_ub, A_eq @ x = b_eq and
     bounds[:, 0] <= x <= bounds[:, 1] with HiGHS, as
-    `scipy.optimize.linprog(..., method="highs")` does for canonical CSR
-    (or None) A_ub and A_eq (`CsrMatrix` records or scipy CSR matrices) and
-    an (n, 2) bounds array. With `basis`, a HiGHS basis of an LP of the
-    same shape, the simplex starts from it.
+    `scipy.optimize.linprog(..., method="highs")` does for the same
+    matrices in CSR form and an (n, 2) bounds array. A_ub and A_eq must be
+    `CsrMatrix` records with one column per variable. With `basis`, a HiGHS
+    basis of an LP of the same shape, the simplex starts from it.
 
-    Raises ValueError for non-finite c, b_ub, b_eq or matrix entries, a
-    matrix that is not canonical CSR (see `_csr`), mismatched shapes or a
-    lower bound above its upper bound. An optimal point that breaks a row
-    or bound by more than CERT_TOL is reported with status 4.
+    Raises ValueError for non-finite c, b_ub or b_eq, a matrix that is not
+    such a record, mismatched shapes or a lower bound above its upper
+    bound. An optimal point that breaks a row or bound by more than
+    CERT_TOL is reported with status 4.
     """
     c = np.asarray(c, dtype=float)
     num_vars = c.size
     if c.ndim != 1 or not np.isfinite(c).all():
         raise ValueError("c must be a finite 1-D array")
-    A_ub, A_eq = _csr(A_ub, num_vars), _csr(A_eq, num_vars)
+    if not all(isinstance(mat, CsrMatrix) and mat.shape[1] == num_vars
+               for mat in (A_ub, A_eq)):
+        raise ValueError("A_ub and A_eq must be CsrMatrix records with one "
+                         "column per variable")
     b_ub = _rhs(b_ub, A_ub, "b_ub")
     b_eq = _rhs(b_eq, A_eq, "b_eq")
     lb, ub = np.asarray(bounds, dtype=float).reshape(num_vars, 2).T.copy()

@@ -77,7 +77,6 @@ class PrimalResult:
     value: float
     plan: RealizationPlan
     strategy: BehavioralStrategy
-    weighted_payoffs: dict          # (t, opponent hid) -> float
     initial_vector_payoff: np.ndarray
 
 
@@ -216,11 +215,10 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
                  inspect_lp=None) -> PrimalResult:
     """Game value, security strategy and initial vector payoff for `side`.
 
-    The weighted payoffs (and hence the initial vector payoff of the
-    other side's dual game) are recomputed as the best response against
-    the extracted plan, so they are well defined even at opponent states
-    with zero prior weight. `inspect_lp`, if given, is called with the
-    compiled LP before it is solved.
+    The initial vector payoff of the other side's dual game is recomputed
+    as the best response against the extracted plan, so it is well defined
+    even at opponent states with zero prior weight. `inspect_lp`, if
+    given, is called with the compiled LP before it is solved.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -235,5 +233,4 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
                else best_response.best_response_vs_p2)
     br = vs_plan(spec, plan, other, n, lam)
     return PrimalResult(value=sol.objective_value, plan=plan,
-                        strategy=strategy, weighted_payoffs=br.payoff_map,
-                        initial_vector_payoff=-br.roots)
+                        strategy=strategy, initial_vector_payoff=-br.roots)

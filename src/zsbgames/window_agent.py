@@ -169,12 +169,12 @@ class SolverCache:
             *view.pair(vec, belief), n, lam)
         vs_plan = (best_response.best_response_vs_p2 if view.side == 1
                    else best_response.best_response_vs_p1)
-        payoff = vs_plan(self.spec, dual.plan, np.zeros(view.num_states), n,
-                         lam).payoff_map
+        depth2 = vs_plan(self.spec, dual.plan, np.zeros(view.num_states), n,
+                         lam).values[1]
         shape = (view.num_states, self.spec.num_a, self.spec.num_b)
-        br = [payoff[2, hid] for hid in range(np.prod(shape))]
         star = dual.strategy.stage1_matrix()
-        return star, star @ belief, np.reshape(br, shape).transpose(1, 2, 0)
+        return (star, star @ belief,
+                depth2[:np.prod(shape)].reshape(shape).transpose(1, 2, 0))
 
     def update_mu(self, mu, q, n, lam, a, b):
         return self._update(1, mu, q, n, lam, a, b)
@@ -302,16 +302,13 @@ class OptimalAgent:
     """Plays the full-horizon security strategy of one side."""
 
     def __init__(self, spec: GameSpec, side: int,
-                 strategy: primal_solver.BehavioralStrategy | None = None,
                  cache: SolverCache | None = None):
         self._view = spec.side(side)
         self.spec = spec
         self.side = side
-        if strategy is None:
-            cache = cache if cache is not None else SolverCache(spec)
-            strategy = cache.primal(spec.p0, spec.q0, spec.horizon_n,
-                                    spec.lam, side).strategy
-        self.strategy = strategy
+        cache = cache if cache is not None else SolverCache(spec)
+        self.strategy = cache.primal(spec.p0, spec.q0, spec.horizon_n,
+                                     spec.lam, side).strategy
 
     def begin_episode(self, own_state: int) -> None:
         _check_input(self._view, own_state)
@@ -323,6 +320,8 @@ class OptimalAgent:
 
     def observe(self, a: int, b: int, own_next_state: int) -> None:
         _check_input(self._view, own_next_state, a, b)
+        if len(self.own_states) >= self.spec.horizon_n:
+            raise ValidationError("observe called past the horizon")
         self.own_states = self.own_states + (own_next_state,)
         self.acts = self.acts + ((a, b),)
 

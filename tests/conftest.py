@@ -17,10 +17,8 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def scipy_csr(mat):
-    """An lp_core.CsrMatrix (or None) as a scipy CSR matrix over the same
-    arrays, for scipy's own routines."""
-    if mat is None:
-        return None
+    """An lp_core.CsrMatrix as a scipy CSR matrix over the same arrays, for
+    scipy's own routines."""
     return sp.csr_matrix((mat.data, mat.indices, mat.indptr), shape=mat.shape)
 
 

@@ -57,8 +57,10 @@ def test_payoff_map_consistent_with_value(rng):
     r1 = solve_primal(spec, spec.p0, spec.q0, 2, spec.lam, 1)
     br = best_response_vs_p1(spec, r1.plan, spec.q0, 2, spec.lam)
     index = r1.plan.index
-    roots = np.array([br.payoff_map[(1, index.id_of(2, 1, (l,), ()))]
+    assert [v.shape for v in br.values] == [(index.count(2, t),) for t in (1, 2)]
+    roots = np.array([br.values[0][index.id_of(2, 1, (l,), ())]
                       for l in range(spec.num_l)])
+    assert np.array_equal(roots, br.roots)
     assert float(spec.q0 @ roots) == pytest.approx(br.value, abs=1e-7)
 
 

@@ -88,6 +88,19 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert again.lam == spec.lam and again.horizon_n == spec.horizon_n
 
 
+def test_numpy_scalars_round_trip(tmp_path):
+    """`validate` accepts numpy integer counts, so `save_spec` writes them."""
+    spec = random_spec(np.random.default_rng(3), num_k=3, num_l=2, horizon=3)
+    numpy_spec = dataclasses.replace(
+        spec, num_k=np.int64(3), num_l=np.int32(2), horizon_n=np.int64(3),
+        lam=np.float64(spec.lam))
+    for name, saved in (("a.json", spec), ("b.json", numpy_spec)):
+        save_spec(saved, tmp_path / name)
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+    again = load_spec(tmp_path / "b.json")
+    assert again.num_k == 3 and again.horizon_n == 3 and again.lam == spec.lam
+
+
 def test_load_rejects_missing_keys(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"num_k": 2}))

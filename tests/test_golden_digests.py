@@ -143,8 +143,8 @@ def test_best_response_and_strategy_digest(case_study, side):
                  spec.lam)
     keys = sorted(res.strategy.table)
     digest = _digest(
-        br.roots, np.array(sorted(br.payoff_map)),
-        np.array([br.payoff_map[k] for k in sorted(br.payoff_map)]),
+        br.roots, np.array(res.plan.index.keys(3 - side, n)),
+        np.concatenate(br.values),
         np.array(keys), np.stack([res.strategy.table[k] for k in keys]))
     assert digest == SOLVE_DIGESTS[f"n{n}-side{side}"]
 

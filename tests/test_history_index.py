@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from zsbgames import CapacityError, build_index
+from zsbgames import CapacityError, build_index, history_index
 
 from conftest import random_spec
 
@@ -61,11 +61,13 @@ def test_histories_sorted_states_major(index):
     assert keys == sorted(keys)
 
 
-def test_capacity_guard():
+def test_capacity_guard(monkeypatch):
     spec = random_spec(np.random.default_rng(1), num_k=3, num_l=3,
                        num_a=3, num_b=3)
-    with pytest.raises(CapacityError):
-        build_index(spec, 8, max_vars=10_000)
+    build_index(spec, 3)            # about 18,000 variables
+    monkeypatch.setattr(history_index, "DEFAULT_MAX_VARS", 10_000)
+    with pytest.raises(CapacityError, match="limit of 10000 variables"):
+        build_index(spec, 3)
 
 
 def test_layout_matches_product_enumeration(case_study):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from zsbgames import NumericalError, SolverError, lp_core
 from zsbgames.lp_core import LpBuilder
@@ -136,26 +137,75 @@ End
 """
 
 
-def test_built_matrices_are_checked_once():
-    """`LpBuilder.build` makes its matrices' arrays read-only and the
-    records frozen, so `linprog`'s input check passes such a record through
-    unchanged after its first check for a width. A record with writable
-    arrays is checked, and copied, on every call."""
+@pytest.mark.parametrize("indptr, indices, data, shape", [
+    pytest.param([0, 2], [0], [1.0], (1, 2), id="indptr past nnz"),
+    pytest.param([1, 1], [0], [1.0], (1, 2), id="indptr not from 0"),
+    pytest.param([0, 1, 1], [0], [1.0], (1, 2), id="indptr too long"),
+    pytest.param([0, 2, 1, 2], [0, 1], [1.0, 1.0], (3, 2),
+                 id="indptr decreasing"),
+    pytest.param(np.array([0, 2, 1, 2], np.uint32), [0, 1], [1.0, 1.0], (3, 2),
+                 id="unsigned indptr decreasing"),
+    pytest.param([0.0, 1.0], [0], [1.0], (1, 2), id="float indptr"),
+    pytest.param([0, 1], [0.0], [1.0], (1, 2), id="float indices"),
+    pytest.param([0, 2], [1, 0], [1.0, 1.0], (1, 2), id="unsorted"),
+    pytest.param([0, 2], [1, 1], [1.0, 1.0], (1, 2), id="duplicate"),
+    pytest.param([0, 1], [2], [1.0], (1, 2), id="index past end"),
+    pytest.param([0, 1], [-1], [1.0], (1, 2), id="negative index"),
+    pytest.param([0, 1], [0], [np.nan], (1, 2), id="nan"),
+    pytest.param([0, 1], [0], [np.inf], (1, 2), id="inf"),
+    pytest.param([0, 1], [0], [1.0, 2.0], (1, 2), id="data past nnz"),
+    pytest.param([0, 1], [0], ["1.0"], (1, 2), id="string data"),
+])
+def test_malformed_record_raises_at_construction(indptr, indices, data, shape):
+    with pytest.raises(ValueError):
+        lp_core.CsrMatrix(np.array(indptr), np.array(indices), np.array(data),
+                          shape)
+
+
+def test_records_are_read_only():
+    """A record's arrays cannot be written: `LpBuilder.build`'s matrices
+    are frozen in place, and a record built from views or lists holds
+    copies, so writing the source cannot reach it."""
     lp, x, y = _knapsack_lp()
     with pytest.raises(ValueError):
         lp.a_ub.data[0] = math.nan
     with pytest.raises(dataclasses.FrozenInstanceError):
         lp.a_ub.data = np.array([math.nan, 1.0, 1.0])
-    assert lp_core._csr(lp.a_ub, 2) is not lp.a_ub
-    assert lp_core._csr(lp.a_ub, 2) is lp.a_ub
-    with pytest.raises(ValueError):
-        lp_core._csr(lp.a_ub, 1)
-    mat = lp_core.CsrMatrix(*(arr.copy() for arr in (
-        lp.a_ub.indptr, lp.a_ub.indices, lp.a_ub.data)), lp.a_ub.shape)
-    assert lp_core._csr(mat, 2) is not mat
-    mat.data[0] = math.nan
-    with pytest.raises(ValueError):
-        lp_core._csr(mat, 2)
+    data = np.array([1.0, 2.0, 3.0, 4.0])
+    # dense rows [2, 3], [0, 0] and [0, 4]: an empty row, and a column
+    # that comes again in a later row
+    mat = lp_core.CsrMatrix([0, 2, 2, 3], np.array([0, 1, 1], dtype=np.int32),
+                            data[1:], (3, 2))
+    assert mat.data is not data and mat.data.base is None
+    assert not np.shares_memory(mat.data, data)
+    data[1] = math.nan
+    assert mat.data.tolist() == [2.0, 3.0, 4.0]
+    for arr in (mat.indptr, mat.indices, mat.data):
+        assert not arr.flags.writeable
+    indices = np.array([0, 1, 1], dtype=np.int32)
+    assert lp_core.CsrMatrix(np.array([0, 2, 3]), indices, np.ones(3),
+                             (2, 2)).indices is indices
+    assert not indices.flags.writeable
+
+
+_THREE_COLS = lp_core.CsrMatrix(np.zeros(1, np.int32), np.zeros(0, np.int32),
+                                np.zeros(0), (0, 3))        # no rows
+
+
+@pytest.mark.parametrize("name, value", [
+    pytest.param("A_ub", np.array([[1.0, 1.0], [1.0, 0.0]]), id="dense"),
+    pytest.param("A_ub", sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 0.0]])),
+                 id="scipy CSR"),
+    pytest.param("A_eq", _THREE_COLS, id="wrong width"),
+    pytest.param("A_eq", None, id="None"),
+])
+def test_linprog_takes_only_records_of_its_width(name, value):
+    lp, x, y = _knapsack_lp()
+    kwargs = dict(bounds=lp.bounds, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq,
+                  b_eq=lp.b_eq)
+    assert lp_core.linprog(lp.c, **kwargs).status == 0
+    with pytest.raises(ValueError, match="CsrMatrix records"):
+        lp_core.linprog(lp.c, **{**kwargs, name: value})
 
 
 def test_empty_blocks_are_zero_row_csr():

@@ -252,6 +252,20 @@ def test_agents_reject_out_of_range_input(case_study, kind, call, args):
         getattr(agent, call)(*args)
 
 
+@pytest.mark.parametrize("kind", ["optimal", "window"])
+def test_agents_reject_observe_past_the_horizon(case_study, kind):
+    """At horizon 2 one observe reaches the last stage; every later one
+    raises and leaves the agent playing that stage."""
+    agent = _case_agent(case_study, kind)
+    agent.begin_episode(0)
+    agent.observe(0, 0, 1)
+    probs = agent.act()
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="past the horizon"):
+            agent.observe(0, 0, 1)
+    assert np.array_equal(agent.act(), probs)
+
+
 def test_fixed_policy_agent(rng):
     spec = random_spec(rng, num_l=3, horizon=3)
     policy = np.array([[0.9, 0.1], [0.75, 0.25], [0.5, 0.5]])

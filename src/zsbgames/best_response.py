@@ -38,17 +38,15 @@ def _solve_vs_plan(spec: GameSpec, plan: RealizationPlan, weights, n: int,
     opp = view.opp                  # the responder
     ns, no, num_own = view.num_states, view.num_opp_states, view.num_actions
     best = np.min if plan.side == 1 else np.max
-    plan_weights = plan.depth_weights()
+    plan_weights = plan.last_state_weights()
     values = [None] * n
     for t in range(n, 0, -1):
         R = index.num_pairs ** (t - 1)
         # per pair sequence r: the plan weights of its compatible histories
-        # (S, r) by last own state, summed over S's earlier states in id
-        # order, starting from 0.0; einsum's summation order follows its
+        # (S, r) by last own state; einsum's summation order follows its
         # operands' memory layout, so `reach` is made C-contiguous
-        reach = plan_weights[t - 1].reshape(ns ** (t - 1), ns, R, num_own)
         reach = np.ascontiguousarray(
-            np.add.reduce(reach, axis=0, initial=0.0).transpose(1, 0, 2))
+            plan_weights[t - 1].reshape(ns, R, num_own).transpose(1, 0, 2))
         stage = lam ** (t - 1) * np.einsum("rsa,soab->rob", reach, view.payoff)
         # responder history j = (S, r): [j, responder action]
         j = np.arange(index.count(opp, t))[:, None]

@@ -72,12 +72,6 @@ class HistoryIndex:
             hid = hid * num_pairs + a * num_b + b
         return hid
 
-    def compatible(self, side: int, public) -> list[int]:
-        """Ids at depth len(public)+1 whose action-pair projection is `public`."""
-        t = len(public) + 1
-        rank = self.id_of(side, t, (0,) * t, public)
-        return list(range(rank, self.count(side, t), self.num_pairs ** (t - 1)))
-
     def child_id(self, side: int, t: int, hid, a, b, next_state):
         """Id of the depth-(t+1) extension of `hid`; takes arrays too."""
         stride = self.num_pairs ** (t - 1)

@@ -37,39 +37,62 @@ class RealizationPlan:
     root: np.ndarray
     values: dict
 
-    def depth_weights(self) -> list[np.ndarray]:
-        """`values` as one (history, own action) array per depth 1..depth."""
-        width = self.index.spec.side(self.side).num_actions
-        keys = self.index.keys(self.side, self.depth, width)
+    def last_state_weights(self) -> list[np.ndarray]:
+        """The plan summed over earlier own states, in id order from 0.0:
+        one (last state, pair sequence) x own action array per depth t,
+        whose row for last state s and pairs `acts` is `id_of(side, t,
+        (s,), acts)`. Payoffs read only the last state and transitions are
+        Markov, so the plan's value depends on nothing else."""
+        view = self.index.spec.side(self.side)
+        keys = self.index.keys(self.side, self.depth, view.num_actions)
         flat = np.fromiter(map(self.values.__getitem__, keys), float, len(keys))
-        ends = np.cumsum([self.index.count(self.side, t) * width
-                          for t in range(1, self.depth + 1)])
-        return [part.reshape(-1, width) for part in np.split(flat, ends[:-1])]
+        weights, start = [], 0
+        for t in range(1, self.depth + 1):
+            stop = start + self.index.count(self.side, t) * view.num_actions
+            w = flat[start:stop].reshape(view.num_states ** (t - 1), -1,
+                                         view.num_actions)
+            weights.append(np.add.reduce(w, axis=0, initial=0.0))
+            start = stop
+        return weights
 
 
 @dataclass
 class BehavioralStrategy:
-    """Per-history action distributions, one entry per information set."""
+    """Action distributions on (last own state, public pair sequence).
+
+    `probs[t - 1]` has one row per depth-t information set of the
+    sufficient statistic: row `id_of(side, t, (s,), acts)` for last own
+    state s and pair sequence `acts`. Earlier own states do not enter.
+    """
 
     side: int
     depth: int
     index: HistoryIndex
-    probs: list                     # [t - 1]: (hid, own action) array
+    probs: list                     # [t - 1]: (state, pairs) x own action
 
     def action_probs(self, states, acts) -> np.ndarray:
-        t = len(states)
-        return self.probs[t - 1][self.index.id_of(self.side, t, states, acts)]
+        """The distribution after pairs `acts`; of the own states `states`
+        only the last is read."""
+        t = len(acts) + 1
+        return self.probs[t - 1][self.index.id_of(self.side, t, states[-1:],
+                                                  acts)]
 
-    def stage1_matrix(self) -> np.ndarray:
-        """Stage-1 strategy as an (own action, own state) matrix; depth-1
-        history ids are the own states."""
-        return np.ascontiguousarray(self.probs[0].T)
+    def stage_matrix(self, acts=()) -> np.ndarray:
+        """The strategy after pairs `acts` as an (own action, own state)
+        matrix."""
+        stride = self.index.num_pairs ** len(acts)
+        rank = self.index.id_of(self.side, len(acts) + 1, (0,), acts)
+        return np.ascontiguousarray(self.probs[len(acts)][rank::stride].T)
+
+    stage1_matrix = stage_matrix
 
     @cached_property
     def table(self) -> dict:
-        """The distributions keyed by (t, hid)."""
-        return dict(zip(self.index.keys(self.side, self.depth),
-                        np.concatenate(self.probs)))
+        """The distributions keyed by full-history (t, hid): each history
+        gets the row of its last state and pairs."""
+        return dict(zip(self.index.keys(self.side, self.depth), np.concatenate(
+            [np.tile(p, (self.index.count(self.side, t) // len(p), 1))
+             for t, p in enumerate(self.probs, start=1)])))
 
 
 @dataclass
@@ -137,37 +160,25 @@ def add_sequence_system(builder: LpBuilder, spec: GameSpec, index: HistoryIndex,
     root_rows = builder.add_rows("=", root_dist,
                                  [(h, plan_at[0] + h * num_own + act, 1.0)])
     for t in range(2, n + 1):
-        h = np.arange(own_counts[t - 1])[:, None]
-        extends, step = _parent_steps(index, view, t)
-        builder.add_rows("=", np.zeros(h.size), [
-            (h, plan_at[t - 1] + h * num_own + act, 1.0),
-            (h[:, 0], plan_at[t - 2] + extends, -step)])
+        hid = np.arange(own_counts[t - 1])
+        pid, (a, b) = index.parent(side, t, hid)
+        states, _ = index.history(side, t, hid)
+        builder.add_rows("=", np.zeros(hid.size), [
+            (hid[:, None], plan_at[t - 1] + hid[:, None] * num_own + act, 1.0),
+            (hid, plan_at[t - 2] + pid * num_own + view.pair(a, b)[0],
+             -view.trans[a, b, states[-2], states[-1]])])
 
     return SequenceSystem(plan_vars, payoff_vars, root_rows)
 
 
-def _parent_steps(index: HistoryIndex, view, t: int):
-    """For each depth-t history (t >= 2) of `view`'s side, in id order: the
-    position (parent id * own actions + own action) of the depth-(t-1)
-    plan weight it extends, and the transition probability of its last
-    state."""
-    hid = np.arange(index.count(view.side, t))
-    pid, (a, b) = index.parent(view.side, t, hid)
-    states, _ = index.history(view.side, t, hid)
-    return (pid * view.num_actions + view.pair(a, b)[0],
-            view.trans[a, b, states[-2], states[-1]])
-
-
-def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
-                 index: HistoryIndex | None = None):
+def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int):
     """Player `side`'s primal LP; returns (lp, plan_vars, payoff_vars, index).
 
     The plan is rooted at the player's own belief; the objective weights
     the opponent's root payoff variables with the opponent's belief.
     """
     view = spec.side(side)
-    if index is None:
-        index = build_index(spec, n)
+    index = build_index(spec, n)
     own, other = view.pair(p, q)
     builder = LpBuilder()
     plan_vars, payoff_vars, _ = add_sequence_system(
@@ -188,27 +199,25 @@ def plan_from_solution(index: HistoryIndex, side: int, n: int,
 
 
 def extract_strategy(plan: RealizationPlan, spec: GameSpec) -> BehavioralStrategy:
-    """Behavioral strategy from a realization plan.
+    """Sufficient-statistic strategy from a realization plan: each (last
+    own state, pair sequence) plays its plan weights summed over earlier
+    own states, normalized. Recomposed, it gives the plan's last-state sum
+    and hence the plan's security value (the common-information argument
+    of Nayyar, Mahajan & Teneketzis 2013).
 
     At information sets whose reach weight is below UNREACHABLE_TOL the
     plan pins down nothing; those sets get the uniform distribution.
     """
-    index, side = plan.index, plan.side
-    view = spec.side(side)
-    weights = plan.depth_weights()
+    view = spec.side(plan.side)
     probs = []
-    for t, w in enumerate(weights, start=1):
-        if t == 1:
-            denom = plan.root
-        else:
-            extends, step = _parent_steps(index, view, t)
-            denom = step * weights[t - 2].ravel()[extends]
+    for t, w in enumerate(plan.last_state_weights(), start=1):
+        denom = plan.root if t == 1 else w.sum(axis=1)
         reached = ~(denom <= UNREACHABLE_TOL)
         dist = np.full(w.shape, 1.0 / view.num_actions)
         dist[reached] = np.maximum(w[reached] / denom[reached, None], 0.0)
         probs.append(dist)
-    return BehavioralStrategy(side=side, depth=plan.depth, index=index,
-                              probs=probs)
+    return BehavioralStrategy(side=plan.side, depth=plan.depth,
+                              index=plan.index, probs=probs)
 
 
 def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,

@@ -5,21 +5,23 @@ later window with its dual LP at the current sufficient statistic
 (belief about its own state as seen from outside, plus the vector payoff
 over the opponent-visible states). The belief advances every stage, the
 vector payoff every stage before the last window.
-The agent keeps the posterior of its own state sequences in the current
-window given the public actions and its own strategy; the belief is that
-posterior's marginal over the last state. The vector payoff advances
+Every strategy plays on (last own state, public pairs) (see
+`primal_solver.extract_strategy`), so the belief advances by the
+one-stage Bayes rule with the strategy's stage matrix at the current
+public prefix (`stat_updater._update_belief`). The vector payoff advances
 by a read-out of the plan of the dual game at the pre-stage statistic
 (`SolverCache._update`), so play solves no update LP except for an
 observed pair that plan never plays.
 
 As the statistic is fully accessible, all of an agent's state but its own
-states is fixed by the public pairs seen so far. `SolverCache` keeps it in
-a tree per (side, window size, horizon, update mode), a node per public
-prefix, so only a new prefix runs the per-stage update.
+current state is fixed by the public pairs seen so far. `SolverCache`
+keeps it in a tree per (side, window size, horizon, update mode), a node
+per public prefix, so only a new prefix runs the per-stage update.
 
-`OptimalAgent` plays the full-horizon security strategy; `FixedPolicyAgent`
-plays a stationary per-state distribution. All agents expose the same
-surface: begin_episode(own_state), act() -> distribution, observe(a, b,
+`OptimalAgent`, the one-window `WindowAgent`, plays the full-horizon
+security strategy; `FixedPolicyAgent` plays a stationary per-state
+distribution. All agents expose the same surface:
+begin_episode(own_state), act() -> distribution, observe(a, b,
 own_next_state). They never see the opponent's state or the stage payoff.
 """
 
@@ -75,17 +77,16 @@ def _stat_key(*arrays):
 
 
 class _Node:
-    """A `WindowAgent`'s state after some public pairs, shared by episodes;
-    `weights` is the posterior over the window's own-state sequences, in
-    the id order of the histories compatible with `window_acts`."""
+    """A `WindowAgent`'s state after some public pairs, shared by episodes:
+    everything but the agent's own current state."""
 
     __slots__ = ("t", "window_id", "window_len", "strategy", "belief",
-                 "vector_payoff", "window_acts", "weights")
+                 "vector_payoff", "window_acts")
 
     def __init__(self, *state):
         for name, value in zip(self.__slots__, state, strict=True):
             setattr(self, name, value)
-        for arr in (self.belief, self.vector_payoff, self.weights):
+        for arr in (self.belief, self.vector_payoff):
             arr.flags.writeable = False
 
 
@@ -192,12 +193,16 @@ class WindowAgent:
     the next window's length at a window's last stage). The window that
     ends at the horizon does not advance it: only a later window's dual LP
     reads the vector payoff, and `act()` reads only the strategy.
-    `own_states` are the own states in the window; the rest of the state
-    is read from the current node of the cache's tree.
+    `own_state` is the agent's current state; the rest of its state is
+    read from the current node of the cache's tree.
     """
 
     def __init__(self, spec: GameSpec, config: WindowConfig, side: int,
                  cache: SolverCache | None = None):
+        if config.total_horizon != spec.horizon_n:
+            raise ValidationError(
+                f"window config horizon N={config.total_horizon} differs "
+                f"from the game's horizon {spec.horizon_n}")
         self._view = spec.side(side)
         self.spec = spec
         self.config = config
@@ -212,22 +217,21 @@ class WindowAgent:
         self._node = self.cache._tree_node(
             (self.side, config.window_n, config.total_horizon,
              config.update_horizon_mode), self._root)
-        self.own_states = (own_state,)
+        self.own_state = own_state
 
     def _root(self) -> _Node:
-        spec = self.spec
-        window_len = min(self.config.window_n, self.config.total_horizon)
+        spec, window_len = self.spec, self.config.window_n
         result = self.cache.primal(spec.p0, spec.q0, window_len, spec.lam,
                                    self.side)
-        belief = self._view.prior.copy()
-        return _Node(1, 1, window_len, result.strategy, belief,
-                     result.initial_vector_payoff.copy(), (), belief)
+        return _Node(1, 1, window_len, result.strategy,
+                     self._view.prior.copy(),
+                     result.initial_vector_payoff.copy(), ())
 
     # -- acting ------------------------------------------------------------
 
     def act(self) -> np.ndarray:
         node = self._node
-        return node.strategy.action_probs(self.own_states, node.window_acts)
+        return node.strategy.action_probs((self.own_state,), node.window_acts)
 
     # -- observation -------------------------------------------------------
 
@@ -236,32 +240,16 @@ class WindowAgent:
         node = self._node
         if node.t >= self.config.total_horizon:
             raise ValidationError("observe called past the horizon")
-        self._node = child = self.cache._tree_node(
+        self._node = self.cache._tree_node(
             (node, a, b), lambda: self._next(node, a, b))
-        self.own_states = ((*self.own_states, own_next_state)
-                           if child.window_acts else (own_next_state,))
+        self.own_state = own_next_state
 
     def _next(self, node: _Node, a: int, b: int) -> _Node:
         """The node after `node` and the pair (a, b)."""
         spec, view, config = self.spec, self._view, self.config
-
-        # advance the posterior: weight each sequence by the modeled
-        # likelihood of the played own action and extend it by its last
-        # state's transition; if that action has zero modeled likelihood,
-        # drop the likelihood factor (the belief update's degenerate rule)
-        ns = view.num_states
-        probs = node.strategy.probs[len(node.window_acts)][
-            node.strategy.index.compatible(self.side, node.window_acts)]
-        trans = view.trans[a, b][np.arange(node.weights.size) % ns]
-        for reach in (node.weights * probs[:, view.pair(a, b)[0]],
-                      node.weights):
-            weights = (reach[:, None] * trans).ravel()
-            weights[~(weights > 0.0)] = 0.0
-            total = sum(weights.tolist())
-            if total > 1e-12:
-                break
-        weights = weights / total
-        belief = weights.reshape(-1, ns).sum(axis=0)
+        belief = stat_updater._update_belief(
+            spec, self.side, node.belief,
+            node.strategy.stage_matrix(node.window_acts), a, b)
         window_acts = node.window_acts + ((a, b),)
 
         # the dual game at the pre-stage statistic advances the vector
@@ -281,15 +269,15 @@ class WindowAgent:
         t = node.t + 1
         if len(window_acts) < node.window_len:
             return _Node(t, node.window_id, node.window_len, node.strategy,
-                         belief, vector_payoff, window_acts, weights)
+                         belief, vector_payoff, window_acts)
         # the next window plays the opponent's dual game, whose plan owner
-        # is this side; its posterior starts at the belief
+        # is this side
         window_len = min(config.window_n, config.total_horizon - t + 1)
         dual = self.cache.dual2 if self.side == 1 else self.cache.dual1
         strategy = dual(*view.pair(belief, vector_payoff), window_len,
                         spec.lam).strategy
         return _Node(t, node.window_id + 1, window_len, strategy, belief,
-                     vector_payoff, (), belief)
+                     vector_payoff, ())
 
 
 for _name in ("t", "window_id", "window_len", "strategy", "belief",
@@ -298,32 +286,14 @@ for _name in ("t", "window_id", "window_len", "strategy", "belief",
 del _name
 
 
-class OptimalAgent:
-    """Plays the full-horizon security strategy of one side."""
+class OptimalAgent(WindowAgent):
+    """Plays the full-horizon security strategy of one side: the window
+    agent whose one window is the whole game."""
 
     def __init__(self, spec: GameSpec, side: int,
                  cache: SolverCache | None = None):
-        self._view = spec.side(side)
-        self.spec = spec
-        self.side = side
-        cache = cache if cache is not None else SolverCache(spec)
-        self.strategy = cache.primal(spec.p0, spec.q0, spec.horizon_n,
-                                     spec.lam, side).strategy
-
-    def begin_episode(self, own_state: int) -> None:
-        _check_input(self._view, own_state)
-        self.own_states = (own_state,)
-        self.acts = ()
-
-    def act(self) -> np.ndarray:
-        return self.strategy.action_probs(self.own_states, self.acts)
-
-    def observe(self, a: int, b: int, own_next_state: int) -> None:
-        _check_input(self._view, own_next_state, a, b)
-        if len(self.own_states) >= self.spec.horizon_n:
-            raise ValidationError("observe called past the horizon")
-        self.own_states = self.own_states + (own_next_state,)
-        self.acts = self.acts + ((a, b),)
+        super().__init__(spec, WindowConfig(spec.horizon_n, spec.horizon_n),
+                         side, cache)
 
 
 class FixedPolicyAgent:

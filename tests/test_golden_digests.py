@@ -60,18 +60,18 @@ LP_DIGESTS = {
 
 SOLVE_DIGESTS = {
     "n3-side1":
-        "2117c8d53fcd439dc7bddc9480c4c01a7c7183fa7786bcfd9253ec0fa1489ede",
+        "d8fcdb489d5800f991732ee65df43037ff5fdf6ebb4f4c0d5616678da8644c19",
     "n3-side2":
-        "4ff4e2d8283748bf3b29ea4d12b6a2b79f54c7cc7ca754f70305e526f9f5391e",
+        "4c6726bf9205670f8d03344eab3042b848ffd9a7d5ace3283d79a655ac226a40",
 }
 
 PLAY_DIGESTS = {
     "duel-200":
-        "e6b18037f73cc9de2b98769ecb550fb4c00d4c850dcaa8644e0ae84f89462bed",
+        "71843677ac63fd288f927020077c0def16d5266039cfd81148dee9260e5623bc",
     "jammer-3":
-        "8deeaca1feafe8fd3d2abab8d3b6688dbda4e143ab18dea11b546ef5418789f5",
+        "8c2e999cbf4e7a135f0a3415ec0e1994a5d560a9611ea27b828fa4c71cd3ec45",
     "remaining-window-50":
-        "6e34b28a03198611bc974da7f4433f1caab3d8c722d936d6471f3cbb5b2809a3",
+        "c72a0027c55229756c95e1e4088d2bf9f963084e7b5e49673ebf8a7de73b0a66",
 }
 
 

@@ -1,4 +1,3 @@
-from collections import defaultdict
 from itertools import product
 
 import numpy as np
@@ -45,16 +44,6 @@ def test_parent_child_round_trip(index):
                             assert pid == hid and act == (a, b)
 
 
-def test_compatible_partitions_level(index):
-    for side in (1, 2):
-        seen = []
-        for acts in {acts for _, acts in index.histories(side, 3)}:
-            ids = index.compatible(side, acts)
-            assert all(index.history(side, 3, i)[1] == acts for i in ids)
-            seen.extend(ids)
-        assert sorted(seen) == list(range(index.count(side, 3)))
-
-
 def test_histories_sorted_states_major(index):
     level = index.histories(1, 2)
     keys = [(states, acts) for states, acts in level]
@@ -82,10 +71,9 @@ def test_layout_matches_product_enumeration(case_study):
             level = list(product(product(range(ns), repeat=t),
                                  product(pairs, repeat=t - 1)))
             assert index.count(side, t) == len(level)
-            ids, public = {}, defaultdict(list)
+            ids = {}
             for hid, (states, acts) in enumerate(level):
                 ids[(states, acts)] = hid
-                public[acts].append(hid)
                 assert index.id_of(side, t, states, acts) == hid
                 assert index.history(side, t, hid) == (states, acts)
                 if t > 1:
@@ -93,6 +81,4 @@ def test_layout_matches_product_enumeration(case_study):
                     assert index.parent(side, t, hid) == (pid, acts[-1])
                     assert index.child_id(side, t - 1, pid, *acts[-1],
                                           states[-1]) == hid
-            for acts, hids in public.items():
-                assert index.compatible(side, acts) == hids
             prev = ids

@@ -1,7 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from zsbgames import GameSpec, extract_strategy, solve_primal
+from zsbgames import (RealizationPlan, best_response_vs_p1,
+                      best_response_vs_p2, solve_primal)
 from zsbgames.bounds import _matrix_game_value
 from zsbgames.primal_solver import build_primal
 
@@ -53,22 +56,60 @@ def test_strategy_rows_are_distributions(rng):
 
 
 def test_strategy_recomposes_plan(case_study):
-    """Reach probability times behavioral weights reproduces the plan."""
+    """Reach probability times behavioral weights, on (last own state,
+    pair sequence), reproduces the plan summed over earlier own states."""
     spec = case_study
-    res = solve_primal(spec, spec.p0, spec.q0, 2, spec.lam, 1)
-    plan, strat, index = res.plan, res.strategy, res.plan.index
-    for t in range(1, 3):
-        for hid, (states, acts) in enumerate(index.histories(1, t)):
-            reach = float(spec.p0[states[0]])
-            for s, (a, b) in enumerate(acts):
-                reach *= (strat.table[(s + 1, index.id_of(1, s + 1,
-                                                          states[:s + 1],
-                                                          acts[:s]))][a]
-                          * spec.trans_p[a, b, states[s], states[s + 1]])
-            for act in range(spec.num_a):
-                recomposed = reach * strat.table[(t, hid)][act]
-                assert recomposed == pytest.approx(plan.values[(t, hid, act)],
-                                                   abs=1e-7)
+    res = solve_primal(spec, spec.p0, spec.q0, 3, spec.lam, 1)
+    strat, index = res.strategy, res.plan.index
+    reach = {(s, ()): float(spec.p0[s]) for s in range(spec.num_k)}
+    for t, want in enumerate(res.plan.last_state_weights(), start=1):
+        assert want.shape == (len(reach), spec.num_a)
+        nxt = {}
+        for (s, acts), weight in reach.items():
+            probs = strat.action_probs((s,), acts)
+            row = want[index.id_of(1, t, (s,), acts)]
+            assert weight * probs == pytest.approx(row, abs=1e-7)
+            for a, b, s_next in product(range(spec.num_a), range(spec.num_b),
+                                        range(spec.num_k)):
+                key = (s_next, acts + ((a, b),))
+                nxt[key] = nxt.get(key, 0.0) + (
+                    weight * probs[a] * spec.trans_p[a, b, s, s_next])
+        reach = nxt
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("side", [1, 2])
+def test_strategy_reads_only_the_last_state(case_study, side, n):
+    """Histories that share their last own state and pairs get one table
+    row, and the table, expanded to a plan over full histories, concedes
+    exactly the LP value to a best response."""
+    spec = case_study
+    view = spec.side(side)
+    own, other = view.pair(spec.p0, spec.q0)
+    res = solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side)
+    index, table = res.plan.index, res.strategy.table
+    reach, values = {}, {}
+    for t in range(1, n + 1):
+        rows = {}
+        for hid, (states, acts) in enumerate(index.histories(side, t)):
+            probs = table[(t, hid)]
+            assert np.array_equal(rows.setdefault((states[-1], acts), probs),
+                                  probs)
+            if t == 1:
+                weight = float(own[states[0]])
+            else:
+                pid, (a, b) = index.parent(side, t, hid)
+                weight = (reach[(t - 1, pid)]
+                          * table[(t - 1, pid)][view.pair(a, b)[0]]
+                          * view.trans[a, b, states[-2], states[-1]])
+            reach[(t, hid)] = weight
+            for act in range(view.num_actions):
+                values[(t, hid, act)] = weight * probs[act]
+    plan = RealizationPlan(side=side, depth=n, index=index, root=own,
+                           values=values)
+    vs_plan = best_response_vs_p1 if side == 1 else best_response_vs_p2
+    assert vs_plan(spec, plan, other, n, spec.lam).value == pytest.approx(
+        res.value, abs=1e-9)
 
 
 def test_value_concave_in_p_convex_in_q(rng):

@@ -28,6 +28,15 @@ def test_window_config_validation():
         WindowConfig(window_n=2, total_horizon=4, update_horizon_mode="bogus")
 
 
+@pytest.mark.parametrize("total", [4, 2])
+def test_config_horizon_must_be_the_game_horizon(case_study, total):
+    """At N=3 a config with N=4 would play a 2-stage window at t=3, and one
+    with N=2 would refuse the game's last observe."""
+    spec = dataclasses.replace(case_study, horizon_n=3)
+    with pytest.raises(ValidationError, match="horizon"):
+        WindowAgent(spec, WindowConfig(window_n=2, total_horizon=total), 1)
+
+
 def test_full_window_equals_optimal(rng):
     """With n = N the window agent is the optimal agent."""
     spec = random_spec(rng, num_k=2, num_l=2, horizon=3)
@@ -369,7 +378,7 @@ def test_tree_nodes_are_read_only(rng):
     agent = WindowAgent(spec, WindowConfig(window_n=2, total_horizon=4), 1)
     agent.begin_episode(0)
     agent.observe(0, 1, 1)
-    for arr in (agent.belief, agent.vector_payoff, agent._node.weights):
+    for arr in (agent.belief, agent.vector_payoff):
         with pytest.raises(ValueError):
             arr[0] = 0.5
 

@@ -1,14 +1,17 @@
 """Best-response value against a fixed realization plan.
 
-With the plan fixed, the responder's weighted payoff at each of its own
-histories follows a backward recursion over its history tree: for each
-responder action, the plan-weighted stage payoff of the compatible plan
-histories plus the transition-weighted values of the history's children;
-the responder takes the minimum against a player-1 plan and the maximum
-against a player-2 plan. This is the sequence-form best response (von
-Stengel 1996), exact at every history, including ones the responder
-reaches with zero prior weight. The result keeps these values as one
-array per depth, indexed by the responder's history ids (`HistoryIndex`).
+With the plan fixed, the responder's weighted payoff follows a backward
+recursion over its information: for each responder action, the
+plan-weighted stage payoff of the compatible plan histories plus the
+transition-weighted values of the children; the responder takes the
+minimum against a player-1 plan and the maximum against a player-2 plan.
+This is the sequence-form best response (von Stengel 1996), exact at
+every history, including ones the responder reaches with zero prior
+weight. Payoffs read only the responder's last state, its transitions are
+Markov and the plan never sees its states, so the value at a history
+depends only on its last state and the public pairs: the recursion runs
+on one row per (last responder state s, pair sequence r), id `s * R + r`
+with `R = P**(t - 1)`, the layout of `BehavioralStrategy.probs`.
 """
 
 from __future__ import annotations
@@ -27,40 +30,38 @@ if TYPE_CHECKING:
 @dataclass
 class BestResponseResult:
     value: float
-    values: list                    # [t - 1]: by responder id at depth t
+    values: list                    # [t - 1]: by (last state, pairs) row
     roots: np.ndarray               # values[0], by responder state
 
 
 def _solve_vs_plan(spec: GameSpec, plan: RealizationPlan, weights, n: int,
                    lam: float) -> BestResponseResult:
-    index = plan.index
     view = spec.side(plan.side)     # the plan owner's view
-    opp = view.opp                  # the responder
     ns, no, num_own = view.num_states, view.num_opp_states, view.num_actions
+    P, num_b = plan.index.num_pairs, spec.num_b
     best = np.min if plan.side == 1 else np.max
     plan_weights = plan.last_state_weights()
     values = [None] * n
     for t in range(n, 0, -1):
-        R = index.num_pairs ** (t - 1)
+        R = P ** (t - 1)
         # per pair sequence r: the plan weights of its compatible histories
         # (S, r) by last own state; einsum's summation order follows its
         # operands' memory layout, so `reach` is made C-contiguous
         reach = np.ascontiguousarray(
             plan_weights[t - 1].reshape(ns, R, num_own).transpose(1, 0, 2))
         stage = lam ** (t - 1) * np.einsum("rsa,soab->rob", reach, view.payoff)
-        # responder history j = (S, r): [j, responder action]
-        j = np.arange(index.count(opp, t))[:, None]
-        last = j // R % no
-        vals = stage[j[:, 0] % R, last[:, 0]]
+        # responder row s * R + r: [row, responder action]
+        vals = stage.transpose(1, 0, 2).reshape(no * R, -1)
         if t < n:
             o = np.arange(view.num_opp_actions)
+            last, r = np.divmod(np.arange(no * R)[:, None], R)
             for act in range(num_own):
                 a, b = view.pair(act, o)
                 for nxt in range(no):
-                    child = index.child_id(opp, t, j, a, b, nxt)
+                    child = (nxt * R + r) * P + a * num_b + b
                     vals += view.opp_trans[a, b, last, nxt] * values[t][child]
         values[t - 1] = best(vals, axis=1)
-    roots = values[0]               # depth-1 ids are the responder states
+    roots = values[0]               # depth-1 rows are the responder states
     value = float(np.dot(np.asarray(weights, dtype=float), roots))
     return BestResponseResult(value=value, values=values, roots=roots)
 

@@ -115,11 +115,8 @@ def _columns_rise(indptr, indices) -> bool:
 
 
 class LpBuilder:
-    """Incremental construction of an LP, compiled by `build`.
-
-    Rows are added in blocks of arrays (`add_rows`); `add_row` adds one row
-    from a {var: coeff} dict.
-    """
+    """Incremental construction of an LP, compiled by `build`; rows are
+    added in blocks of arrays (`add_rows`)."""
 
     def __init__(self):
         self._bounds = []               # (lower, upper) per variable
@@ -147,12 +144,6 @@ class LpBuilder:
         self._rhs.append(np.array(rhs, dtype=float))
         self._rels += [rel] * self._rhs[-1].size
         return range(start, len(self._rels))
-
-    def add_row(self, coeffs: dict, rel: str, rhs: float) -> int:
-        """Append a row; returns its index in the built LP's `rels`."""
-        cols = np.fromiter(coeffs, np.int64, len(coeffs))
-        vals = np.fromiter(coeffs.values(), float, len(coeffs))
-        return self.add_rows(rel, [rhs], [(np.zeros_like(cols), cols, vals)])[0]
 
     def build(self, sense: str, objective: dict) -> CompiledLP:
         """The LP that minimizes (MIN) or maximizes (MAX) `objective`, a

@@ -8,10 +8,10 @@ vector payoff every stage before the last window.
 Every strategy plays on (last own state, public pairs) (see
 `primal_solver.extract_strategy`), so the belief advances by the
 one-stage Bayes rule with the strategy's stage matrix at the current
-public prefix (`stat_updater._update_belief`). The vector payoff advances
-by a read-out of the plan of the dual game at the pre-stage statistic
-(`SolverCache._update`), so play solves no update LP except for an
-observed pair that plan never plays.
+public prefix (`stat_updater.update_belief_p/q`). The vector payoff
+advances by a read-out of the plan of the dual game at the pre-stage
+statistic (`SolverCache._update`), so play solves no update LP except for
+an observed pair that plan never plays.
 
 As the statistic is fully accessible, all of an agent's state but its own
 current state is fixed by the public pairs seen so far. `SolverCache`
@@ -73,7 +73,11 @@ def _check_input(view: SideView, own_state, a=0, b=0) -> None:
 
 
 def _stat_key(*arrays):
-    return tuple(np.round(arr, 12).tobytes() for arr in arrays)
+    """The statistic rounded to 12 decimals, and its bytes as a memo key.
+    Entries are solved at the rounded statistic, so each depends on its
+    key alone and not on which statistic met the key first."""
+    rounded = tuple(np.round(arr, 12) for arr in arrays)
+    return rounded, tuple(arr.tobytes() for arr in rounded)
 
 
 class _Node:
@@ -91,7 +95,8 @@ class _Node:
 
 
 class SolverCache:
-    """Memoizes LP solves and read-outs keyed on the rounded statistic.
+    """Memoizes LP solves and read-outs keyed on the rounded statistic,
+    solved at that rounded statistic (the primal at the raw one).
 
     The statistic trajectory of a window agent depends only on the public
     action sequence, so sharing one cache across the episodes of a Monte
@@ -123,7 +128,7 @@ class SolverCache:
         return node
 
     def primal(self, p, q, n, lam, side):
-        key = ("primal", side, n, lam, _stat_key(p, q))
+        key = ("primal", side, n, lam, _stat_key(p, q)[1])
         return self._memo(key, lambda: primal_solver.solve_primal(
             self.spec, p, q, n, lam, side))
 
@@ -133,7 +138,8 @@ class SolverCache:
         if (kind, n, lam) not in self._templates:
             self._templates[kind, n, lam] = dual_solver.dual_template(
                 self.spec, kind, n, lam)
-        key = (f"dual{kind}", n, lam, _stat_key(x1, x2))
+        (x1, x2), stat = _stat_key(x1, x2)
+        key = (f"dual{kind}", n, lam, stat)
         return self._memo(key, lambda: solve(
             self.spec, x1, x2, n, lam, template=self._templates[kind, n, lam]))
 
@@ -147,13 +153,14 @@ class SolverCache:
         """Vector payoff over player `kind`'s states after pair (a, b), read
         off the plan of the dual-`kind` game at (vec, belief): -BR(s) /
         (lam bar[m]), with BR(s) the responder's best-response value at its
-        depth-2 history ending in (a, b) and state s, and bar[m] the plan
+        depth-2 row of last state s and pair (a, b), and bar[m] the plan
         owner's stage weight of its action in (a, b). It is 0 at n = 1 (no
         continuation) and the update LP's at bar[m] <= DEGENERATE_TOL."""
         view = self.spec.side(kind)
         if n == 1:
             return np.zeros(view.num_states)
-        key = (f"upd{kind}", n, lam, _stat_key(vec, belief))
+        (vec, belief), stat = _stat_key(vec, belief)
+        key = (f"upd{kind}", n, lam, stat)
         star, bar, br = self._memo(key, lambda: self._read_out(
             view, vec, belief, n, lam))
         m = view.pair(a, b)[1]
@@ -164,18 +171,17 @@ class SolverCache:
             self.spec, vec, belief, star, a, b, n, lam).vector)
 
     def _read_out(self, view, vec, belief, n, lam):
-        """(star, bar, BR) of `_update`, with BR[a, b, s] read at the history
-        (0, (a, b), s): a depth-2 value does not depend on the first state."""
+        """(star, bar, BR) of `_update`, with BR[a, b, s] the responder's
+        depth-2 row of last state s and pair (a, b)."""
         dual = (self.dual1 if view.side == 1 else self.dual2)(
             *view.pair(vec, belief), n, lam)
         vs_plan = (best_response.best_response_vs_p2 if view.side == 1
                    else best_response.best_response_vs_p1)
         depth2 = vs_plan(self.spec, dual.plan, np.zeros(view.num_states), n,
                          lam).values[1]
-        shape = (view.num_states, self.spec.num_a, self.spec.num_b)
         star = dual.strategy.stage1_matrix()
-        return (star, star @ belief,
-                depth2[:np.prod(shape)].reshape(shape).transpose(1, 2, 0))
+        return (star, star @ belief, depth2.reshape(
+            view.num_states, -1, self.spec.num_b).transpose(1, 2, 0))
 
     def update_mu(self, mu, q, n, lam, a, b):
         return self._update(1, mu, q, n, lam, a, b)
@@ -247,9 +253,11 @@ class WindowAgent:
     def _next(self, node: _Node, a: int, b: int) -> _Node:
         """The node after `node` and the pair (a, b)."""
         spec, view, config = self.spec, self._view, self.config
-        belief = stat_updater._update_belief(
-            spec, self.side, node.belief,
-            node.strategy.stage_matrix(node.window_acts), a, b)
+        update_belief = (stat_updater.update_belief_p if self.side == 1
+                         else stat_updater.update_belief_q)
+        belief = update_belief(spec, node.belief,
+                               node.strategy.stage_matrix(node.window_acts),
+                               a, b)
         window_acts = node.window_acts + ((a, b),)
 
         # the dual game at the pre-stage statistic advances the vector

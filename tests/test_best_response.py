@@ -57,11 +57,69 @@ def test_payoff_map_consistent_with_value(rng):
     r1 = solve_primal(spec, spec.p0, spec.q0, 2, spec.lam, 1)
     br = best_response_vs_p1(spec, r1.plan, spec.q0, 2, spec.lam)
     index = r1.plan.index
-    assert [v.shape for v in br.values] == [(index.count(2, t),) for t in (1, 2)]
+    assert [v.shape for v in br.values] == [
+        (spec.num_l * index.num_pairs ** (t - 1),) for t in (1, 2)]
     roots = np.array([br.values[0][index.id_of(2, 1, (l,), ())]
                       for l in range(spec.num_l)])
     assert np.array_equal(roots, br.roots)
     assert float(spec.q0 @ roots) == pytest.approx(br.value, abs=1e-7)
+
+
+def _full_history_values(spec, plan, n):
+    """(t, responder history id) -> best-response value, by the plain
+    recursion over the responder's full histories."""
+    view = spec.side(plan.side)
+    index, opp = plan.index, view.opp
+    best = min if plan.side == 1 else max
+    values = {}
+    for t in range(n, 0, -1):
+        own = {}                    # pairs -> [(own id, last own state)]
+        for hid, (states, acts) in enumerate(index.histories(plan.side, t)):
+            own.setdefault(acts, []).append((hid, states[-1]))
+        for hid, (states, acts) in enumerate(index.histories(opp, t)):
+            j, options = states[-1], []
+            for o in range(view.num_opp_actions):
+                v = sum(plan.values[(t, oid, act)] * spec.lam ** (t - 1)
+                        * view.payoff[s, j, act, o]
+                        for oid, s in own[acts]
+                        for act in range(view.num_actions))
+                for act in range(view.num_actions if t < n else 0):
+                    a, b = view.pair(act, o)
+                    for nxt in range(view.num_opp_states):
+                        child = index.id_of(opp, t + 1, states + (nxt,),
+                                            acts + ((a, b),))
+                        v += (view.opp_trans[a, b, j, nxt]
+                              * values[(t + 1, child)])
+                options.append(v)
+            values[(t, hid)] = best(options)
+    return values
+
+
+@pytest.mark.parametrize("side", [1, 2])
+@pytest.mark.parametrize("sizes", [(2, 3, 2, 3), (3, 2, 3, 2)])
+def test_rows_hold_every_full_history_value(rng, side, sizes):
+    """Each full responder history's value, by a recursion over full
+    histories, is the value of its (last state, pairs) row; one responder
+    state has zero prior weight."""
+    n = 3
+    num_k, num_l, num_a, num_b = sizes
+    spec = random_spec(rng, num_k=num_k, num_l=num_l, num_a=num_a,
+                       num_b=num_b, horizon=n)
+    zero_first = lambda d: np.r_[0.0, d[1:] / d[1:].sum()]
+    spec = (dataclasses.replace(spec, q0=zero_first(spec.q0)) if side == 1
+            else dataclasses.replace(spec, p0=zero_first(spec.p0)))
+    vs_plan = best_response_vs_p1 if side == 1 else best_response_vs_p2
+    opp = 3 - side
+    optimal = solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side).plan
+    for plan in (optimal, _uniform_plan(spec, side, n)):
+        index = plan.index
+        br = vs_plan(spec, plan, spec.q0 if side == 1 else spec.p0, n,
+                     spec.lam)
+        full = _full_history_values(spec, plan, n)
+        for t in range(1, n + 1):
+            for hid, (states, acts) in enumerate(index.histories(opp, t)):
+                row = index.id_of(opp, t, states[-1:], acts)
+                assert abs(br.values[t - 1][row] - full[(t, hid)]) <= 1e-12
 
 
 def test_wrong_plan_side_rejected(rng):

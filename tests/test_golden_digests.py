@@ -142,9 +142,12 @@ def test_best_response_and_strategy_digest(case_study, side):
     br = vs_plan(spec, res.plan, spec.q0 if side == 1 else spec.p0, n,
                  spec.lam)
     keys = sorted(res.strategy.table)
+    # the (last state, pairs) rows tiled to full-history id order
+    no = spec.side(side).num_opp_states
     digest = _digest(
         br.roots, np.array(res.plan.index.keys(3 - side, n)),
-        np.concatenate(br.values),
+        np.concatenate([np.tile(v, no ** (t - 1))
+                        for t, v in enumerate(br.values, start=1)]),
         np.array(keys), np.stack([res.strategy.table[k] for k in keys]))
     assert digest == SOLVE_DIGESTS[f"n{n}-side{side}"]
 

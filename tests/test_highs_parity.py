@@ -123,7 +123,7 @@ def _compiled(rows, objective, sense=lp_core.MIN, bounds=None):
     for lower, upper in bounds or [(0.0, np.inf)] * 2:
         b.new_var(lower, upper)
     for coeffs, rel, rhs in rows:
-        b.add_row(coeffs, rel, rhs)
+        b.add_rows(rel, [rhs], [(0, list(coeffs), list(coeffs.values()))])
     lp = b.build(sense, objective)
     return lp.c, dict(A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq, b_eq=lp.b_eq,
                       bounds=lp.bounds)

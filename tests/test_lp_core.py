@@ -18,8 +18,7 @@ def _knapsack_lp():
     b = LpBuilder()
     x = b.new_var(lower=0.0)
     y = b.new_var(lower=0.0)
-    b.add_row({x: 1.0, y: 1.0}, "<=", 4.0)
-    b.add_row({x: 1.0}, "<=", 3.0)
+    b.add_rows("<=", [4.0, 3.0], [([0, 0, 1], [x, y, x], 1.0)])
     return b.build(lp_core.MAX, {x: 3.0, y: 2.0}), x, y
 
 
@@ -35,8 +34,8 @@ def test_solve_min_with_equality():
     b = LpBuilder()
     x = b.new_var(lower=0.0)
     y = b.new_var(lower=0.0)
-    b.add_row({x: 1.0, y: 1.0}, "=", 1.0)
-    b.add_row({x: 1.0, y: -1.0}, ">=", 0.0)
+    b.add_rows("=", [1.0], [(0, [x, y], 1.0)])
+    b.add_rows(">=", [0.0], [(0, [x, y], [1.0, -1.0])])
     sol = lp_core.solve(b.build(lp_core.MIN, {x: 2.0, y: 1.0}))
     assert sol.objective_value == pytest.approx(1.5, abs=1e-9)
 
@@ -44,7 +43,7 @@ def test_solve_min_with_equality():
 def test_infeasible_status():
     b = LpBuilder()
     x = b.new_var(lower=0.0)
-    b.add_row({x: 1.0}, "<=", -1.0)
+    b.add_rows("<=", [-1.0], [(0, x, 1.0)])
     with pytest.raises(SolverError, match="LP is infeasible"):
         lp_core.solve(b.build(lp_core.MIN, {x: 1.0}))
 
@@ -60,8 +59,8 @@ def test_duplicate_coefficients_merge():
     b = LpBuilder()
     x = b.new_var(lower=0.0)
     coeffs = {x: 1.0}
-    coeffs[x] = coeffs[x] + 1.0          # accumulate before add_row
-    b.add_row(coeffs, "<=", 4.0)
+    coeffs[x] = coeffs[x] + 1.0          # accumulate before add_rows
+    b.add_rows("<=", [4.0], [(0, list(coeffs), list(coeffs.values()))])
     sol = lp_core.solve(b.build(lp_core.MAX, {x: 1.0}))
     assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
 
@@ -88,9 +87,9 @@ def test_build_compiles_rows_into_arrays(tmp_path):
     x = b.new_var(lower=0.0)
     y = b.new_var(lower=-1.0, upper=2.5)
     z = b.new_var()
-    b.add_row({x: 1.0, y: 2.0}, "<=", 4.0)
-    b.add_row({x: 1.0, y: 0.0, z: -1.0}, ">=", -2.0)
-    b.add_row({y: 1.0, z: 1.0}, "=", 1.0)
+    b.add_rows("<=", [4.0], [(0, [x, y], [1.0, 2.0])])
+    b.add_rows(">=", [-2.0], [(0, [x, y, z], [1.0, 0.0, -1.0])])
+    b.add_rows("=", [1.0], [(0, [y, z], 1.0)])
     lp = b.build(lp_core.MAX, {x: 1.0, y: 0.0, z: 0.5})
     # max LP: c negated; >= row: coefficients and rhs negated; 0.0 dropped
     assert lp.c.tolist() == [-1.0, 0.0, -0.5]
@@ -215,7 +214,7 @@ def test_empty_blocks_are_zero_row_csr():
     assert lp.b_eq.shape == (0,)
     b = LpBuilder()
     x, y = b.new_var(lower=0.0), b.new_var(lower=0.0)
-    b.add_row({x: 1.0, y: 1.0}, "=", 1.0)
+    b.add_rows("=", [1.0], [(0, [x, y], 1.0)])
     lp = b.build(lp_core.MAX, {x: 1.0})
     assert lp.a_ub.indptr.tolist() == [0] and lp.a_ub.shape == (0, 2)
     assert lp_core.solve(lp).objective_value == pytest.approx(1.0, abs=1e-9)
@@ -233,8 +232,8 @@ def _equality_lp():
     b = LpBuilder()
     x = b.new_var(lower=0.0)
     y = b.new_var(lower=0.0)
-    b.add_row({x: 1.0, y: 1.0}, "=", 1.0)
-    b.add_row({x: 1.0, y: -1.0}, ">=", 0.0)
+    b.add_rows("=", [1.0], [(0, [x, y], 1.0)])
+    b.add_rows(">=", [0.0], [(0, [x, y], [1.0, -1.0])])
     return b.build(lp_core.MIN, {x: 2.0, y: 1.0})
 
 

@@ -58,7 +58,8 @@ def _direct_update_lp(spec, kind, vec, belief, star, n, lam):
                 row = {vecs[(aa, bb)][s]: 1.0, tail[(aa, bb)]: -1.0}
                 if n >= 2:
                     row[pay[index.id_of(kind, 1, (s,), ())]] = 1.0
-                builder.add_row(row, rel, 0.0)
+                builder.add_rows(rel, [0.0],
+                                 [(0, list(row), list(row.values()))])
     bar = star @ belief
     for o in range(spec.num_a if kind == 1 else spec.num_b):
         for s in range(num_vec):
@@ -71,7 +72,8 @@ def _direct_update_lp(spec, kind, vec, belief, star, n, lam):
                 row[tail[(aa, bb)]] = -lam * float(bar[m])
                 for s2, var in enumerate(vecs[(aa, bb)]):
                     row[var] = lam * float(bar[m]) * own_trans[aa, bb, s, s2]
-            builder.add_row(row, final_rel, rhs)
+            builder.add_rows(final_rel, [rhs],
+                             [(0, list(row), list(row.values()))])
     return builder.build(lp_core.MIN if kind == 1 else lp_core.MAX,
                          {scalar: 1.0})
 
@@ -83,8 +85,8 @@ def _direct_dual_lp(spec, kind, root, vector, n, lam):
     _, pay, _ = add_sequence_system(builder, spec, index, side, n, lam, root)
     v0 = builder.new_var()
     for s, val in enumerate(vector):
-        builder.add_row({pay[index.id_of(kind, 1, (s,), ())]: 1.0,
-                         v0: -1.0}, "<=" if kind == 1 else ">=", -float(val))
+        builder.add_rows("<=" if kind == 1 else ">=", [-float(val)], [
+            (0, [pay[index.id_of(kind, 1, (s,), ())], v0], [1.0, -1.0])])
     return builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0})
 
 

@@ -85,3 +85,22 @@ def test_tracer_sees_every_highs_run(rng):
     assert summary["lp_core.not_optimal"] == 0
     for key, value in want.items():
         assert summary[f"lp_core.{key}"] == value
+
+
+def test_traced_window_play_records_belief_updates(rng):
+    """Window play advances its belief through the public Bayes rules, so
+    the tracer sees one belief span per agent and new public prefix."""
+    tracer_mod = _load_tracer()
+    spec = random_spec(rng, horizon=3)
+    config = zsbgames.WindowConfig(window_n=2, total_horizon=3)
+    cache = zsbgames.SolverCache(spec)
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        zsbgames.run_episode(spec, zsbgames.WindowAgent(spec, config, 1, cache),
+                             zsbgames.WindowAgent(spec, config, 2, cache), 0)
+        summary = tracer.summary()
+    finally:
+        tracer.uninstall()
+    assert summary["stat_updater.belief_updates"] == 2 * (spec.horizon_n - 1)
+    assert summary["stat_updater.belief_s"] > 0.0

@@ -9,16 +9,16 @@ returns only optimal solutions and raises for everything else, so its
 callers hold no status check.
 
 `linprog` is the one place that runs HiGHS, on matrices given as
-`CsrMatrix` records, which check their form when they are built. It drives
-the HiGHS extension module bundled with scipy
-(`scipy/optimize/_highspy/_core*.so`, loaded from its file, so
-`scipy.optimize` and `scipy.sparse` are never imported) with the options
-`scipy.optimize.linprog(method="highs")` sets, and repeats that function's
-checks, status codes and solution certificate without its per-call
-overhead. Every solve gets a fresh HiGHS model, warm-started only from a
-basis that is part of its input (`CompiledLP.basis`), so identical input
-gives bit-identical output whatever was solved before, which the rest of
-the package relies on for reproducible strategy extraction.
+`CsrMatrix` records, which check their form when they are built. It hands
+them as arrays to scipy's bundled HiGHS extension module (loaded from its
+file, so `scipy.optimize` and `scipy.sparse` are never imported) and
+repeats `scipy.optimize.linprog(method="highs")`'s checks, status codes
+and certificate. A cold solve uses its options and returns its point bit
+for bit; a warm start prices with Devex, which needs no BTRAN per row to
+start from a basis as dual steepest edge does, and reaches its status and
+objective. Every solve gets a fresh model, warm-started only from a basis
+in its input (`CompiledLP.basis`), so identical input gives bit-identical
+output whatever ran before, as reproducible strategy extraction needs.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ class CompiledLP:
 
 
 # the options scipy.optimize.linprog(method="highs") sets; the others keep
-# HiGHS's defaults, as they do there
+# HiGHS's defaults, as they do there. A warm start also prices with Devex.
 _OPTIONS = highs.HighsOptions()
 _OPTIONS.presolve = "on"
 _OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
@@ -238,6 +238,7 @@ _STATUS = {_MODEL.kOptimal: 0, _MODEL.kTimeLimit: 1,
 
 # scipy.optimize.linprog's certificate tolerance: sqrt(1e-9) * 10
 CERT_TOL = math.sqrt(1e-9) * 10
+_INT32_MAX = np.iinfo(np.int32).max     # HiGHS's index type
 
 
 @dataclass
@@ -274,45 +275,44 @@ def linprog(c, *, bounds, A_ub, b_ub, A_eq, b_eq, basis=None):
     basis of an LP of the same shape, the simplex starts from it.
 
     Raises ValueError for non-finite c, b_ub or b_eq, a matrix that is not
-    such a record, mismatched shapes or a lower bound above its upper
-    bound. An optimal point that breaks a row or bound by more than
-    CERT_TOL is reported with status 4.
+    such a record, mismatched shapes, more variables, rows or nonzeros than
+    int32 holds (checked before any array is read) or a lower bound above
+    its upper bound. An optimal point that breaks a row or bound by more
+    than CERT_TOL is reported with status 4.
     """
     c = np.asarray(c, dtype=float)
     num_vars = c.size
-    if c.ndim != 1 or not np.isfinite(c).all():
-        raise ValueError("c must be a finite 1-D array")
     if not all(isinstance(mat, CsrMatrix) and mat.shape[1] == num_vars
                for mat in (A_ub, A_eq)):
         raise ValueError("A_ub and A_eq must be CsrMatrix records with one "
                          "column per variable")
+    num_ub, num_nz = A_ub.shape[0], A_ub.nnz + A_eq.nnz
+    if max(num_vars, num_ub + A_eq.shape[0], num_nz) > _INT32_MAX:
+        raise ValueError("more variables, rows or nonzeros than int32 holds")
+    if c.ndim != 1 or not np.isfinite(c).all():
+        raise ValueError("c must be a finite 1-D array")
     b_ub = _rhs(b_ub, A_ub, "b_ub")
     b_eq = _rhs(b_eq, A_eq, "b_eq")
     lb, ub = np.asarray(bounds, dtype=float).reshape(num_vars, 2).T.copy()
     if not (lb <= ub).all():
         raise ValueError("every lower bound must be at most its upper bound")
-    num_ub = b_ub.size
-
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = num_vars
-    lp.num_row_ = lp.a_matrix_.num_row_ = num_ub + b_eq.size
-    # HiGHS copies the rows into its column-wise form in row order
-    lp.a_matrix_.format_ = highs.MatrixFormat.kRowwise
-    lp.a_matrix_.start_ = np.concatenate([A_ub.indptr, A_eq.indptr[1:] + A_ub.nnz])
-    lp.a_matrix_.index_ = np.concatenate([A_ub.indices, A_eq.indices])
-    lp.a_matrix_.value_ = np.concatenate([A_ub.data, A_eq.data])
-    lp.col_cost_ = c
-    lp.col_lower_ = lb
-    lp.col_upper_ = ub
-    lp.row_lower_ = np.concatenate([np.full(num_ub, -math.inf), b_eq])
-    lp.row_upper_ = np.concatenate([b_ub, b_eq])
 
     model = highs._Highs()
     model.passOptions(_OPTIONS)
-    # as in scipy: a model HiGHS rejects is a model error, and a run that
-    # errors reports no iterations and, like any non-optimal run, no point
-    loaded = model.passModel(lp) != highs.HighsStatus.kError
+    # as in scipy, a rejected model is a model error. HiGHS copies the rows
+    # into its column form in row order and reads num_vars integrality flags
+    loaded = model.passModel(
+        num_vars, num_ub + b_eq.size, num_nz, highs.MatrixFormat.kRowwise,
+        highs.ObjSense.kMinimize, 0.0, c, lb, ub,
+        np.concatenate([np.full(num_ub, -math.inf), b_eq]),
+        np.concatenate([b_ub, b_eq]),
+        np.concatenate([A_ub.indptr[:-1], A_eq.indptr[:-1] + A_ub.nnz],
+                       dtype=np.int32),
+        np.concatenate([A_ub.indices, A_eq.indices], dtype=np.int32),
+        np.concatenate([A_ub.data, A_eq.data], dtype=float),
+        np.zeros(num_vars, dtype=np.int32)) != highs.HighsStatus.kError
     if loaded and basis is not None:
+        model.setOptionValue("simplex_dual_edge_weight_strategy", 1)  # Devex
         loaded = model.setBasis(basis) != highs.HighsStatus.kError
     ran = loaded and model.run() != highs.HighsStatus.kError
     status = model.getModelStatus() if loaded else _MODEL.kModelError

@@ -1,10 +1,11 @@
-"""lp_core.linprog drives scipy's bundled HiGHS directly; it must return
-exactly what scipy.optimize.linprog(method="highs") returns for the same
-LP: the same x and objective bit for bit, the same status and the same
-simplex iteration count. scipy's own linprog stays the reference, so a
-scipy upgrade that changes the private HiGHS API or its options shows up
-here. A solve warm-started from a basis, which scipy cannot do, must give
-scipy's status and objective."""
+"""lp_core.linprog drives scipy's bundled HiGHS directly. A cold solve
+keeps scipy's options and must return exactly what
+scipy.optimize.linprog(method="highs") returns for the same LP: the same x
+and objective bit for bit, the same status and the same simplex iteration
+count. scipy's own linprog stays the reference, so a scipy upgrade that
+changes the private HiGHS API or its options shows up here. A solve
+warm-started from a basis, which scipy cannot do, prices with Devex and
+must give scipy's status and objective."""
 
 import numpy as np
 import pytest
@@ -140,6 +141,42 @@ def _compiled(rows, objective, sense=lp_core.MIN, bounds=None):
 def test_edge_case_lps_match_scipy(rows, objective, sense, bounds, status):
     c, kwargs = _compiled(rows, objective, sense, bounds)
     assert lp_core.linprog(c, **kwargs).status == status
+    _assert_parity(c, kwargs)
+
+
+A_UB = np.array([[1, 2, 0, -1], [0, 3, 1, 0], [-2, 0, 1, 1]])
+A_EQ = np.array([[1, 1, 1, 1]])
+
+
+def _dense_record(dense, index_dtype, data_dtype):
+    rows, cols = np.nonzero(dense)
+    indptr = np.searchsorted(rows, np.arange(dense.shape[0] + 1))
+    return lp_core.CsrMatrix(indptr.astype(index_dtype), cols.astype(index_dtype),
+                             dense[rows, cols].astype(data_dtype), dense.shape)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64, np.uint32])
+@pytest.mark.parametrize("data_dtype", [np.int64, np.float64])
+@pytest.mark.parametrize("a_ub, a_eq", [
+    pytest.param(A_UB, A_EQ, id="both"),
+    pytest.param(A_UB[:0], A_EQ, id="no ub rows"),
+    pytest.param(A_UB, A_EQ[:0], id="no eq rows"),
+    pytest.param(A_UB[:0], A_EQ[:0], id="no rows"),
+    pytest.param(0 * A_UB, A_EQ[:0], id="ub rows without entries"),
+    pytest.param(A_UB, 0 * A_EQ, id="eq rows without entries"),
+])
+def test_record_dtypes_and_empty_blocks_match_scipy(index_dtype, data_dtype,
+                                                     a_ub, a_eq):
+    """linprog hands HiGHS int32 index and float value arrays whatever
+    integer and real dtypes the records hold, and blocks without rows or
+    entries, so every such record gives scipy's result bit for bit."""
+    c = np.array([-1.0, -2.0, 1.0, 0.5])
+    kwargs = dict(bounds=np.tile([0.0, 3.0], (4, 1)),
+                  A_ub=_dense_record(a_ub, index_dtype, data_dtype),
+                  b_ub=np.abs(a_ub).sum(axis=1) + 1.0,
+                  A_eq=_dense_record(a_eq, index_dtype, data_dtype),
+                  b_eq=a_eq.sum(axis=1) / 2.0)
+    assert lp_core.linprog(c, **kwargs).status == 0
     _assert_parity(c, kwargs)
 
 

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -9,7 +11,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from zsbgames import NumericalError, SolverError, lp_core
+from zsbgames import (NumericalError, SolverError, load_case_study, lp_core,
+                      solve_dual1, solve_dual2, solve_primal)
+from zsbgames.dual_solver import dual_template
 from zsbgames.lp_core import LpBuilder
 
 
@@ -227,6 +231,84 @@ def test_solution_deterministic():
     assert np.array_equal(a.primal, b.primal)
 
 
+def _warm_dual_fingerprint():
+    """x, objective, iterations and basis statuses of a case-study dual-2
+    LP at n=3, warm-started from its template's reference basis."""
+    spec = load_case_study()
+    template = dual_template(spec, 2, 3, spec.lam)
+    ref = lp_core.solve(template.lp_at(spec.p0, np.zeros(spec.num_l)))
+    lp = template.lp_at(np.array([0.2, 0.5, 0.3]), np.array([-100.0, -50.0]))
+    res = lp_core.linprog(lp.c, bounds=lp.bounds, A_ub=lp.a_ub, b_ub=lp.b_ub,
+                          A_eq=lp.a_eq, b_eq=lp.b_eq, basis=ref.basis)
+    return [hashlib.sha256(res.x.tobytes()).hexdigest(), res.fun.hex(),
+            res.nit, [int(s) for s in res.basis.col_status],
+            [int(s) for s in res.basis.row_status]]
+
+
+def _python(code, *args):
+    """stdout of `code` run by a fresh interpreter that imports the
+    package from the tree under test."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(Path(lp_core.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_warm_solve_repeats_after_other_solves(case_study):
+    """The same warm-started dual LP, solved alone in a fresh process and
+    here after other cold and warm LPs, gives the same bytes of x, the same
+    objective and iteration count and the same basis."""
+    alone = json.loads(_python(
+        "import json, sys; sys.path.insert(0, sys.argv[1]); "
+        "from test_lp_core import _warm_dual_fingerprint; "
+        "print(json.dumps(_warm_dual_fingerprint()))", str(Path(__file__).parent)))
+    spec = case_study
+    solve_primal(spec, spec.p0, spec.q0, 2, spec.lam, 1)
+    template = dual_template(spec, 1, 3, spec.lam)
+    for mu in ([-120.0, -60.0, -10.0], [-90.0, -90.0, -30.0]):
+        solve_dual1(spec, np.array(mu), spec.q0, 3, spec.lam, template)
+    solve_dual2(spec, spec.p0, np.array([-80.0, -40.0]), 3, spec.lam)
+    again = _warm_dual_fingerprint()
+    assert again == alone
+    assert again[2] > 0                 # the warm start still pivots
+
+
+def test_columns_past_int32_raise_before_arrays_are_read():
+    """2**31 columns are refused from the shapes alone: c and the bounds
+    are broadcast views, which a read would expand to gigabytes."""
+    num_vars = 2**31
+    wide = lp_core.CsrMatrix(np.zeros(1, np.int32), np.zeros(0, np.int32),
+                             np.zeros(0), (0, num_vars))
+    with pytest.raises(ValueError, match="int32"):
+        lp_core.linprog(np.broadcast_to(0.0, num_vars),
+                        bounds=np.broadcast_to([0.0, 1.0], (num_vars, 2)),
+                        A_ub=wide, b_ub=[], A_eq=wide, b_eq=[])
+
+
+@pytest.mark.parametrize("count", ["rows", "nonzeros"])
+def test_rows_and_nonzeros_of_both_blocks_count_against_int32(monkeypatch,
+                                                              count):
+    """With the limit lowered to 3, an LP whose rows (or nonzeros) over both
+    blocks number 3, and only they exceed 2, solves at 3 and raises at 2."""
+    b = LpBuilder()
+    x, y = b.new_var(lower=0.0), b.new_var(lower=0.0)
+    if count == "rows":                 # 2 + 1 rows without entries
+        b.add_rows("<=", [1.0, 1.0], [])
+        b.add_rows("=", [0.0], [])
+    else:                               # 2 + 1 entries in 2 rows
+        b.add_rows("<=", [4.0], [(0, [x, y], 1.0)])
+        b.add_rows("=", [1.0], [(0, x, 1.0)])
+    lp = b.build(lp_core.MIN, {x: 1.0, y: 1.0})
+    kwargs = dict(bounds=lp.bounds, A_ub=lp.a_ub, b_ub=lp.b_ub, A_eq=lp.a_eq,
+                  b_eq=lp.b_eq)
+    monkeypatch.setattr(lp_core, "_INT32_MAX", 3)
+    assert lp_core.linprog(lp.c, **kwargs).status == 0
+    monkeypatch.setattr(lp_core, "_INT32_MAX", 2)
+    with pytest.raises(ValueError, match="int32"):
+        lp_core.linprog(lp.c, **kwargs)
+
+
 def _equality_lp():
     # min 2x + y  s.t.  x + y = 1, x - y >= 0, x, y >= 0  -> (0.5, 0.5)
     b = LpBuilder()
@@ -298,9 +380,5 @@ def test_import_loads_highs_alone():
     scipy.optimize` finds that module under its name in `sys.modules` (the
     import system sets the package attribute only on a fresh load, so the
     check imports the name) and its linprog still solves."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(Path(lp_core.__file__).parents[1]),
-                                          os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", IMPORT_FOOTPRINT], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    out = _python(IMPORT_FOOTPRINT)
     assert out.splitlines() == ["True []", "True True", "0 1.0"]

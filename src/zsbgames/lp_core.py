@@ -19,6 +19,9 @@ start from a basis as dual steepest edge does, and reaches its status and
 objective. Every solve gets a fresh model, warm-started only from a basis
 in its input (`CompiledLP.basis`), so identical input gives bit-identical
 output whatever ran before, as reproducible strategy extraction needs.
+
+`complementary_basis` maps an optimal basis of an LP's dual to an optimal
+basis of the LP; the two players' primal LPs are such a pair.
 """
 
 from __future__ import annotations
@@ -349,6 +352,31 @@ def solve(lp: CompiledLP) -> LpSolution:
         raise NumericalError(f"LP backend failed: status={res.status} ({res.message})")
     return LpSolution(objective_value=-res.fun if lp.sense == MAX else res.fun,
                       primal=res.x, basis=res.basis)
+
+
+def complementary_basis(basis, lp: CompiledLP):
+    """The basis of `lp` complementary to `basis`, an optimal basis of its
+    LP dual (a variable per row of `lp`, a row per variable, in builder
+    order; a free variable's row an equality): a variable of `lp` is basic
+    where its dual row is not, a row where its dual variable is not, so it
+    is optimal for `lp` too; nonbasic, each sits at 0 or its bound."""
+    # HiGHS's codes 0-3: kLower, kBasic, kUpper, kZero
+    codes = list(map(highs.HighsBasisStatus, range(4)))
+    dual_cols, dual_rows = (np.fromiter(map(int, statuses), int) == 1
+                            for statuses in (basis.col_status, basis.row_status))
+    free = lp.bounds[:, 0] == -math.inf
+    cols = np.where(free, 3, 0)
+    # the dual's rows are in HiGHS's order, inequalities first
+    cols[np.argsort(free, kind="stable")[~dual_rows]] = 1
+    is_eq = np.array([rel == "=" for rel in lp.rels], dtype=bool)
+    rows = np.empty(is_eq.size, dtype=int)
+    rows[lp.slots + is_eq * lp.b_ub.size] = np.where(
+        dual_cols, np.where(is_eq, 0, 2), 1)
+    out = highs.HighsBasis()
+    out.col_status, out.row_status = ([codes[i] for i in arr]
+                                      for arr in (cols, rows))
+    out.valid, out.alien = True, False
+    return out
 
 
 def write_lp_text(lp: CompiledLP, path) -> None:

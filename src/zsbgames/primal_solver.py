@@ -5,6 +5,12 @@ variables are realization-plan weights over its own histories, the
 opponent side carries one weighted-payoff variable per opponent history.
 The player-1 system uses >= payoff rows (the opponent minimizes), the
 player-2 system uses <= rows.
+
+The two players' LPs are an LP-dual pair (Koller, Megiddo & von Stengel
+1996): player 2's variables are player 1's rows and its rows player 1's
+variables, in builder order, and each objective is the other's right-hand
+side. So `solve_primal` solves player 1's LP warm, from the basis
+complementary to the optimal basis of player 2's, which is solved cold.
 """
 
 from __future__ import annotations
@@ -101,6 +107,7 @@ class PrimalResult:
     plan: RealizationPlan
     strategy: BehavioralStrategy
     initial_vector_payoff: np.ndarray
+    basis: object                   # HiGHS's optimal basis of the LP
 
 
 class SequenceSystem(NamedTuple):
@@ -232,7 +239,11 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     own, other = spec.side(side).pair(p, q)
+    # side 2's LP is freed before side 1's is built
+    pair_basis = solve_primal(spec, p, q, n, lam, 2).basis if side == 1 else None
     lp, plan_vars, _, index = build_primal(spec, p, q, n, lam, side)
+    if pair_basis is not None:
+        lp.basis = lp_core.complementary_basis(pair_basis, lp)
     if inspect_lp is not None:
         inspect_lp(lp)
     sol = lp_core.solve(lp)
@@ -242,4 +253,5 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
                else best_response.best_response_vs_p2)
     br = vs_plan(spec, plan, other, n, lam)
     return PrimalResult(value=sol.objective_value, plan=plan,
-                        strategy=strategy, initial_vector_payoff=-br.roots)
+                        strategy=strategy, initial_vector_payoff=-br.roots,
+                        basis=sol.basis)

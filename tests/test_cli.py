@@ -113,6 +113,31 @@ def test_solve_dump_lp_builds_the_solved_lp_once(tmp_path, rng, monkeypatch):
     assert dump.read_text() == expected.read_text()
 
 
+def test_solve_side1_dumps_only_its_own_lp(tmp_path, rng, monkeypatch):
+    """Side 1 solves side 2's LP first; only side 1's LP is dumped."""
+    spec = random_spec(rng, num_k=3, horizon=2)
+    path = _write(tmp_path, spec)
+    dump = tmp_path / "model.lp"
+    written = []
+    write = lp_core.write_lp_text
+
+    def counting_write(lp, out):
+        written.append(lp.num_vars)
+        write(lp, out)
+
+    monkeypatch.setattr(lp_core, "write_lp_text", counting_write)
+    result = CliRunner().invoke(main, ["solve", "--spec", path, "--side", "1",
+                                       "--dump-lp", str(dump)])
+    assert result.exit_code == 0, result.output
+    lp = primal_solver.build_primal(spec, spec.p0, spec.q0, 2, spec.lam, 1)[0]
+    assert lp.num_vars != primal_solver.build_primal(
+        spec, spec.p0, spec.q0, 2, spec.lam, 2)[0].num_vars
+    assert written == [lp.num_vars]
+    expected = tmp_path / "expected.lp"
+    write(lp, expected)
+    assert dump.read_text() == expected.read_text()
+
+
 @pytest.mark.parametrize("key,value", [("num_a", 2.7), ("horizon", True)])
 def test_validate_non_integer_size_exits_2(tmp_path, key, value):
     path = tmp_path / "game.json"

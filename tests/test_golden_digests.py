@@ -2,7 +2,8 @@
 
 Each LP test stops `lp_core.linprog` at its first call (for a dual LP,
 its first call warm-started from the template's reference basis; the
-reference LP solved cold before it is pinned on its own) and hashes every
+reference LP solved cold before it is pinned on its own; for a side-1
+primal, its first warm call, after the cold side-2 LP) and hashes every
 array it was given, so a change anywhere between the history ids and
 HiGHS (sequence system, row blocks, sign handling, sparse assembly) shows
 up even where all values agree to the last digit but one, or only in the
@@ -59,8 +60,9 @@ LP_DIGESTS = {
 }
 
 SOLVE_DIGESTS = {
+    # side 1's plan as read off its LP warm-started from side 2's basis
     "n3-side1":
-        "d8fcdb489d5800f991732ee65df43037ff5fdf6ebb4f4c0d5616678da8644c19",
+        "30554eed7fa295e084587ccb03308088ba814c838999f2231273f86730c2a236",
     "n3-side2":
         "4c6726bf9205670f8d03344eab3042b848ffd9a7d5ace3283d79a655ac226a40",
 }
@@ -130,7 +132,9 @@ def _lp_calls(spec):
 @pytest.mark.parametrize("name", sorted(LP_DIGESTS))
 def test_highs_input_digest(case_study, monkeypatch, name):
     call = _lp_calls(case_study)[name]
-    warm = name in ("dual1-n2", "dual2-n2")
+    # side 1's primal solves side 2's LP cold first and then its own warm
+    warm = name in ("dual1-n2", "dual2-n2", "primal-n3-side1",
+                    "primal-n4-side1")
     assert _first_lp_digest(monkeypatch, call, warm) == LP_DIGESTS[name]
 
 

@@ -69,9 +69,10 @@ def test_solver_lps_match_scipy(n, captured, monkeypatch):
     for y, x in ((y_star, x_star), (y_pure, x_pure)):
         update_mu(spec, mu, spec.q0, y, 0, 2, n, spec.lam)
         update_nu(spec, nu, spec.p0, x, 1, 1, n, spec.lam)
+    # side 1's primal adds side 2's, cold, before its own warm solve, and
     # each dual adds the cold solve that gives its template the basis
-    assert len(captured) == 10
-    assert sum(kw.get("basis") is not None for _, kw in captured) == 2
+    assert len(captured) == 11
+    assert sum(kw.get("basis") is not None for _, kw in captured) == 3
     monkeypatch.undo()
     for c, kwargs in captured:
         _assert_parity(c, kwargs)
@@ -80,16 +81,18 @@ def test_solver_lps_match_scipy(n, captured, monkeypatch):
 def test_case_study_primal_matches_scipy(case_study, captured, monkeypatch):
     solve_primal(case_study, case_study.p0, case_study.q0, 3, case_study.lam, 1)
     monkeypatch.undo()
-    (c, kwargs), = captured
-    assert c.size > 1000
-    _assert_parity(c, kwargs)
+    # side 2's LP cold, then side 1's warm from the complementary basis
+    assert [(c.size, kw["basis"] is None) for c, kw in captured] == [
+        (763, True), (1088, False)]
+    for c, kwargs in captured:
+        _assert_parity(c, kwargs)
 
 
 def test_highs_column_copy_is_the_stacked_rows(case_study, captured,
                                                monkeypatch):
     """HiGHS gets A_ub and A_eq as rows and builds its own column copy,
     which must be the column form of A_ub stacked on A_eq, byte for byte:
-    for the n=3 primal and for an update LP."""
+    for the n=3 primal pair that side 1 solves and for an update LP."""
     copies = []
     real = lp_core._solution
 
@@ -102,7 +105,7 @@ def test_highs_column_copy_is_the_stacked_rows(case_study, captured,
     solve_primal(spec, spec.p0, spec.q0, 3, spec.lam, 1)
     update_mu(spec, np.array([-120.0, -60.0, -10.0]), spec.q0,
               np.array([[0.25, 0.5], [0.75, 0.5]]), 1, 0, 2, spec.lam)
-    assert len(copies) == len(captured) == 2
+    assert len(copies) == len(captured) == 3
     for (start, index, value), (_, kwargs) in zip(copies, captured):
         want = sp.vstack([scipy_csr(kwargs["A_ub"]),
                           scipy_csr(kwargs["A_eq"])]).tocsc()

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from zsbgames import (RealizationPlan, best_response_vs_p1,
-                      best_response_vs_p2, solve_primal)
+                      best_response_vs_p2, lp_core, solve_primal)
 from zsbgames.bounds import _matrix_game_value
-from zsbgames.primal_solver import build_primal
+from zsbgames.primal_solver import build_primal, plan_from_solution
 
 from conftest import constant_spec, random_spec, scipy_csr
 
@@ -155,6 +155,108 @@ def test_vertex_prior_matches_known_state(rng):
         got = solve_primal(spec, p, spec.q0, 1, 1.0, 1).value
         want = _matrix_game_value(spec.payoff[k, 0])
         assert got == pytest.approx(want, abs=1e-8)
+
+
+def _builder_form(lp):
+    """The constraint matrix and right-hand sides of `lp` row by row as
+    the builder added them, >= rows not negated."""
+    ub, eq = scipy_csr(lp.a_ub).toarray(), scipy_csr(lp.a_eq).toarray()
+    a, b = [], []
+    for rel, slot in zip(lp.rels, lp.slots):
+        mat, rhs = (eq, lp.b_eq) if rel == "=" else (ub, lp.b_ub)
+        sign = -1.0 if rel == ">=" else 1.0
+        a.append(sign * mat[slot])
+        b.append(sign * rhs[slot])
+    return np.array(a), np.array(b)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 2, 2, 3), (1, 3, 3, 1)])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_side_two_lp_is_the_lp_dual_of_side_one(rng, shape, n):
+    """Side 2's variables are side 1's rows and its rows side 1's
+    variables, in builder order: each side's objective is the other's
+    right-hand side and side 2's matrix is side 1's transposed, with one
+    sign per block of (plan or payoff variables) x (payoff or flow rows)."""
+    num_k, num_l, num_a, num_b = shape
+    spec = random_spec(rng, num_k=num_k, num_l=num_l, num_a=num_a,
+                       num_b=num_b, horizon=n)
+    lp1, plan1, payoff1, _ = build_primal(spec, spec.p0, spec.q0, n, spec.lam, 1)
+    lp2, plan2, payoff2, _ = build_primal(spec, spec.p0, spec.q0, n, spec.lam, 2)
+    a1, b1 = _builder_form(lp1)
+    a2, b2 = _builder_form(lp2)
+    assert (lp1.sense, lp2.sense) == (lp_core.MAX, lp_core.MIN)
+    assert np.array_equal(-lp1.c, b2) and np.array_equal(lp2.c, b1)
+    assert a2.shape == a1.T.shape
+    # side 1's payoff rows pair with side 2's plan variables, its flow
+    # rows with side 2's payoff variables, and the other way round
+    for rows in (plan1, payoff1):
+        for cols in (plan2, payoff2):
+            block = a2[np.ix_(rows, cols)]
+            mirror = a1[np.ix_(cols, rows)].T
+            sign = 1.0 if np.array_equal(block, mirror) else -1.0
+            assert np.array_equal(block, sign * mirror)
+            assert np.array_equal(np.sign(block), sign * np.sign(mirror))
+
+
+def _warm_side1(spec, p, q, n, lam, monkeypatch):
+    """Side 1's solve, the HiGHS iterations of its warm-started LP, and
+    side 1's LP solved cold with its plan."""
+    warm_nits = []
+    real = lp_core.linprog
+
+    def record(c, **kwargs):
+        res = real(c, **kwargs)
+        if kwargs["basis"] is not None:
+            warm_nits.append(res.nit)
+        return res
+
+    monkeypatch.setattr(lp_core, "linprog", record)
+    res = solve_primal(spec, p, q, n, lam, 1)
+    monkeypatch.undo()
+    lp, plan_vars, _, index = build_primal(spec, p, q, n, lam, 1)
+    cold = lp_core.solve(lp)
+    plan = plan_from_solution(index, 1, n, plan_vars, cold.primal, p)
+    return res, warm_nits, cold.objective_value, plan
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_case_study_side1_starts_at_its_optimum(case_study, monkeypatch, n):
+    """From the basis complementary to side 2's optimal basis, side 1's LP
+    takes no simplex iteration and gives the cold solve's value and
+    last-state weights."""
+    spec = case_study
+    res, warm_nits, cold_value, cold_plan = _warm_side1(
+        spec, spec.p0, spec.q0, n, spec.lam, monkeypatch)
+    assert warm_nits == [0]
+    assert abs(res.value - cold_value) <= 1e-12
+    for got, want in zip(res.plan.last_state_weights(),
+                         cold_plan.last_state_weights(), strict=True):
+        assert np.abs(got - want).max() <= 1e-9
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_random_side1_starts_at_its_optimum(monkeypatch, seed):
+    """The warm start takes no iteration on random specs of 1-3 states
+    and actions, with zero-prior states and lambda up to 1. Where side 1's
+    LP has several optimal plans the warm and cold ones may differ, so
+    the warm plan is checked to guarantee the value instead."""
+    rng = np.random.default_rng(seed)
+    num_k, num_l, num_a, num_b = rng.integers(1, 4, 4)
+    n, lam = 1 + seed % 3, (0.3, 0.8, 1.0)[seed // 3 % 3]
+    spec = random_spec(rng, num_k=num_k, num_l=num_l, num_a=num_a,
+                       num_b=num_b, horizon=n, lam=lam)
+    p, q = spec.p0.copy(), spec.q0.copy()
+    if seed % 4 == 1 and num_k > 1:
+        p[0] = 0.0
+    if seed % 4 == 2 and num_l > 1:
+        q[-1] = 0.0
+    p, q = p / p.sum(), q / q.sum()
+    res, warm_nits, cold_value, _ = _warm_side1(spec, p, q, n, lam,
+                                                monkeypatch)
+    assert warm_nits == [0]
+    assert abs(res.value - cold_value) <= 1e-12
+    assert best_response_vs_p1(spec, res.plan, q, n, lam).value == \
+        pytest.approx(res.value, abs=1e-9)
 
 
 def test_side_validation():

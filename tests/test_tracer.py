@@ -52,21 +52,24 @@ def test_tracer_wraps_entry_points_and_restores_them(rng):
     after = _bindings(tracer_mod)
     assert after.keys() == before.keys()
     assert all(after[key] is val for key, val in before.items())
-    # the best response runs once per primal solve and solves no LP
-    assert summary["best_response.solves"] == 2
-    assert summary["lp_core.solves"] == 2
+    # side 1 solves side 2 first, through the traced name, so the pair is
+    # three primal solves; the best response runs once per primal solve
+    # and solves no LP
+    assert summary["best_response.solves"] == 3
+    assert summary["lp_core.solves"] == 3
     assert summary["lp_core.solves.primal1"] == 1
-    assert summary["lp_core.solves.primal2"] == 1
+    assert summary["lp_core.solves.primal2"] == 2
     assert summary["lp_core.solves.br1"] == summary["lp_core.solves.br2"] == 0
 
 
 def test_tracer_sees_every_highs_run(rng):
     """lp_core.linprog is the one HiGHS entry point: the traced sizes of a
-    primal pair are those of the two compiled LPs, with iterations."""
+    primal pair are those of the compiled LPs, with iterations; side 1's
+    solve runs side 2's LP too, so that one counts twice."""
     tracer_mod = _load_tracer()
     spec = random_spec(rng, horizon=2)
     want = {"vars": 0, "rows": 0, "nnz": 0}
-    for side in (1, 2):
+    for side in (1, 2, 2):
         lp = zsbgames.primal_solver.build_primal(
             spec, spec.p0, spec.q0, 2, spec.lam, side)[0]
         mats = (lp.a_ub, lp.a_eq)

@@ -82,6 +82,8 @@ def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
     elif (template.kind, template.n, template.lam) != (kind, n, lam):
         raise ValueError(f"template is for dual-{template.kind} at n="
                          f"{template.n}, lambda={template.lam}")
+    elif template.index.spec is not spec:
+        raise ValueError("template is for another game spec")
     if template.lp.basis is None:
         owner = spec.side(3 - kind)
         ref = lp_core.solve(template.lp_at(owner.prior,

@@ -108,6 +108,7 @@ class PrimalResult:
     strategy: BehavioralStrategy
     initial_vector_payoff: np.ndarray
     basis: object                   # HiGHS's optimal basis of the LP
+    pair: PrimalResult | None = None  # side 1's: the side-2 solve it ran
 
 
 class SequenceSystem(NamedTuple):
@@ -234,16 +235,17 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
     The initial vector payoff of the other side's dual game is recomputed
     as the best response against the extracted plan, so it is well defined
     even at opponent states with zero prior weight. `inspect_lp`, if
-    given, is called with the compiled LP before it is solved.
+    given, is called with the compiled LP before it is solved. Side 1's
+    result keeps the side-2 result it starts from as `pair`.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     own, other = spec.side(side).pair(p, q)
     # side 2's LP is freed before side 1's is built
-    pair_basis = solve_primal(spec, p, q, n, lam, 2).basis if side == 1 else None
+    pair = solve_primal(spec, p, q, n, lam, 2) if side == 1 else None
     lp, plan_vars, _, index = build_primal(spec, p, q, n, lam, side)
-    if pair_basis is not None:
-        lp.basis = lp_core.complementary_basis(pair_basis, lp)
+    if pair is not None:
+        lp.basis = lp_core.complementary_basis(pair.basis, lp)
     if inspect_lp is not None:
         inspect_lp(lp)
     sol = lp_core.solve(lp)
@@ -254,4 +256,4 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
     br = vs_plan(spec, plan, other, n, lam)
     return PrimalResult(value=sol.objective_value, plan=plan,
                         strategy=strategy, initial_vector_payoff=-br.roots,
-                        basis=sol.basis)
+                        basis=sol.basis, pair=pair)

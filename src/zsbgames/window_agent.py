@@ -100,10 +100,12 @@ class SolverCache:
 
     The statistic trajectory of a window agent depends only on the public
     action sequence, so sharing one cache across the episodes of a Monte
-    Carlo run removes almost all repeated solves. A miss on a dual LP
-    patches its template, compiled on first use per (kind, n, lambda) and
-    kept for the cache's lifetime. It also holds the window agents' trees
-    (see the module docstring), so agents sharing it play its spec.
+    Carlo run removes almost all repeated solves. Every entry goes in
+    through `_memo`; a side-1 primal also stores the side-2 primal it ran
+    (`PrimalResult.pair`), and a degenerate pair's update LP all pairs'
+    vectors. Dual templates are compiled once per (kind, n, lambda). The
+    window agents' trees live here too (module docstring), so agents
+    sharing a cache play its spec.
     """
 
     def __init__(self, spec: GameSpec):
@@ -112,36 +114,32 @@ class SolverCache:
         self._templates = {}
         self._tree = {}     # (node, a, b) -> child; (side, *config) -> root
 
-    def _memo(self, key, compute):
-        if key not in self._store:
-            self._store[key] = compute()
-        return self._store[key]
-
-    def _tree_node(self, key, compute):
-        """The tree node at `key`; a miss stores what `compute` returns
-        while the trees hold fewer than MAX_TREE_NODES nodes."""
-        node = self._tree.get(key)
-        if node is None:
-            node = compute()
-            if len(self._tree) < MAX_TREE_NODES:
-                self._tree[key] = node
-        return node
+    @staticmethod
+    def _memo(store, key, compute, limit=float("inf")):
+        """`store[key]`; a miss stores `compute()` below `limit` entries."""
+        value = store.get(key)
+        if value is None:
+            value = compute()
+            if len(store) < limit:
+                store[key] = value
+        return value
 
     def primal(self, p, q, n, lam, side):
         key = ("primal", side, n, lam, _stat_key(p, q)[1])
-        return self._memo(key, lambda: primal_solver.solve_primal(
+        result = self._memo(self._store, key, lambda: primal_solver.solve_primal(
             self.spec, p, q, n, lam, side))
+        if result.pair is not None:
+            self._memo(self._store, ("primal", 2, *key[2:]), lambda: result.pair)
+        return result
 
     def _dual(self, kind, x1, x2, n, lam):
         """Dual-`kind` solve; x1, x2 are its player-1 and player-2 inputs."""
         solve = dual_solver.solve_dual1 if kind == 1 else dual_solver.solve_dual2
-        if (kind, n, lam) not in self._templates:
-            self._templates[kind, n, lam] = dual_solver.dual_template(
-                self.spec, kind, n, lam)
+        template = self._memo(self._templates, (kind, n, lam), lambda:
+                              dual_solver.dual_template(self.spec, kind, n, lam))
         (x1, x2), stat = _stat_key(x1, x2)
-        key = (f"dual{kind}", n, lam, stat)
-        return self._memo(key, lambda: solve(
-            self.spec, x1, x2, n, lam, template=self._templates[kind, n, lam]))
+        return self._memo(self._store, (f"dual{kind}", n, lam, stat), lambda:
+                          solve(self.spec, x1, x2, n, lam, template=template))
 
     def dual1(self, mu, q, n, lam):
         return self._dual(1, mu, q, n, lam)
@@ -161,14 +159,14 @@ class SolverCache:
             return np.zeros(view.num_states)
         (vec, belief), stat = _stat_key(vec, belief)
         key = (f"upd{kind}", n, lam, stat)
-        star, bar, br = self._memo(key, lambda: self._read_out(
+        star, bar, br = self._memo(self._store, key, lambda: self._read_out(
             view, vec, belief, n, lam))
         m = view.pair(a, b)[1]
         if bar[m] > stat_updater.DEGENERATE_TOL:
             return -br[a, b] / (lam * bar[m])
         update = stat_updater.update_mu if kind == 1 else stat_updater.update_nu
-        return self._memo(key + ((a, b),), lambda: update(
-            self.spec, vec, belief, star, a, b, n, lam).vector)
+        return self._memo(self._store, key + ("lp",), lambda: update(
+            self.spec, vec, belief, star, a, b, n, lam).all_vectors)[a, b]
 
     def _read_out(self, view, vec, belief, n, lam):
         """(star, bar, BR) of `_update`, with BR[a, b, s] the responder's
@@ -209,6 +207,8 @@ class WindowAgent:
             raise ValidationError(
                 f"window config horizon N={config.total_horizon} differs "
                 f"from the game's horizon {spec.horizon_n}")
+        if cache is not None and cache.spec is not spec:
+            raise ValidationError("the solver cache is for another game spec")
         self._view = spec.side(side)
         self.spec = spec
         self.config = config
@@ -220,9 +220,9 @@ class WindowAgent:
     def begin_episode(self, own_state: int) -> None:
         _check_input(self._view, own_state)
         config = self.config
-        self._node = self.cache._tree_node(
-            (self.side, config.window_n, config.total_horizon,
-             config.update_horizon_mode), self._root)
+        self._node = self.cache._memo(self.cache._tree, (
+            self.side, config.window_n, config.total_horizon,
+            config.update_horizon_mode), self._root, MAX_TREE_NODES)
         self.own_state = own_state
 
     def _root(self) -> _Node:
@@ -246,8 +246,8 @@ class WindowAgent:
         node = self._node
         if node.t >= self.config.total_horizon:
             raise ValidationError("observe called past the horizon")
-        self._node = self.cache._tree_node(
-            (node, a, b), lambda: self._next(node, a, b))
+        self._node = self.cache._memo(self.cache._tree, (node, a, b), lambda:
+                                      self._next(node, a, b), MAX_TREE_NODES)
         self.own_state = own_next_state
 
     def _next(self, node: _Node, a: int, b: int) -> _Node:

@@ -297,7 +297,8 @@ def test_reproduce_case_study_tiny(tmp_path):
 
 
 def test_reproduce_case_study_solves_full_primal_once(tmp_path, monkeypatch):
-    """The printed value and both matchups share the n=4 side-1 primal."""
+    """The printed value and both matchups share the n=4 side-1 primal, and
+    the optimal player 2 the n=4 side-2 primal that side 1's solve ran."""
     calls = []
     real = primal_solver.solve_primal
 
@@ -310,6 +311,7 @@ def test_reproduce_case_study_solves_full_primal_once(tmp_path, monkeypatch):
         "--runs", "2", "--grid-runs", "0"])
     assert result.exit_code == 0, result.output
     assert calls.count((4, 1)) == 1
+    assert calls.count((4, 2)) == 1
 
 
 @pytest.mark.parametrize("flag,value", [("--horizon", "0"), ("--lambda", "7")])

@@ -172,6 +172,20 @@ def test_template_must_match_the_requested_lp():
                     template=dual_template(spec, 1, 1, spec.lam))
 
 
+def test_template_must_be_for_the_requested_spec():
+    """A template compiled for one game would solve that game for another:
+    here the doubled game's value is 9.794, the template game's 4.897."""
+    spec = random_spec(np.random.default_rng(4))
+    doubled = dataclasses.replace(spec, payoff=2 * spec.payoff)
+    template = dual_template(spec, 1, 2, spec.lam)
+    mu = np.zeros(spec.num_k)
+    with pytest.raises(ValueError, match="another game spec"):
+        solve_dual1(doubled, mu, doubled.q0, 2, spec.lam, template=template)
+    assert solve_dual1(spec, mu, spec.q0, 2, spec.lam,
+                       template=template).value == solve_dual1(
+        spec, mu, spec.q0, 2, spec.lam).value
+
+
 def test_shared_cache_is_order_independent(case_study):
     spec = dataclasses.replace(case_study, horizon_n=5, lam=0.6)
     config = WindowConfig(window_n=2, total_horizon=5)

@@ -9,8 +9,9 @@ import pytest
 import zsbgames
 from zsbgames import (FixedPolicyAgent, OptimalAgent, SolverCache,
                       SolverError, ValidationError, WindowAgent, WindowConfig,
-                      dual_solver, lp_core, run_episode, run_monte_carlo,
-                      solve_dual1, solve_primal, stat_updater, window_agent)
+                      dual_solver, lp_core, primal_solver, run_episode,
+                      run_monte_carlo, solve_dual1, solve_primal, stat_updater,
+                      window_agent)
 from zsbgames.simulator import write_results_csv
 from zsbgames.window_agent import (FIXED_N, REMAINING_WINDOW,
                                    load_fixed_policy)
@@ -195,10 +196,17 @@ def test_degenerate_pair_gets_the_update_lp_vector(case_study, monkeypatch):
         calls.append(args)
         return update_mu(*args)
     monkeypatch.setattr(stat_updater, "update_mu", record)
-    got = SolverCache(spec).update_mu(mu, q, 2, spec.lam, 1, 1)
+    cache = SolverCache(spec)
+    got = cache.update_mu(mu, q, 2, spec.lam, 1, 1)
     assert len(calls) == 1
     assert np.isfinite(got).all()
     assert got.tobytes() == want.vector.tobytes()
+    # b = 1 is never played, so (0, 1) is degenerate too: its vector comes
+    # from the same update LP, solved once
+    other = cache.update_mu(mu, q, 2, spec.lam, 0, 1)
+    assert len(calls) == 1
+    assert other.tobytes() == update_mu(spec, mu, q, y_star, 0, 1, 2,
+                                        spec.lam).vector.tobytes()
 
 
 def test_window_play_against_the_jammer_solves_no_update_lp(case_study,
@@ -214,6 +222,46 @@ def test_window_play_against_the_jammer_solves_no_update_lp(case_study,
     result = run_monte_carlo(spec, lambda: WindowAgent(spec, config, 1),
                              lambda: FixedPolicyAgent(spec, 2, policy), 1, 0)
     assert len(result.totals) == 1
+
+
+def test_side1_primal_stores_the_side2_primal_it_ran(rng, monkeypatch):
+    """Side 1's solve runs side 2's; the cache keeps it, byte for byte what
+    an uncached side-2 solve returns, instead of solving it again."""
+    spec = random_spec(rng, horizon=2)
+    want = solve_primal(spec, spec.p0, spec.q0, 2, spec.lam, 2)
+    sides, real = [], primal_solver.solve_primal
+
+    def counting(spec, p, q, n, lam, side, **kwargs):
+        sides.append(side)
+        return real(spec, p, q, n, lam, side, **kwargs)
+    monkeypatch.setattr(primal_solver, "solve_primal", counting)
+    cache = SolverCache(spec)
+    first = cache.primal(spec.p0, spec.q0, 2, spec.lam, 1)
+    got = cache.primal(spec.p0, spec.q0, 2, spec.lam, 2)
+    assert sides == [1, 2]
+    assert got is first.pair and got.pair is None
+    assert got.value == want.value
+    assert got.plan.values == want.plan.values
+    for arr, ref in [(got.initial_vector_payoff, want.initial_vector_payoff),
+                     *zip(got.strategy.probs, want.strategy.probs)]:
+        assert arr.tobytes() == ref.tobytes()
+    for name in ("col_status", "row_status"):
+        assert (list(getattr(got.basis, name))
+                == list(getattr(want.basis, name)))
+
+
+def test_agents_refuse_a_cache_for_another_spec(rng):
+    """The tree key holds no spec: an agent on another game's cache would
+    play that game while it advances beliefs with its own."""
+    spec = random_spec(rng, horizon=3)
+    doubled = dataclasses.replace(spec, payoff=2 * spec.payoff)
+    cache = SolverCache(spec)
+    with pytest.raises(ValidationError, match="another game spec"):
+        WindowAgent(doubled, WindowConfig(window_n=2, total_horizon=3), 1,
+                    cache=cache)
+    with pytest.raises(ValidationError, match="another game spec"):
+        OptimalAgent(doubled, 2, cache=cache)
+    OptimalAgent(spec, 2, cache=cache).begin_episode(0)
 
 
 def test_cache_is_shared_across_agents(rng):

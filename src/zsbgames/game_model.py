@@ -93,9 +93,10 @@ def validate(spec: GameSpec) -> None:
     """Raise ValidationError naming the first violated invariant, else return."""
     for field in ("num_k", "num_l", "num_a", "num_b", "horizon_n"):
         val = getattr(spec, field)
-        if not isinstance(val, (int, np.integer)) or val < 1:
+        if (isinstance(val, bool) or not isinstance(val, (int, np.integer))
+                or val < 1):
             raise ValidationError(f"{field} must be a positive integer, got {val!r}")
-    if not (0.0 < spec.lam <= 1.0):
+    if isinstance(spec.lam, (bool, np.bool_)) or not (0.0 < spec.lam <= 1.0):
         raise ValidationError(f"lambda must lie in (0, 1], got {spec.lam}")
 
     shapes = {

@@ -17,8 +17,6 @@ solvers work on that layout and no per-history table exists.
 
 from __future__ import annotations
 
-from itertools import chain, product
-
 import numpy as np
 
 from .errors import CapacityError
@@ -88,14 +86,11 @@ class HistoryIndex:
         pid = states // ns * (stride // self.num_pairs) + pairs // self.num_pairs
         return pid, divmod(pairs % self.num_pairs, self.spec.num_b)
 
-    def keys(self, side: int, n: int, width: int = 0) -> list[tuple]:
-        """Keys (t, hid) of depths 1..n in id order, or (t, hid, k) for
-        k < `width`: the order of a plan's values and a strategy's table,
-        and of the LP variables they are read from."""
-        extra = (range(width),) if width else ()
-        return list(chain.from_iterable(
-            product((t,), range(self.count(side, t)), *extra)
-            for t in range(1, n + 1)))
+    def keys(self, side: int, n: int) -> list[tuple]:
+        """Keys (t, hid) of depths 1..n in id order: the order of a
+        strategy's table."""
+        return [(t, hid) for t in range(1, n + 1)
+                for hid in range(self.count(side, t))]
 
 
 def build_index(spec: GameSpec, depth: int) -> HistoryIndex:

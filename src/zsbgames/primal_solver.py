@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import best_response, lp_core
+from .errors import NumericalError
 from .game_model import GameSpec
 from .history_index import HistoryIndex, build_index
 from .lp_core import LpBuilder
@@ -33,15 +34,27 @@ UNREACHABLE_TOL = 1e-9
 class RealizationPlan:
     """Reach-probability weights per (history, own action).
 
-    `values[(t, hid, action)]` is the plan weight; `root` is the
-    distribution its depth-1 row sums must match.
+    `values[t - 1]` holds depth t's weights as a (history id, own action)
+    array; a hand-built plan may pass a dict keyed (t, hid, own action)
+    instead, which is read into those arrays. `root` is the distribution
+    its depth-1 row sums must match.
     """
 
     side: int
     depth: int
     index: HistoryIndex
     root: np.ndarray
-    values: dict
+    values: list                    # [t - 1]: history id x own action
+
+    def __post_init__(self):
+        if isinstance(self.values, dict):
+            acts = self.index.spec.side(self.side).num_actions
+            shapes = [(self.index.count(self.side, t), acts)
+                      for t in range(1, self.depth + 1)]
+            self.values = [np.array([self.values[(t, *k)]
+                                     for k in np.ndindex(shape)],
+                                    dtype=float).reshape(shape)
+                           for t, shape in enumerate(shapes, start=1)]
 
     def last_state_weights(self) -> list[np.ndarray]:
         """The plan summed over earlier own states, in id order from 0.0:
@@ -49,17 +62,10 @@ class RealizationPlan:
         whose row for last state s and pairs `acts` is `id_of(side, t,
         (s,), acts)`. Payoffs read only the last state and transitions are
         Markov, so the plan's value depends on nothing else."""
-        view = self.index.spec.side(self.side)
-        keys = self.index.keys(self.side, self.depth, view.num_actions)
-        flat = np.fromiter(map(self.values.__getitem__, keys), float, len(keys))
-        weights, start = [], 0
-        for t in range(1, self.depth + 1):
-            stop = start + self.index.count(self.side, t) * view.num_actions
-            w = flat[start:stop].reshape(view.num_states ** (t - 1), -1,
-                                         view.num_actions)
-            weights.append(np.add.reduce(w, axis=0, initial=0.0))
-            start = stop
-        return weights
+        ns = self.index.spec.side(self.side).num_states
+        return [np.add.reduce(w.reshape(ns ** (t - 1), -1, w.shape[1]),
+                              axis=0, initial=0.0)
+                for t, w in enumerate(self.values, start=1)]
 
 
 @dataclass
@@ -200,8 +206,11 @@ def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int):
 def plan_from_solution(index: HistoryIndex, side: int, n: int,
                        plan_vars: range, primal: np.ndarray,
                        root: np.ndarray) -> RealizationPlan:
-    keys = index.keys(side, n, index.spec.side(side).num_actions)
-    values = dict(zip(keys, primal[plan_vars].tolist()))
+    """The plan in the LP solution's `plan_vars`, which hold it in id
+    order, as one (history id, own action) array per depth."""
+    weights = primal[plan_vars].reshape(-1, index.spec.side(side).num_actions)
+    depth_ends = np.cumsum([index.count(side, t) for t in range(1, n)])
+    values = np.split(weights, depth_ends)
     return RealizationPlan(side=side, depth=n, index=index,
                            root=np.asarray(root, dtype=float), values=values)
 
@@ -234,7 +243,9 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
 
     The initial vector payoff of the other side's dual game is recomputed
     as the best response against the extracted plan, so it is well defined
-    even at opponent states with zero prior weight. `inspect_lp`, if
+    even at opponent states with zero prior weight. That best response
+    certifies the solve: its value must match the LP value within
+    CERT_TOL * max(1, |value|), else NumericalError. `inspect_lp`, if
     given, is called with the compiled LP before it is solved. Side 1's
     result keeps the side-2 result it starts from as `pair`.
     """
@@ -254,6 +265,11 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
     vs_plan = (best_response.best_response_vs_p1 if side == 1
                else best_response.best_response_vs_p2)
     br = vs_plan(spec, plan, other, n, lam)
+    if (abs(br.value - sol.objective_value)
+            > lp_core.CERT_TOL * max(1.0, abs(sol.objective_value))):
+        raise NumericalError(f"side-{side} LP value {sol.objective_value!r} "
+                             f"differs from its plan's best-response value "
+                             f"{br.value!r}")
     return PrimalResult(value=sol.objective_value, plan=plan,
                         strategy=strategy, initial_vector_payoff=-br.roots,
                         basis=sol.basis, pair=pair)

@@ -79,7 +79,7 @@ def _full_history_values(spec, plan, n):
         for hid, (states, acts) in enumerate(index.histories(opp, t)):
             j, options = states[-1], []
             for o in range(view.num_opp_actions):
-                v = sum(plan.values[(t, oid, act)] * spec.lam ** (t - 1)
+                v = sum(plan.values[t - 1][oid, act] * spec.lam ** (t - 1)
                         * view.payoff[s, j, act, o]
                         for oid, s in own[acts]
                         for act in range(view.num_actions))
@@ -146,10 +146,7 @@ def test_best_response_matches_pure_strategy_enumeration(rng, side, sizes):
     optimal = solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side).plan
     for plan in (optimal, _uniform_plan(spec, side, n)):
         index = plan.index
-        weights = np.array([plan.values[(t, hid, act)]
-                            for t in range(1, n + 1)
-                            for hid in range(index.count(side, t))
-                            for act in range(view.num_actions)])
+        weights = np.concatenate([w.ravel() for w in plan.values])
         kernel = _sequence_kernel(spec, index, n, spec.lam)
         br = vs_plan(spec, plan, spec.q0 if side == 1 else spec.p0, n,
                      spec.lam)

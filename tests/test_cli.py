@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
 
-from zsbgames import lp_core, primal_solver, save_spec
+from zsbgames import best_response, lp_core, primal_solver, save_spec
 from zsbgames.cli import main
 from zsbgames.game_model import case_study_path
 
@@ -207,6 +208,21 @@ def test_solve_infeasible_lp_exit_code(tmp_path, rng, monkeypatch):
     result = CliRunner().invoke(main, ["solve", "--spec", path])
     assert result.exit_code == 4, result.output
     assert result.output.startswith("error: LP is infeasible")
+
+
+def test_solve_objective_gap_exit_code(tmp_path, rng, monkeypatch):
+    """A plan whose best response misses the LP value is a solver failure
+    (exit 4)."""
+    path = _write(tmp_path, random_spec(rng))
+    real = best_response.best_response_vs_p1
+
+    def shifted(*args):
+        br = real(*args)
+        return dataclasses.replace(br, value=br.value + 1.0)
+    monkeypatch.setattr(best_response, "best_response_vs_p1", shifted)
+    result = CliRunner().invoke(main, ["solve", "--spec", path])
+    assert result.exit_code == 4, result.output
+    assert "best-response value" in result.output
 
 
 def test_bound_command():

@@ -52,6 +52,20 @@ def test_validate_rejects_bad_lambda_and_horizon():
         validate(dataclasses.replace(spec, horizon_n=0))
 
 
+@pytest.mark.parametrize("field", ["num_k", "num_l", "num_a", "num_b",
+                                   "horizon_n", "lam"])
+@pytest.mark.parametrize("flag", [True, np.True_])
+def test_validate_rejects_booleans(field, flag):
+    """A boolean is no size and no discount factor, even where it equals
+    the 1 a one-state, one-action game or lambda = 1 would hold; game
+    files reject booleans too."""
+    spec = constant_spec(lam=1.0, horizon=1, num_k=1, num_l=1, num_a=1,
+                         num_b=1)
+    with pytest.raises(ValidationError, match="lambda" if field == "lam"
+                       else field):
+        dataclasses.replace(spec, **{field: flag})
+
+
 def test_validate_rejects_shape_mismatch():
     spec = constant_spec()
     with pytest.raises(ValidationError, match="shape"):

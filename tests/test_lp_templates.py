@@ -266,6 +266,7 @@ def test_dual_result_is_independent_of_solve_order(kind):
         _solve_dual(spec, kind, *stat, 3, template)
     later = _solve_dual(spec, kind, *stats[-1], 3, template)
     _same_dual(later, first)
-    assert later.plan.values.keys() == first.plan.values.keys()
-    assert (np.array(list(later.plan.values.values())).tobytes()
-            == np.array(list(first.plan.values.values())).tobytes())
+    assert ([w.shape for w in later.plan.values]
+            == [w.shape for w in first.plan.values])
+    assert ([w.tobytes() for w in later.plan.values]
+            == [w.tobytes() for w in first.plan.values])

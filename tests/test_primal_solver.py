@@ -1,10 +1,12 @@
+import dataclasses
 from itertools import product
 
 import numpy as np
 import pytest
 
-from zsbgames import (RealizationPlan, best_response_vs_p1,
-                      best_response_vs_p2, lp_core, solve_primal)
+from zsbgames import (NumericalError, RealizationPlan, best_response,
+                      best_response_vs_p1, best_response_vs_p2, lp_core,
+                      solve_primal)
 from zsbgames.bounds import _matrix_game_value
 from zsbgames.primal_solver import build_primal, plan_from_solution
 
@@ -39,8 +41,7 @@ def test_optimal_plan_is_feasible(rng):
                                            spec.lam, 1)
     res = solve_primal(spec, spec.p0, spec.q0, 3, spec.lam, 1)
     point = np.zeros(lp.num_vars)
-    for key, var in zip(index.keys(1, 3, spec.num_a), plan_vars):
-        point[var] = res.plan.values[key]
+    point[plan_vars] = np.concatenate([w.ravel() for w in res.plan.values])
     # the = rows are the flow rows, one per own history; they involve only
     # plan variables, so the payoff variables can stay at 0
     assert lp.b_eq.size == sum(index.count(1, t) for t in range(1, 4))
@@ -263,3 +264,58 @@ def test_side_validation():
     spec = constant_spec()
     with pytest.raises(ValueError):
         solve_primal(spec, spec.p0, spec.q0, 2, 0.5, 3)
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_plan_from_a_dict_reads_like_the_solver_plan(rng, side):
+    """A plan built from a dict keyed (t, hid, own action) holds the same
+    per-depth (history id, own action) arrays as the solver's plan with
+    those weights, so last-state weights and best responses agree byte for
+    byte."""
+    n = 3
+    spec = random_spec(rng, num_k=2, num_l=3, num_a=3, num_b=2, horizon=n)
+    res = solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side)
+    solved = res.plan
+    values = {(t, hid, act): float(w[hid, act])
+              for t, w in enumerate(solved.values, start=1)
+              for hid, act in np.ndindex(*w.shape)}
+    hand = RealizationPlan(side=side, depth=n, index=solved.index,
+                           root=solved.root, values=values)
+    view = spec.side(side)
+    assert [w.shape for w in hand.values] == [
+        (solved.index.count(side, t), view.num_actions) for t in (1, 2, 3)]
+    for got, want in zip(hand.last_state_weights(),
+                         solved.last_state_weights(), strict=True):
+        assert got.tobytes() == want.tobytes()
+    vs_plan = best_response_vs_p1 if side == 1 else best_response_vs_p2
+    other = view.pair(spec.p0, spec.q0)[1]
+    got, want = (vs_plan(spec, plan, other, n, spec.lam)
+                 for plan in (hand, solved))
+    assert got.value == want.value
+    for a, b in zip([got.roots, *got.values], [want.roots, *want.values],
+                    strict=True):
+        assert a.tobytes() == b.tobytes()
+    assert (-want.roots).tobytes() == res.initial_vector_payoff.tobytes()
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_objective_gap_is_certified(rng, monkeypatch, side):
+    """The best response against the solved plan must reach the LP value
+    within CERT_TOL * max(1, |value|); a shifted one is a NumericalError."""
+    spec = random_spec(rng, horizon=2)
+    name = f"best_response_vs_p{side}"
+    real = getattr(best_response, name)
+    value = solve_primal(spec, spec.p0, spec.q0, 2, spec.lam, side).value
+
+    def shifted(*args):
+        br = real(*args)
+        return dataclasses.replace(br, value=br.value + shift)
+    monkeypatch.setattr(best_response, name, shifted)
+    for factor, raises in [(0.5, False), (2.0, True)]:
+        shift = factor * lp_core.CERT_TOL * max(1.0, abs(value))
+        if raises:
+            with pytest.raises(NumericalError, match="best-response value"):
+                solve_primal(spec, spec.p0, spec.q0, 2, spec.lam, side)
+        else:
+            assert solve_primal(spec, spec.p0, spec.q0, 2, spec.lam,
+                                side).value == value

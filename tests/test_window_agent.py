@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -241,7 +242,9 @@ def test_side1_primal_stores_the_side2_primal_it_ran(rng, monkeypatch):
     assert sides == [1, 2]
     assert got is first.pair and got.pair is None
     assert got.value == want.value
-    assert got.plan.values == want.plan.values
+    assert len(got.plan.values) == len(want.plan.values)
+    assert all(np.array_equal(w, ref)
+               for w, ref in zip(got.plan.values, want.plan.values))
     for arr, ref in [(got.initial_vector_payoff, want.initial_vector_payoff),
                      *zip(got.strategy.probs, want.strategy.probs)]:
         assert arr.tobytes() == ref.tobytes()
@@ -465,3 +468,23 @@ def test_capped_tree_plays_the_same(case_study, monkeypatch):
     uncapped, nodes = csv()
     monkeypatch.setattr(window_agent, "MAX_TREE_NODES", 5)
     assert csv() == (uncapped, 5) and nodes > 5
+
+
+def test_jammer_cell_cache_stays_small(case_study):
+    """A cache that served 20 window-vs-jammer episodes (lambda=0.9, N=12,
+    n=3) holds plans as per-depth arrays, not per-weight Python objects:
+    what stays allocated after the run is a few MiB."""
+    spec = dataclasses.replace(case_study, lam=0.9, horizon_n=12)
+    policy = json.loads((Path(zsbgames.__file__).parent / "data" /
+                         "fixed_policy_jammer.json").read_text())["policy"]
+    config = WindowConfig(window_n=3, total_horizon=12)
+    tracemalloc.start()
+    try:
+        cache = SolverCache(spec)
+        run_monte_carlo(spec, lambda: WindowAgent(spec, config, 1, cache=cache),
+                        lambda: FixedPolicyAgent(spec, 2, policy), 20, 0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cache._store
+    assert held < 4 * 2 ** 20

@@ -1,9 +1,11 @@
 """Dual-game LPs.
 
-Each dual LP is the other player's primal constraint system plus one
-scalar variable linking the root weighted payoffs to the opponent's
-initial vector payoff. Sharing the system builder with the primal module
-keeps the two formulations structurally identical.
+Each dual LP is the plan owner's sequence-form constraint system on
+(last state, public pairs) rows (`primal_solver.add_compact_system`) plus
+one scalar variable linking the root weighted payoffs to the opponent's
+initial vector payoff. Every solve is certified: the picker's best
+response to the solved plan, shifted by the vector payoff, must reach the
+LP value (`lp_core.check_gap`).
 
 The statistic enters a dual LP only through right-hand sides: the plan
 owner's belief in the depth-1 flow rows and the vector payoff in the
@@ -21,12 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import lp_core
+from . import best_response, lp_core
+from .best_response import BestResponseResult
 from .game_model import GameSpec
 from .history_index import HistoryIndex, build_index
 from .lp_core import CompiledLP, LpBuilder
 from .primal_solver import (BehavioralStrategy, RealizationPlan,
-                            SequenceSystem, add_sequence_system,
+                            SequenceSystem, add_compact_system,
                             extract_strategy, plan_from_solution)
 
 
@@ -35,6 +38,7 @@ class DualResult:
     value: float
     strategy: BehavioralStrategy
     plan: RealizationPlan
+    response: BestResponseResult    # the picker's to `plan`, by state
 
 
 @dataclass
@@ -55,8 +59,8 @@ class DualTemplate:
     coupling_rows: range            # rhs = -(vector payoff)
 
     def lp_at(self, root, vector) -> CompiledLP:
-        return self.lp.with_rhs([*self.system.root_rows, *self.coupling_rows],
-                                [*root, *(-vector)])
+        return self.lp.with_rhs(self.system.root_rows, root).with_rhs(
+            self.coupling_rows, -vector)
 
 
 def dual_template(spec: GameSpec, kind: int, n: int,
@@ -64,8 +68,8 @@ def dual_template(spec: GameSpec, kind: int, n: int,
     owner = spec.side(3 - kind)     # the plan owner; the picker is its opp
     index = build_index(spec, n)
     builder = LpBuilder()
-    system = add_sequence_system(builder, spec, index, owner.side, n, lam,
-                                 np.zeros(owner.num_states))
+    system = add_compact_system(builder, spec, owner.side, n, lam,
+                                np.zeros(owner.num_states))
     v0 = builder.new_var()
     rel = "<=" if kind == 1 else ">="
     s = np.arange(owner.num_opp_states)
@@ -90,11 +94,19 @@ def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
                                            np.zeros(owner.num_opp_states)))
         template.lp = replace(template.lp, basis=ref.basis)
     root = np.asarray(root, dtype=float)
-    sol = lp_core.solve(template.lp_at(root, np.asarray(vector, dtype=float)))
+    vector = np.asarray(vector, dtype=float)
+    sol = lp_core.solve(template.lp_at(root, vector))
     plan = plan_from_solution(template.index, 3 - kind, n,
                               template.system.plan_vars, sol.primal, root)
+    vs_plan = (best_response.best_response_vs_p2 if kind == 1
+               else best_response.best_response_vs_p1)
+    response = vs_plan(spec, plan, np.zeros(vector.size), n, lam)
+    best = np.max if kind == 1 else np.min
+    lp_core.check_gap(f"dual-{kind}", sol.objective_value,
+                      float(best(response.roots + vector)))
     return DualResult(value=sol.objective_value,
-                      strategy=extract_strategy(plan, spec), plan=plan)
+                      strategy=extract_strategy(plan, spec), plan=plan,
+                      response=response)
 
 
 def solve_dual1(spec: GameSpec, mu, q, n: int, lam: float,

@@ -212,10 +212,10 @@ class CompiledLP:
         return self.c.size
 
     def with_rhs(self, rows, values) -> CompiledLP:
-        """Copy whose rows `rows` have right-hand sides `values`; the
-        matrices and the basis are shared."""
+        """Copy whose rows `rows` have right-hand sides `values` (as many;
+        else ValueError); the matrices and the basis are shared."""
         b_ub, b_eq = self.b_ub.copy(), self.b_eq.copy()
-        for row, value in zip(rows, values):
+        for row, value in zip(rows, values, strict=True):
             rel = self.rels[row]
             if rel == "=":
                 b_eq[self.slots[row]] = float(value)
@@ -352,6 +352,14 @@ def solve(lp: CompiledLP) -> LpSolution:
         raise NumericalError(f"LP backend failed: status={res.status} ({res.message})")
     return LpSolution(objective_value=-res.fun if lp.sense == MAX else res.fun,
                       primal=res.x, basis=res.basis)
+
+
+def check_gap(label: str, value: float, best_response: float) -> None:
+    """Raise NumericalError unless the best-response value of a solved
+    plan is within CERT_TOL * max(1, |value|) of the LP value `value`."""
+    if abs(best_response - value) > CERT_TOL * max(1.0, abs(value)):
+        raise NumericalError(f"{label} LP value {value!r} differs from its "
+                             f"plan's best-response value {best_response!r}")
 
 
 def complementary_basis(basis, lp: CompiledLP):

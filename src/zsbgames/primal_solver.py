@@ -6,6 +6,11 @@ opponent side carries one weighted-payoff variable per opponent history.
 The player-1 system uses >= payoff rows (the opponent minimizes), the
 player-2 system uses <= rows.
 
+`add_compact_system` builds the same system on (last state, public pairs)
+rows, which reach the same value as payoffs read only the last state and
+transitions are Markov (Nayyar, Mahajan & Teneketzis 2013). The dual-game
+and update LPs use it; the primal LP keeps the full-history system.
+
 The two players' LPs are an LP-dual pair (Koller, Megiddo & von Stengel
 1996): player 2's variables are player 1's rows and its rows player 1's
 variables, in builder order, and each objective is the other's right-hand
@@ -22,7 +27,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import best_response, lp_core
-from .errors import NumericalError
 from .game_model import GameSpec
 from .history_index import HistoryIndex, build_index
 from .lp_core import LpBuilder
@@ -34,17 +38,19 @@ UNREACHABLE_TOL = 1e-9
 class RealizationPlan:
     """Reach-probability weights per (history, own action).
 
-    `values[t - 1]` holds depth t's weights as a (history id, own action)
-    array; a hand-built plan may pass a dict keyed (t, hid, own action)
-    instead, which is read into those arrays. `root` is the distribution
-    its depth-1 row sums must match.
+    `values[t - 1]` holds depth t's weights as a (row, own action) array,
+    with a row per history id (the primal LP's) or per (last own state,
+    pairs) id `s * P**(t - 1) + r` (the compact system's); a hand-built
+    plan may pass a dict keyed (t, hid, own action) instead, which is read
+    into full-history arrays. `root` is the distribution its depth-1 row
+    sums must match.
     """
 
     side: int
     depth: int
     index: HistoryIndex
     root: np.ndarray
-    values: list                    # [t - 1]: history id x own action
+    values: list                    # [t - 1]: row x own action
 
     def __post_init__(self):
         if isinstance(self.values, dict):
@@ -61,9 +67,11 @@ class RealizationPlan:
         one (last state, pair sequence) x own action array per depth t,
         whose row for last state s and pairs `acts` is `id_of(side, t,
         (s,), acts)`. Payoffs read only the last state and transitions are
-        Markov, so the plan's value depends on nothing else."""
+        Markov, so the plan's value depends on nothing else. A plan on
+        those rows already is summed over its one block."""
         ns = self.index.spec.side(self.side).num_states
-        return [np.add.reduce(w.reshape(ns ** (t - 1), -1, w.shape[1]),
+        P = self.index.num_pairs
+        return [np.add.reduce(w.reshape(-1, ns * P ** (t - 1), w.shape[1]),
                               axis=0, initial=0.0)
                 for t, w in enumerate(self.values, start=1)]
 
@@ -118,8 +126,8 @@ class PrimalResult:
 
 
 class SequenceSystem(NamedTuple):
-    plan_vars: range                # own (t, hid, own action), in id order
-    payoff_vars: range              # opponent (t, hid), in id order, so
+    plan_vars: range                # own (t, row, own action), in id order
+    payoff_vars: range              # opponent (t, row), in id order, so
                                     # payoff_vars[s] is opponent state s's root
     root_rows: range                # [s] -> flow row whose rhs is root_dist[s]
 
@@ -185,6 +193,59 @@ def add_sequence_system(builder: LpBuilder, spec: GameSpec, index: HistoryIndex,
     return SequenceSystem(plan_vars, payoff_vars, root_rows)
 
 
+def add_compact_system(builder: LpBuilder, spec: GameSpec, side: int, n: int,
+                       lam: float, root_dist: np.ndarray) -> SequenceSystem:
+    """`add_sequence_system` on (last state, public pairs) rows: plan
+    weights z_t[s, r, a] and payoff variables v_t[j, r] for own and
+    opponent last states s and j, pair sequence r and own action a, rows
+    in id order `s * P**(t - 1) + r`. A payoff row per (j, r, opponent
+    action) bounds v_t[j, r] by the stage payoff of z_t[:, r] plus the
+    v_(t+1) of r's extensions; a flow row per (s', r (a, b)) sets its plan
+    weights to sum_s T[a, b, s, s'] z_(t-1)[s, r, own action], at depth 1
+    to root_dist[s'] (`root_rows`)."""
+    view = spec.side(side)
+    ns, no = view.num_states, view.num_opp_states
+    num_own, num_opp = view.num_actions, view.num_opp_actions
+    P = spec.num_a * spec.num_b
+    seqs = [P ** (t - 1) for t in range(1, n + 1)]     # pair sequences
+    plan_vars = builder.new_vars(ns * num_own * sum(seqs), lower=0.0)
+    payoff_vars = builder.new_vars(no * sum(seqs))
+    # first variable of depth t: plan_at[t - 1], payoff_at[t - 1]
+    plan_at = plan_vars.start + ns * num_own * np.cumsum([0] + seqs)
+    payoff_at = payoff_vars.start + no * np.cumsum([0] + seqs)
+
+    rel = ">=" if side == 1 else "<="
+    for t, R in enumerate(seqs, start=1):
+        j, r, o = (x[..., None, None] for x in np.ogrid[:no, :R, :num_opp])
+        row = (j * R + r) * num_opp + o
+        s, act = np.ogrid[:ns, :num_own]
+        entries = [(row, payoff_at[t - 1] + j * R + r, -1.0),
+                   (row, plan_at[t - 1] + (s * R + r) * num_own + act,
+                    (lam ** (t - 1) * view.payoff)[s, j, act, o])]
+        if t < n:
+            act, nxt = np.ogrid[:num_own, :no]
+            a, b = view.pair(act, o)
+            entries.append((row, payoff_at[t] + (nxt * R + r) * P
+                            + a * spec.num_b + b, view.opp_trans[a, b, j, nxt]))
+        builder.add_rows(rel, np.zeros(no * R * num_opp), entries)
+
+    act = np.arange(num_own)
+    h = np.arange(ns)[:, None]
+    root_rows = builder.add_rows("=", root_dist,
+                                 [(h, plan_at[0] + h * num_own + act, 1.0)])
+    for t, R in enumerate(seqs[:-1], start=2):
+        nxt, r, a, b = (x[..., None] for x in np.ogrid[
+            :ns, :R, :spec.num_a, :spec.num_b])
+        row = ((nxt * R + r) * spec.num_a + a) * spec.num_b + b
+        s = np.arange(ns)
+        builder.add_rows("=", np.zeros(row.size), [
+            (row, plan_at[t - 1] + row * num_own + act, 1.0),
+            (row, plan_at[t - 2] + (s * R + r) * num_own + view.pair(a, b)[0],
+             -view.trans[a, b, s, nxt])])
+
+    return SequenceSystem(plan_vars, payoff_vars, root_rows)
+
+
 def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int):
     """Player `side`'s primal LP; returns (lp, plan_vars, payoff_vars, index).
 
@@ -207,10 +268,17 @@ def plan_from_solution(index: HistoryIndex, side: int, n: int,
                        plan_vars: range, primal: np.ndarray,
                        root: np.ndarray) -> RealizationPlan:
     """The plan in the LP solution's `plan_vars`, which hold it in id
-    order, as one (history id, own action) array per depth."""
-    weights = primal[plan_vars].reshape(-1, index.spec.side(side).num_actions)
-    depth_ends = np.cumsum([index.count(side, t) for t in range(1, n)])
-    values = np.split(weights, depth_ends)
+    order, as one (row, own action) array per depth. The rows are the
+    layout of the system that built the LP, told apart by their total:
+    full histories (`add_sequence_system`) or (last state, pairs) rows
+    (`add_compact_system`); the two coincide for one own state."""
+    view = index.spec.side(side)
+    weights = primal[plan_vars].reshape(-1, view.num_actions)
+    rows = [index.count(side, t) for t in range(1, n + 1)]
+    if sum(rows) != len(weights):
+        rows = [view.num_states * index.num_pairs ** (t - 1)
+                for t in range(1, n + 1)]
+    values = np.split(weights, np.cumsum(rows[:-1]))
     return RealizationPlan(side=side, depth=n, index=index,
                            root=np.asarray(root, dtype=float), values=values)
 
@@ -265,11 +333,7 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
     vs_plan = (best_response.best_response_vs_p1 if side == 1
                else best_response.best_response_vs_p2)
     br = vs_plan(spec, plan, other, n, lam)
-    if (abs(br.value - sol.objective_value)
-            > lp_core.CERT_TOL * max(1.0, abs(sol.objective_value))):
-        raise NumericalError(f"side-{side} LP value {sol.objective_value!r} "
-                             f"differs from its plan's best-response value "
-                             f"{br.value!r}")
+    lp_core.check_gap(f"side-{side}", sol.objective_value, br.value)
     return PrimalResult(value=sol.objective_value, plan=plan,
                         strategy=strategy, initial_vector_payoff=-br.roots,
                         basis=sol.basis, pair=pair)

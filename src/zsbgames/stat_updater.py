@@ -2,7 +2,8 @@
 vector payoffs.
 
 The vector-payoff update LP couples one sub-system per action pair
-(a, b): a shortened (horizon n-1) opponent-side sequence system rooted at
+(a, b): a shortened (horizon n-1) opponent-side sequence system on (last
+state, public pairs) rows (`primal_solver.add_compact_system`) rooted at
 the posterior belief for that pair, a scalar tail value, and the new
 vector payoff itself. The coupling scalar equals the dual-game value, and
 one solve gives every action pair's candidate payoff. Window play reads
@@ -19,9 +20,8 @@ import numpy as np
 
 from . import lp_core
 from .game_model import GameSpec
-from .history_index import build_index
 from .lp_core import LpBuilder
-from .primal_solver import add_sequence_system
+from .primal_solver import add_compact_system
 
 DEGENERATE_TOL = 1e-9
 
@@ -75,7 +75,6 @@ def _update_lp(spec: GameSpec, kind: int, vec, belief, star, n: int,
     posterior = update_belief_q if kind == 1 else update_belief_p
     builder = LpBuilder()
     scalar = builder.new_var()
-    sub_index = build_index(spec, n - 1) if n >= 2 else None
     s = np.arange(view.num_states)
     tail_vars = np.zeros((spec.num_a, spec.num_b), int)
     vector_vars = np.zeros(tail_vars.shape + s.shape, int)
@@ -84,8 +83,8 @@ def _update_lp(spec: GameSpec, kind: int, vec, belief, star, n: int,
         vector_vars[aa, bb] = builder.new_vars(view.num_states)
         entries = [(s, vector_vars[aa, bb], 1.0), (s, tail_vars[aa, bb], -1.0)]
         if n >= 2:
-            _, payoff_vars, _ = add_sequence_system(
-                builder, spec, sub_index, view.opp, n - 1, lam,
+            _, payoff_vars, _ = add_compact_system(
+                builder, spec, view.opp, n - 1, lam,
                 posterior(spec, belief, star, aa, bb))
             entries.append((s, payoff_vars.start + s, 1.0))
         builder.add_rows("<=" if kind == 1 else ">=", np.zeros(s.size), entries)

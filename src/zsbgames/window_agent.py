@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import best_response, dual_solver, primal_solver, stat_updater
+from . import dual_solver, primal_solver, stat_updater
 from .errors import ParseError, ValidationError
 from .game_model import GameSpec, SideView, read_numbers
 
@@ -43,6 +43,10 @@ REMAINING_WINDOW = "remaining_window"
 # nodes a cache's trees hold at most (the n=2, N=8 case-study duel has
 # 21,845 public prefixes a side); past it a new node is not stored
 MAX_TREE_NODES = 50_000
+# entries a cache's store holds at most (the largest store of
+# `reproduce-case-study --seed 0 --full-grid` holds 1,456); past it a
+# result is not stored
+MAX_STORE_ENTRIES = 5_000
 
 
 @dataclass
@@ -101,7 +105,9 @@ class SolverCache:
     The statistic trajectory of a window agent depends only on the public
     action sequence, so sharing one cache across the episodes of a Monte
     Carlo run removes almost all repeated solves. Every entry goes in
-    through `_memo`; a side-1 primal also stores the side-2 primal it ran
+    through `_memo`, and the store keeps at most MAX_STORE_ENTRIES
+    (`_remember`); past it a result is computed again, the same, as each is
+    solved at its key. A side-1 primal also stores the side-2 primal it ran
     (`PrimalResult.pair`), and a degenerate pair's update LP all pairs'
     vectors. Dual templates are compiled once per (kind, n, lambda). The
     window agents' trees live here too (module docstring), so agents
@@ -124,12 +130,15 @@ class SolverCache:
                 store[key] = value
         return value
 
+    def _remember(self, key, compute):
+        return self._memo(self._store, key, compute, MAX_STORE_ENTRIES)
+
     def primal(self, p, q, n, lam, side):
         key = ("primal", side, n, lam, _stat_key(p, q)[1])
-        result = self._memo(self._store, key, lambda: primal_solver.solve_primal(
+        result = self._remember(key, lambda: primal_solver.solve_primal(
             self.spec, p, q, n, lam, side))
         if result.pair is not None:
-            self._memo(self._store, ("primal", 2, *key[2:]), lambda: result.pair)
+            self._remember(("primal", 2, *key[2:]), lambda: result.pair)
         return result
 
     def _dual(self, kind, x1, x2, n, lam):
@@ -138,8 +147,8 @@ class SolverCache:
         template = self._memo(self._templates, (kind, n, lam), lambda:
                               dual_solver.dual_template(self.spec, kind, n, lam))
         (x1, x2), stat = _stat_key(x1, x2)
-        return self._memo(self._store, (f"dual{kind}", n, lam, stat), lambda:
-                          solve(self.spec, x1, x2, n, lam, template=template))
+        return self._remember((f"dual{kind}", n, lam, stat), lambda:
+                              solve(self.spec, x1, x2, n, lam, template=template))
 
     def dual1(self, mu, q, n, lam):
         return self._dual(1, mu, q, n, lam)
@@ -159,13 +168,13 @@ class SolverCache:
             return np.zeros(view.num_states)
         (vec, belief), stat = _stat_key(vec, belief)
         key = (f"upd{kind}", n, lam, stat)
-        star, bar, br = self._memo(self._store, key, lambda: self._read_out(
+        star, bar, br = self._remember(key, lambda: self._read_out(
             view, vec, belief, n, lam))
         m = view.pair(a, b)[1]
         if bar[m] > stat_updater.DEGENERATE_TOL:
             return -br[a, b] / (lam * bar[m])
         update = stat_updater.update_mu if kind == 1 else stat_updater.update_nu
-        return self._memo(self._store, key + ("lp",), lambda: update(
+        return self._remember(key + ("lp",), lambda: update(
             self.spec, vec, belief, star, a, b, n, lam).all_vectors)[a, b]
 
     def _read_out(self, view, vec, belief, n, lam):
@@ -173,10 +182,7 @@ class SolverCache:
         depth-2 row of last state s and pair (a, b)."""
         dual = (self.dual1 if view.side == 1 else self.dual2)(
             *view.pair(vec, belief), n, lam)
-        vs_plan = (best_response.best_response_vs_p2 if view.side == 1
-                   else best_response.best_response_vs_p1)
-        depth2 = vs_plan(self.spec, dual.plan, np.zeros(view.num_states), n,
-                         lam).values[1]
+        depth2 = dual.response.values[1]
         star = dual.strategy.stage1_matrix()
         return (star, star @ belief, depth2.reshape(
             view.num_states, -1, self.spec.num_b).transpose(1, 2, 0))

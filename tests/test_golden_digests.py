@@ -46,13 +46,13 @@ LP_DIGESTS = {
     "primal-n4-side2":
         "ac91e604df0875f1c90e7b172dcb9c8970d9ee575391b23556688e2e09873b77",
     "dual1-n2":
-        "d0c25916fec5f3a718760f3281c6333624c461eb647d615a64079136e1990c5f",
+        "5a7d62ce9f469fd398bc771ff9da0dc95bb5ce96fefeead625fc021721283a57",
     "dual2-n2":
-        "085512a90b7604c9c438078efe690a1c04f973aad41418fdebc2fd24ac09ff48",
+        "554d33e5f3c965b6fa4296e254dc3df990018527aa741a595a17c68eefa5b708",
     "dual1-n2-reference":
-        "957abb39a82a5f829b45cce3c24d3692695c18fd3d77504ee66e206412ea297c",
+        "c35edc0682cd63bd043a72abee2495bc6127dc324bdbde701599e1814b66e7c8",
     "dual2-n2-reference":
-        "5327e5f050ede50421a8b6961c11c331bfd2da3e810e72235a6226730c4209c0",
+        "a1debbdefeb49d97309f844717e975d8a6d170c9831c09338f1622be9cd4a1b5",
     "update1-n2":
         "b336ae290b3ccfbb11307e9317ba626260928080708fdf4407025c23893cbdbc",
     "update2-n2":
@@ -69,11 +69,11 @@ SOLVE_DIGESTS = {
 
 PLAY_DIGESTS = {
     "duel-200":
-        "71843677ac63fd288f927020077c0def16d5266039cfd81148dee9260e5623bc",
+        "6b8908a2a18227f9d8bb37c3fc834cb770d0e14bcdf501864fc426daef7f881a",
     "jammer-3":
         "8c2e999cbf4e7a135f0a3415ec0e1994a5d560a9611ea27b828fa4c71cd3ec45",
     "remaining-window-50":
-        "c72a0027c55229756c95e1e4088d2bf9f963084e7b5e49673ebf8a7de73b0a66",
+        "46c6f98c39c076ce2f9f8a9d375a7feb43e45073c63feb34ac7add9d7d129dbb",
 }
 
 

@@ -237,7 +237,7 @@ def _warm_dual_fingerprint():
     spec = load_case_study()
     template = dual_template(spec, 2, 3, spec.lam)
     ref = lp_core.solve(template.lp_at(spec.p0, np.zeros(spec.num_l)))
-    lp = template.lp_at(np.array([0.2, 0.5, 0.3]), np.array([-100.0, -50.0]))
+    lp = template.lp_at(np.array([0.1, 0.1, 0.8]), np.array([-100.0, -50.0]))
     res = lp_core.linprog(lp.c, bounds=lp.bounds, A_ub=lp.a_ub, b_ub=lp.b_ub,
                           A_eq=lp.a_eq, b_eq=lp.b_eq, basis=ref.basis)
     return [hashlib.sha256(res.x.tobytes()).hexdigest(), res.fun.hex(),

@@ -470,6 +470,25 @@ def test_capped_tree_plays_the_same(case_study, monkeypatch):
     assert csv() == (uncapped, 5) and nodes > 5
 
 
+def test_bounded_store_plays_the_same(case_study, monkeypatch):
+    """Past MAX_STORE_ENTRIES a result is computed and not stored."""
+    spec = dataclasses.replace(case_study, lam=0.6, horizon_n=8)
+    config = WindowConfig(window_n=2, total_horizon=8)
+
+    def csv():
+        cache = SolverCache(spec)
+        result = run_monte_carlo(
+            spec, lambda: WindowAgent(spec, config, 1, cache=cache),
+            lambda: WindowAgent(spec, config, 2, cache=cache), 50, 0)
+        buf = io.StringIO()
+        write_results_csv(result, buf)
+        return buf.getvalue(), len(cache._store)
+
+    unbounded, entries = csv()
+    monkeypatch.setattr(window_agent, "MAX_STORE_ENTRIES", 3)
+    assert csv() == (unbounded, 3) and entries > 3
+
+
 def test_jammer_cell_cache_stays_small(case_study):
     """A cache that served 20 window-vs-jammer episodes (lambda=0.9, N=12,
     n=3) holds plans as per-depth arrays, not per-weight Python objects:

@@ -14,7 +14,9 @@ lambda) and patched for each solve. For the same reason an optimal basis
 at one statistic stays dual feasible at every other: each solve starts
 from the template's reference basis, that of one cold solve at the plan
 owner's prior and a zero vector payoff, so a result depends on its
-statistic alone and never on what was solved before.
+statistic alone and never on what was solved before. The template's
+patched LPs are one LP family, so `lp_core` solves them all on one kept
+HiGHS model, cleared before each solve.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from . import best_response, lp_core
 from .best_response import BestResponseResult
 from .game_model import GameSpec
-from .history_index import HistoryIndex, build_index
+from .history_index import HistoryIndex
 from .lp_core import CompiledLP, LpBuilder
 from .primal_solver import (BehavioralStrategy, RealizationPlan,
                             SequenceSystem, add_compact_system,
@@ -66,7 +68,7 @@ class DualTemplate:
 def dual_template(spec: GameSpec, kind: int, n: int,
                   lam: float) -> DualTemplate:
     owner = spec.side(3 - kind)     # the plan owner; the picker is its opp
-    index = build_index(spec, n)
+    index = HistoryIndex(spec, n)
     builder = LpBuilder()
     system = add_compact_system(builder, spec, owner.side, n, lam,
                                 np.zeros(owner.num_states))

@@ -33,15 +33,6 @@ class HistoryIndex:
             raise ValueError("depth must be >= 1")
         self.spec = spec
         self.num_pairs = spec.num_a * spec.num_b
-        # rough sequence-form LP size, summed only until it passes the limit
-        total = 0
-        for t in range(1, depth + 1):
-            total += (self.count(1, t) * (spec.num_a + 1)
-                      + self.count(2, t) * (spec.num_b + 1))
-            if total > DEFAULT_MAX_VARS:
-                raise CapacityError(f"sequence-form LP at depth {depth} would "
-                                    f"exceed the limit of {DEFAULT_MAX_VARS} "
-                                    "variables")
 
     def count(self, side: int, t: int) -> int:
         return self.spec.side(side).num_states ** t * self.num_pairs ** (t - 1)
@@ -93,5 +84,24 @@ class HistoryIndex:
                 for hid in range(self.count(side, t))]
 
 
+def check_capacity(depth: int, sizes) -> None:
+    """Raise CapacityError if the variable counts `sizes` of an LP's
+    depths 1..depth sum past DEFAULT_MAX_VARS; they are summed only until
+    they pass it."""
+    total = 0
+    for size in sizes:
+        total += size
+        if total > DEFAULT_MAX_VARS:
+            raise CapacityError(f"sequence-form LP at depth {depth} would "
+                                f"exceed the limit of {DEFAULT_MAX_VARS} "
+                                "variables")
+
+
 def build_index(spec: GameSpec, depth: int) -> HistoryIndex:
-    return HistoryIndex(spec, depth)
+    """The index of the full-history sequence-form LP at `depth`, whose
+    rough size, both players' systems, passes `check_capacity`."""
+    index = HistoryIndex(spec, depth)
+    check_capacity(depth, (index.count(1, t) * (spec.num_a + 1)
+                           + index.count(2, t) * (spec.num_b + 1)
+                           for t in range(1, depth + 1)))
+    return index

@@ -16,9 +16,14 @@ repeats `scipy.optimize.linprog(method="highs")`'s checks, status codes
 and certificate. A cold solve uses its options and returns its point bit
 for bit; a warm start prices with Devex, which needs no BTRAN per row to
 start from a basis as dual steepest edge does, and reaches its status and
-objective. Every solve gets a fresh model, warm-started only from a basis
-in its input (`CompiledLP.basis`), so identical input gives bit-identical
-output whatever ran before, as reproducible strategy extraction needs.
+objective. An LP family, a `CompiledLP` and the copies `with_rhs` makes
+of it, keeps one model while it lives, which each solve clears and
+patches in only the right-hand sides that differ, so one family is not
+solved from two threads at once; every other LP gets a fresh model.
+Either way a solve starts from a cleared solver with scipy's options and
+the LP's own basis (`CompiledLP.basis`) or none, so identical input
+gives bit-identical output whatever ran before, as reproducible strategy
+extraction needs.
 
 `complementary_basis` maps an optimal basis of an LP's dual to an optimal
 basis of the LP; the two players' primal LPs are such a pair.
@@ -28,7 +33,9 @@ from __future__ import annotations
 
 import importlib.util
 import math
+import operator
 import sys
+import weakref
 from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
@@ -213,7 +220,10 @@ class CompiledLP:
 
     def with_rhs(self, rows, values) -> CompiledLP:
         """Copy whose rows `rows` have right-hand sides `values` (as many;
-        else ValueError); the matrices and the basis are shared."""
+        else ValueError); the matrices, c, the bounds and the basis are
+        shared, and the copies solve on one kept HiGHS model."""
+        if self.a_ub not in _FAMILIES:
+            _FAMILIES[self.a_ub] = _Family(self)
         b_ub, b_eq = self.b_ub.copy(), self.b_eq.copy()
         for row, value in zip(rows, values, strict=True):
             rel = self.rels[row]
@@ -263,6 +273,24 @@ def _rhs(b, mat, name: str) -> np.ndarray:
     return b
 
 
+class _Family:
+    """The HiGHS model kept for an LP family, made on its first solve, and
+    the row upper bounds it holds. c and the bounds are frozen, as the
+    matrices are, so the model cannot go stale."""
+
+    def __init__(self, lp: CompiledLP):
+        lp.c.flags.writeable = lp.bounds.flags.writeable = False
+        self.parts = (lp.c, lp.bounds, lp.a_eq)
+        self.model = self.upper = None
+
+
+# the kept models: LP family (the a_ub its copies share) -> _Family. A
+# model is cleared before each solve, so no output depends on this state,
+# and it goes with the family's last copy
+_FAMILIES = weakref.WeakKeyDictionary()
+_ERROR = highs.HighsStatus.kError
+
+
 def _solution(model):
     """Column and row values of a solved model."""
     sol = model.getSolution()
@@ -300,24 +328,43 @@ def linprog(c, *, bounds, A_ub, b_ub, A_eq, b_eq, basis=None):
     if not (lb <= ub).all():
         raise ValueError("every lower bound must be at most its upper bound")
 
-    model = highs._Highs()
-    model.passOptions(_OPTIONS)
-    # as in scipy, a rejected model is a model error. HiGHS copies the rows
-    # into its column form in row order and reads num_vars integrality flags
-    loaded = model.passModel(
-        num_vars, num_ub + b_eq.size, num_nz, highs.MatrixFormat.kRowwise,
-        highs.ObjSense.kMinimize, 0.0, c, lb, ub,
-        np.concatenate([np.full(num_ub, -math.inf), b_eq]),
-        np.concatenate([b_ub, b_eq]),
-        np.concatenate([A_ub.indptr[:-1], A_eq.indptr[:-1] + A_ub.nnz],
-                       dtype=np.int32),
-        np.concatenate([A_ub.indices, A_eq.indices], dtype=np.int32),
-        np.concatenate([A_ub.data, A_eq.data], dtype=float),
-        np.zeros(num_vars, dtype=np.int32)) != highs.HighsStatus.kError
+    lower = np.concatenate([np.full(num_ub, -math.inf), b_eq])
+    upper = np.concatenate([b_ub, b_eq])
+    family = _FAMILIES.get(A_ub)
+    if family is not None and not all(map(operator.is_, (c, bounds, A_eq),
+                                          family.parts)):
+        family = None
+    if family is not None and family.model is not None:
+        model, loaded = family.model, True
+        model.clearSolver()
+        model.passOptions(_OPTIONS)
+        # an equality row's lower bound is its upper, an inequality's -inf;
+        # the rows exist and the bounds are finite, so no change fails
+        for row in np.flatnonzero(upper.view(np.int64)
+                                  != family.upper.view(np.int64)).tolist():
+            model.changeRowBounds(row, lower[row], upper[row])
+    else:
+        model = highs._Highs()
+        model.passOptions(_OPTIONS)
+        # as in scipy, a rejected model is a model error. HiGHS copies the
+        # rows into its column form in row order and reads num_vars
+        # integrality flags
+        loaded = model.passModel(
+            num_vars, lower.size, num_nz, highs.MatrixFormat.kRowwise,
+            highs.ObjSense.kMinimize, 0.0, c, lb, ub, lower, upper,
+            np.concatenate([A_ub.indptr[:-1], A_eq.indptr[:-1] + A_ub.nnz],
+                           dtype=np.int32),
+            np.concatenate([A_ub.indices, A_eq.indices], dtype=np.int32),
+            np.concatenate([A_ub.data, A_eq.data], dtype=float),
+            np.zeros(num_vars, dtype=np.int32)) != _ERROR
+        if family is not None and loaded:
+            family.model = model
+    if family is not None:
+        family.upper = upper
     if loaded and basis is not None:
         model.setOptionValue("simplex_dual_edge_weight_strategy", 1)  # Devex
-        loaded = model.setBasis(basis) != highs.HighsStatus.kError
-    ran = loaded and model.run() != highs.HighsStatus.kError
+        loaded = model.setBasis(basis) != _ERROR
+    ran = loaded and model.run() != _ERROR
     status = model.getModelStatus() if loaded else _MODEL.kModelError
     message = f"HiGHS model status {model.modelStatusToString(status)}"
     info = model.getInfo()

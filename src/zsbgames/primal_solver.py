@@ -28,7 +28,7 @@ import numpy as np
 
 from . import best_response, lp_core
 from .game_model import GameSpec
-from .history_index import HistoryIndex, build_index
+from .history_index import HistoryIndex, build_index, check_capacity
 from .lp_core import LpBuilder
 
 UNREACHABLE_TOL = 1e-9
@@ -93,16 +93,19 @@ class BehavioralStrategy:
     def action_probs(self, states, acts) -> np.ndarray:
         """The distribution after pairs `acts`; of the own states `states`
         only the last is read."""
-        t = len(acts) + 1
-        return self.probs[t - 1][self.index.id_of(self.side, t, states[-1:],
-                                                  acts)]
+        return self.stage_rows(acts)[states[-1]]
+
+    def stage_rows(self, acts=()) -> np.ndarray:
+        """The strategy after pairs `acts` as an (own state, own action)
+        view of `probs`."""
+        stride = self.index.num_pairs ** len(acts)
+        rank = self.index.id_of(self.side, len(acts) + 1, (0,), acts)
+        return self.probs[len(acts)][rank::stride]
 
     def stage_matrix(self, acts=()) -> np.ndarray:
         """The strategy after pairs `acts` as an (own action, own state)
         matrix."""
-        stride = self.index.num_pairs ** len(acts)
-        rank = self.index.id_of(self.side, len(acts) + 1, (0,), acts)
-        return np.ascontiguousarray(self.probs[len(acts)][rank::stride].T)
+        return np.ascontiguousarray(self.stage_rows(acts).T)
 
     stage1_matrix = stage_matrix
 
@@ -202,11 +205,13 @@ def add_compact_system(builder: LpBuilder, spec: GameSpec, side: int, n: int,
     action) bounds v_t[j, r] by the stage payoff of z_t[:, r] plus the
     v_(t+1) of r's extensions; a flow row per (s', r (a, b)) sets its plan
     weights to sum_s T[a, b, s, s'] z_(t-1)[s, r, own action], at depth 1
-    to root_dist[s'] (`root_rows`)."""
+    to root_dist[s'] (`root_rows`). Its variables pass `check_capacity`."""
     view = spec.side(side)
     ns, no = view.num_states, view.num_opp_states
     num_own, num_opp = view.num_actions, view.num_opp_actions
     P = spec.num_a * spec.num_b
+    check_capacity(n, ((ns * num_own + no) * P ** (t - 1)
+                       for t in range(1, n + 1)))
     seqs = [P ** (t - 1) for t in range(1, n + 1)]     # pair sequences
     plan_vars = builder.new_vars(ns * num_own * sum(seqs), lower=0.0)
     payoff_vars = builder.new_vars(no * sum(seqs))

@@ -76,26 +76,30 @@ def _check_input(view: SideView, own_state, a=0, b=0) -> None:
             f"({a}, {b}), outside the game")
 
 
-def _stat_key(*arrays):
-    """The statistic rounded to 12 decimals, and its bytes as a memo key.
-    Entries are solved at the rounded statistic, so each depends on its
-    key alone and not on which statistic met the key first."""
-    rounded = tuple(np.round(arr, 12) for arr in arrays)
-    return rounded, tuple(arr.tobytes() for arr in rounded)
+def _stat_key(x1, x2):
+    """The statistic (x1, x2) rounded to 12 decimals, and its bytes as a
+    memo key. Entries are solved at the rounded statistic, so each depends
+    on its key alone and not on which statistic met the key first."""
+    rounded = np.round(np.concatenate((x1, x2)), 12)
+    return (rounded[:len(x1)], rounded[len(x1):]), rounded.tobytes()
 
 
 class _Node:
     """A `WindowAgent`'s state after some public pairs, shared by episodes:
-    everything but the agent's own current state."""
+    everything but the agent's own current state. `stage` is the window
+    strategy at this stage, a row per own state (`stage_rows`), so acting
+    is one index."""
 
     __slots__ = ("t", "window_id", "window_len", "strategy", "belief",
-                 "vector_payoff", "window_acts")
+                 "vector_payoff", "window_acts", "stage")
 
-    def __init__(self, *state):
-        for name, value in zip(self.__slots__, state, strict=True):
-            setattr(self, name, value)
-        for arr in (self.belief, self.vector_payoff):
-            arr.flags.writeable = False
+    def __init__(self, t, window_id, window_len, strategy, belief,
+                 vector_payoff, window_acts):
+        self.t, self.window_id, self.window_len = t, window_id, window_len
+        self.strategy, self.window_acts = strategy, window_acts
+        self.belief, self.vector_payoff = belief, vector_payoff
+        belief.flags.writeable = vector_payoff.flags.writeable = False
+        self.stage = strategy.stage_rows(window_acts)
 
 
 class SolverCache:
@@ -204,7 +208,8 @@ class WindowAgent:
     ends at the horizon does not advance it: only a later window's dual LP
     reads the vector payoff, and `act()` reads only the strategy.
     `own_state` is the agent's current state; the rest of its state is
-    read from the current node of the cache's tree.
+    read from the current node of the cache's tree, and `act()` is that
+    node's stage row for `own_state`.
     """
 
     def __init__(self, spec: GameSpec, config: WindowConfig, side: int,
@@ -242,8 +247,7 @@ class WindowAgent:
     # -- acting ------------------------------------------------------------
 
     def act(self) -> np.ndarray:
-        node = self._node
-        return node.strategy.action_probs((self.own_state,), node.window_acts)
+        return self._node.stage[self.own_state]
 
     # -- observation -------------------------------------------------------
 
@@ -262,8 +266,7 @@ class WindowAgent:
         update_belief = (stat_updater.update_belief_p if self.side == 1
                          else stat_updater.update_belief_q)
         belief = update_belief(spec, node.belief,
-                               node.strategy.stage_matrix(node.window_acts),
-                               a, b)
+                               np.ascontiguousarray(node.stage.T), a, b)
         window_acts = node.window_acts + ((a, b),)
 
         # the dual game at the pre-stage statistic advances the vector

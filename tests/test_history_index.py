@@ -3,7 +3,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from zsbgames import CapacityError, build_index, history_index
+from zsbgames import (CapacityError, build_index, history_index, solve_dual1,
+                      solve_dual2, solve_primal)
 
 from conftest import random_spec
 
@@ -57,6 +58,24 @@ def test_capacity_guard(monkeypatch):
     monkeypatch.setattr(history_index, "DEFAULT_MAX_VARS", 10_000)
     with pytest.raises(CapacityError, match="limit of 10000 variables"):
         build_index(spec, 3)
+
+
+def test_capacity_guard_counts_the_lp_built(monkeypatch, case_study):
+    """At n=3 the case study's compact dual LPs have 148 and 169 variables
+    and its full-history primal LP 1,088 (1,851 counted for both players'
+    systems): a limit of 1,000 refuses only the primal, one of 100 the
+    duals too."""
+    spec, n = case_study, 3
+    monkeypatch.setattr(history_index, "DEFAULT_MAX_VARS", 1_000)
+    mu, nu = np.full(spec.num_k, -50.0), np.full(spec.num_l, -50.0)
+    assert np.isfinite(solve_dual1(spec, mu, spec.q0, n, spec.lam).value)
+    assert np.isfinite(solve_dual2(spec, spec.p0, nu, n, spec.lam).value)
+    for side in (1, 2):
+        with pytest.raises(CapacityError, match="limit of 1000 variables"):
+            solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side)
+    monkeypatch.setattr(history_index, "DEFAULT_MAX_VARS", 100)
+    with pytest.raises(CapacityError, match="limit of 100 variables"):
+        solve_dual2(spec, spec.p0, nu, n, spec.lam)
 
 
 def test_layout_matches_product_enumeration(case_study):

@@ -59,10 +59,13 @@ class DualTemplate:
     lp: CompiledLP
     system: SequenceSystem          # root_rows: rhs = plan owner's belief
     coupling_rows: range            # rhs = -(vector payoff)
+    plan_rows: list                 # the plan's rows per depth
 
     def lp_at(self, root, vector) -> CompiledLP:
-        return self.lp.with_rhs(self.system.root_rows, root).with_rhs(
-            self.coupling_rows, -vector)
+        rows = self.system.root_rows, self.coupling_rows
+        if (len(root), len(vector)) != tuple(map(len, rows)):
+            raise ValueError(f"dual-{self.kind} takes {tuple(map(len, rows))} entries")
+        return self.lp.with_rhs([*rows[0], *rows[1]], np.concatenate((root, -vector)))
 
 
 def dual_template(spec: GameSpec, kind: int, n: int,
@@ -78,8 +81,9 @@ def dual_template(spec: GameSpec, kind: int, n: int,
     coupling_rows = builder.add_rows(rel, np.zeros(s.size), [
         (s, system.payoff_vars.start + s, 1.0), (s, v0, -1.0)])
     lp = builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0})
-    return DualTemplate(kind=kind, n=n, lam=lam, index=index, lp=lp,
-                        system=system, coupling_rows=coupling_rows)
+    rows = [owner.num_states * index.num_pairs ** t for t in range(n)]
+    return DualTemplate(kind=kind, n=n, lam=lam, index=index, lp=lp, system=system,
+                        coupling_rows=coupling_rows, plan_rows=rows)
 
 
 def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
@@ -99,7 +103,8 @@ def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
     vector = np.asarray(vector, dtype=float)
     sol = lp_core.solve(template.lp_at(root, vector))
     plan = plan_from_solution(template.index, 3 - kind, n,
-                              template.system.plan_vars, sol.primal, root)
+                              template.system.plan_vars, sol.primal, root,
+                              template.plan_rows)
     vs_plan = (best_response.best_response_vs_p2 if kind == 1
                else best_response.best_response_vs_p1)
     response = vs_plan(spec, plan, np.zeros(vector.size), n, lam)

@@ -33,6 +33,7 @@ class HistoryIndex:
             raise ValueError("depth must be >= 1")
         self.spec = spec
         self.num_pairs = spec.num_a * spec.num_b
+        self.gathers = {}   # (side, t) -> `best_response`'s, kept with the index
 
     def count(self, side: int, t: int) -> int:
         return self.spec.side(side).num_states ** t * self.num_pairs ** (t - 1)

@@ -20,8 +20,9 @@ complementary to the optimal basis of player 2's, which is solved cold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +52,7 @@ class RealizationPlan:
     index: HistoryIndex
     root: np.ndarray
     values: list                    # [t - 1]: row x own action
+    _last_state: list | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.values, dict):
@@ -68,12 +70,17 @@ class RealizationPlan:
         whose row for last state s and pairs `acts` is `id_of(side, t,
         (s,), acts)`. Payoffs read only the last state and transitions are
         Markov, so the plan's value depends on nothing else. A plan on
-        those rows already is summed over its one block."""
-        ns = self.index.spec.side(self.side).num_states
-        P = self.index.num_pairs
-        return [np.add.reduce(w.reshape(-1, ns * P ** (t - 1), w.shape[1]),
+        those rows already is summed over its one block. Computed on the
+        first call, as read-only arrays that later calls return."""
+        if self._last_state is None:
+            ns, P = self.index.spec.side(self.side).num_states, self.index.num_pairs
+            self._last_state = [
+                np.add.reduce(w.reshape(-1, ns * P ** (t - 1), w.shape[1]),
                               axis=0, initial=0.0)
                 for t, w in enumerate(self.values, start=1)]
+            for w in self._last_state:
+                w.flags.writeable = False
+        return self._last_state
 
 
 @dataclass
@@ -271,19 +278,15 @@ def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int):
 
 def plan_from_solution(index: HistoryIndex, side: int, n: int,
                        plan_vars: range, primal: np.ndarray,
-                       root: np.ndarray) -> RealizationPlan:
+                       root: np.ndarray, rows=None) -> RealizationPlan:
     """The plan in the LP solution's `plan_vars`, which hold it in id
-    order, as one (row, own action) array per depth. The rows are the
-    layout of the system that built the LP, told apart by their total:
-    full histories (`add_sequence_system`) or (last state, pairs) rows
-    (`add_compact_system`); the two coincide for one own state."""
-    view = index.spec.side(side)
-    weights = primal[plan_vars].reshape(-1, view.num_actions)
-    rows = [index.count(side, t) for t in range(1, n + 1)]
-    if sum(rows) != len(weights):
-        rows = [view.num_states * index.num_pairs ** (t - 1)
-                for t in range(1, n + 1)]
-    values = np.split(weights, np.cumsum(rows[:-1]))
+    order, as one (row, own action) array per depth: `rows` rows at each
+    depth, by default full histories (`add_sequence_system`)."""
+    num_actions = index.spec.side(side).num_actions
+    weights = primal[plan_vars.start:plan_vars.stop].reshape(-1, num_actions)
+    if rows is None:
+        rows = [index.count(side, t) for t in range(1, n + 1)]
+    values = [weights[end - size:end] for size, end in zip(rows, accumulate(rows))]
     return RealizationPlan(side=side, depth=n, index=index,
                            root=np.asarray(root, dtype=float), values=values)
 

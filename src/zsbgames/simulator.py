@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,7 +69,10 @@ def run_episode(spec: GameSpec, agent1, agent2, seed: int, *,
     state, never the opponent's state or the stage payoff. Episodes may
     share one `cdfs` dict (see `_sample`).
     """
-    rng = np.random.default_rng(seed)
+    # one call draws the uniforms of k, l, then a, b, k' and l' per stage
+    uniforms = np.random.default_rng(seed).random(4 * spec.horizon_n)
+    rng = SimpleNamespace(random=iter(uniforms.tolist()).__next__)
+    lam, payoff, trans_p, trans_q = spec.lam, spec.payoff, spec.trans_p, spec.trans_q
     k = _sample(rng, spec.p0, cdfs)
     l = _sample(rng, spec.q0, cdfs)
     agent1.begin_episode(k)
@@ -78,12 +82,12 @@ def run_episode(spec: GameSpec, agent1, agent2, seed: int, *,
     for t in range(1, spec.horizon_n + 1):
         a = _sample(rng, agent1.act(), cdfs)
         b = _sample(rng, agent2.act(), cdfs)
-        pay = spec.lam ** (t - 1) * float(spec.payoff[k, l, a, b])
+        pay = lam ** (t - 1) * float(payoff[k, l, a, b])
         records.append(StageRecord(t=t, k=k, l=l, a=a, b=b, stage_payoff=pay))
         total += pay
         if t < spec.horizon_n:
-            k_next = _sample(rng, spec.trans_p[a, b, k], cdfs)
-            l_next = _sample(rng, spec.trans_q[a, b, l], cdfs)
+            k_next = _sample(rng, trans_p[a, b, k], cdfs)
+            l_next = _sample(rng, trans_q[a, b, l], cdfs)
             agent1.observe(a, b, k_next)
             agent2.observe(a, b, l_next)
             k, l = k_next, l_next

@@ -19,24 +19,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp_core
-from .game_model import GameSpec
+from .game_model import GameSpec, SideView
 from .lp_core import LpBuilder
 from .primal_solver import add_compact_system
 
 DEGENERATE_TOL = 1e-9
 
 
-def _update_belief(spec: GameSpec, side: int, belief, strategy, a: int,
-                   b: int) -> np.ndarray:
-    view = spec.side(side)
-    belief = np.asarray(belief, dtype=float)
-    strategy = np.asarray(strategy, dtype=float)
-    own_act, _ = view.pair(a, b)
-    likelihood = float(np.dot(belief, strategy[own_act]))
+def _update_belief(view: SideView, belief: np.ndarray, strategy: np.ndarray,
+                   a: int, b: int) -> np.ndarray:
+    """`update_belief_p/q` for float arrays, with the side's view."""
+    row = strategy[a if view.side == 1 else b]
+    likelihood = float(np.dot(belief, row))
     if likelihood <= DEGENERATE_TOL:
         post = view.trans[a, b].T @ belief
     else:
-        post = view.trans[a, b].T @ (belief * strategy[own_act] / likelihood)
+        post = view.trans[a, b].T @ (belief * row / likelihood)
     total = float(post.sum())
     return post / total if total > 0 else np.full_like(post, 1.0 / post.size)
 
@@ -48,12 +46,14 @@ def update_belief_p(spec: GameSpec, p, X, a: int, b: int) -> np.ndarray:
     If the observed action has (near) zero prior likelihood the likelihood
     factor is dropped and the prior is pushed through the transition.
     """
-    return _update_belief(spec, 1, p, X, a, b)
+    return _update_belief(spec.side(1), np.asarray(p, dtype=float),
+                          np.asarray(X, dtype=float), a, b)
 
 
 def update_belief_q(spec: GameSpec, q, Y, a: int, b: int) -> np.ndarray:
     """Posterior over player 2's next state; Y[b', l] mirrors X above."""
-    return _update_belief(spec, 2, q, Y, a, b)
+    return _update_belief(spec.side(2), np.asarray(q, dtype=float),
+                          np.asarray(Y, dtype=float), a, b)
 
 
 @dataclass

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dual_solver, primal_solver, stat_updater
+from . import dual_solver, lp_core, primal_solver, stat_updater
 from .errors import ParseError, ValidationError
 from .game_model import GameSpec, SideView, read_numbers
 
@@ -80,7 +80,7 @@ def _stat_key(x1, x2):
     """The statistic (x1, x2) rounded to 12 decimals, and its bytes as a
     memo key. Entries are solved at the rounded statistic, so each depends
     on its key alone and not on which statistic met the key first."""
-    rounded = np.round(np.concatenate((x1, x2)), 12)
+    rounded = np.concatenate((x1, x2)).round(12)
     return (rounded[:len(x1)], rounded[len(x1):]), rounded.tobytes()
 
 
@@ -122,6 +122,7 @@ class SolverCache:
         self.spec = spec
         self._store = {}
         self._templates = {}
+        self._beliefs = {}  # (side, a, b, belief, stage bytes) -> posterior
         self._tree = {}     # (node, a, b) -> child; (side, *config) -> root
 
     @staticmethod
@@ -165,31 +166,43 @@ class SolverCache:
         off the plan of the dual-`kind` game at (vec, belief): -BR(s) /
         (lam bar[m]), with BR(s) the responder's best-response value at its
         depth-2 row of last state s and pair (a, b), and bar[m] the plan
-        owner's stage weight of its action in (a, b). It is 0 at n = 1 (no
-        continuation) and the update LP's at bar[m] <= DEGENERATE_TOL."""
+        owner's stage weight of its action in (a, b). It is 0 at n = 1, and
+        at bar[m] <= DEGENERATE_TOL the update LP's if its w is the dual's."""
         view = self.spec.side(kind)
         if n == 1:
             return np.zeros(view.num_states)
         (vec, belief), stat = _stat_key(vec, belief)
         key = (f"upd{kind}", n, lam, stat)
-        star, bar, br = self._remember(key, lambda: self._read_out(
+        star, bar, br, value = self._remember(key, lambda: self._read_out(
             view, vec, belief, n, lam))
         m = view.pair(a, b)[1]
         if bar[m] > stat_updater.DEGENERATE_TOL:
             return -br[a, b] / (lam * bar[m])
         update = stat_updater.update_mu if kind == 1 else stat_updater.update_nu
-        return self._remember(key + ("lp",), lambda: update(
-            self.spec, vec, belief, star, a, b, n, lam).all_vectors)[a, b]
+        def solve():
+            result = update(self.spec, vec, belief, star, a, b, n, lam)
+            lp_core.check_gap(f"update-{kind}", result.w, value)
+            return result.all_vectors
+        return self._remember(key + ("lp",), solve)[a, b]
 
     def _read_out(self, view, vec, belief, n, lam):
-        """(star, bar, BR) of `_update`, with BR[a, b, s] the responder's
-        depth-2 row of last state s and pair (a, b)."""
+        """(star, bar, BR, dual value) of `_update`, with BR[a, b, s] the
+        responder's depth-2 row of last state s and pair (a, b)."""
         dual = (self.dual1 if view.side == 1 else self.dual2)(
             *view.pair(vec, belief), n, lam)
         depth2 = dual.response.values[1]
         star = dual.strategy.stage1_matrix()
-        return (star, star @ belief, depth2.reshape(
-            view.num_states, -1, self.spec.num_b).transpose(1, 2, 0))
+        return star, star @ belief, depth2.reshape(
+            view.num_states, -1, self.spec.num_b).transpose(1, 2, 0), dual.value
+
+    def _belief(self, side, belief, stage, a, b):
+        """Player `side`'s posterior after (a, b) under `stage`, a row per
+        own state, memoized: many public prefixes meet the same inputs."""
+        update = (stat_updater.update_belief_p if side == 1
+                  else stat_updater.update_belief_q)
+        key = (side, a, b, belief.tobytes(), stage.tobytes())
+        return self._memo(self._beliefs, key, lambda: update(
+            self.spec, belief, np.ascontiguousarray(stage.T), a, b), MAX_TREE_NODES)
 
     def update_mu(self, mu, q, n, lam, a, b):
         return self._update(1, mu, q, n, lam, a, b)
@@ -263,10 +276,7 @@ class WindowAgent:
     def _next(self, node: _Node, a: int, b: int) -> _Node:
         """The node after `node` and the pair (a, b)."""
         spec, view, config = self.spec, self._view, self.config
-        update_belief = (stat_updater.update_belief_p if self.side == 1
-                         else stat_updater.update_belief_q)
-        belief = update_belief(spec, node.belief,
-                               np.ascontiguousarray(node.stage.T), a, b)
+        belief = self.cache._belief(self.side, node.belief, node.stage, a, b)
         window_acts = node.window_acts + ((a, b),)
 
         # the dual game at the pre-stage statistic advances the vector

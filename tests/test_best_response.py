@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from zsbgames import best_response_vs_p1, best_response_vs_p2, solve_primal
+from zsbgames import (HistoryIndex, best_response_vs_p1, best_response_vs_p2,
+                      solve_primal)
 from zsbgames.bounds import _pure_plans, _sequence_kernel
+from zsbgames.dual_solver import _solve, dual_template
 from zsbgames.primal_solver import RealizationPlan
 from zsbgames.history_index import build_index
 
@@ -160,3 +162,36 @@ def test_best_response_matches_pure_strategy_enumeration(rng, side, sizes):
             else:
                 best = float((pure @ kernel @ weights).max())
             assert abs(br.roots[s] - best) <= 1e-9
+
+
+@pytest.mark.parametrize("side", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_kept_gathers_give_a_fresh_index_bytes(side, n):
+    """A dual template's index keeps the best response's gathers from one
+    solve to the next; against the template's plans they give, byte for
+    byte, what a fresh index's gathers give on 20 random specs. A plan's
+    last-state weights are computed once, as read-only arrays."""
+    rng = np.random.default_rng(40 + 3 * side + n)
+    vs_plan = best_response_vs_p1 if side == 1 else best_response_vs_p2
+    for _ in range(20):
+        sizes = [int(x) for x in rng.integers(1, 4, 4)]
+        spec = random_spec(rng, *sizes, horizon=n, lam=0.8)
+        view = spec.side(side)
+        template = dual_template(spec, 3 - side, n, spec.lam)
+        for _ in range(2):
+            root = rng.dirichlet(np.ones(view.num_states))
+            vector = rng.uniform(-20.0, 0.0, view.num_opp_states)
+            plan = _solve(spec, 3 - side, root, vector, n, spec.lam,
+                          template).plan
+            weights = rng.dirichlet(np.ones(view.num_opp_states))
+            kept = vs_plan(spec, plan, weights, n, spec.lam)
+            fresh = vs_plan(spec, dataclasses.replace(
+                plan, index=HistoryIndex(spec, n)), weights, n, spec.lam)
+            assert kept.value == fresh.value
+            for got, want in zip(kept.values, fresh.values, strict=True):
+                assert got.tobytes() == want.tobytes()
+            last = plan.last_state_weights()
+            assert plan.last_state_weights() is last
+            assert all(w is v and not w.flags.writeable for w, v in
+                       zip(plan.last_state_weights(), last, strict=True))
+        assert len(template.index.gathers) == n - 1

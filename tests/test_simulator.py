@@ -1,10 +1,13 @@
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
-from zsbgames import run_episode, run_monte_carlo
-from zsbgames.simulator import _sample, write_results_csv
+from zsbgames import (FixedPolicyAgent, SolverCache, WindowAgent,
+                      WindowConfig, load_case_study, run_episode,
+                      run_monte_carlo)
+from zsbgames.simulator import StageRecord, _sample, write_results_csv
 
 from conftest import constant_spec, random_spec
 
@@ -53,6 +56,62 @@ def test_agents_observe_every_stage(rng):
     a1, a2 = UniformAgent(2), UniformAgent(2)
     run_episode(spec, a1, a2, 3)
     assert len(a1.seen) == 4 and len(a2.seen) == 4
+
+
+def _episode_one_draw_at_a_time(spec, agent1, agent2, seed, cdfs):
+    """The records of `run_episode` drawing with one `_sample` call per
+    draw: k, l, then a, b, k' and l' at each stage."""
+    rng = np.random.default_rng(seed)
+    k, l = _sample(rng, spec.p0, cdfs), _sample(rng, spec.q0, cdfs)
+    agent1.begin_episode(k)
+    agent2.begin_episode(l)
+    records = []
+    for t in range(1, spec.horizon_n + 1):
+        a, b = _sample(rng, agent1.act(), cdfs), _sample(rng, agent2.act(), cdfs)
+        records.append(StageRecord(t, k, l, a, b, spec.lam ** (t - 1)
+                                   * float(spec.payoff[k, l, a, b])))
+        if t < spec.horizon_n:
+            k_next = _sample(rng, spec.trans_p[a, b, k], cdfs)
+            l_next = _sample(rng, spec.trans_q[a, b, l], cdfs)
+            agent1.observe(a, b, k_next)
+            agent2.observe(a, b, l_next)
+            k, l = k_next, l_next
+    return records
+
+
+def test_one_call_draw_plays_the_scalar_draws_with_fixed_policies():
+    """An episode's uniforms drawn in one call are the stream's scalar
+    draws in order, so fixed-policy episodes on random specs record the
+    same stages as one `_sample` call per draw."""
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        sizes = [int(x) for x in rng.integers(1, 4, 4)]
+        spec = random_spec(rng, *sizes, horizon=int(rng.integers(1, 7)))
+        policies = [rng.dirichlet(np.ones(spec.side(side).num_actions),
+                                  spec.side(side).num_states)
+                    for side in (1, 2)]
+        agents = [[FixedPolicyAgent(spec, side, policy)
+                   for side, policy in zip((1, 2), policies)]
+                  for _ in range(2)]
+        got = run_episode(spec, *agents[0], 1000 + i, cdfs={})
+        want = _episode_one_draw_at_a_time(spec, *agents[1], 1000 + i, {})
+        assert got.records == want
+        assert got.total == sum(r.stage_payoff for r in want)
+
+
+def test_one_call_draw_plays_the_scalar_draws_in_a_window_duel():
+    """The same for window agents on both sides of the case study, each way
+    of drawing on a cache of its own."""
+    spec = dataclasses.replace(load_case_study(), lam=0.6, horizon_n=6)
+    config = WindowConfig(window_n=2, total_horizon=6)
+    caches = [SolverCache(spec), SolverCache(spec)]
+    memos = [{}, {}]
+    for seed in range(30):
+        agents = [[WindowAgent(spec, config, side, cache=cache)
+                   for side in (1, 2)] for cache in caches]
+        got = run_episode(spec, *agents[0], seed, cdfs=memos[0])
+        want = _episode_one_draw_at_a_time(spec, *agents[1], seed, memos[1])
+        assert got.records == want
 
 
 def test_monte_carlo_seeds_and_stats(rng):

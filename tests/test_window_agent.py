@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import zsbgames
-from zsbgames import (FixedPolicyAgent, OptimalAgent, SolverCache,
-                      SolverError, ValidationError, WindowAgent, WindowConfig,
-                      dual_solver, lp_core, primal_solver, run_episode,
-                      run_monte_carlo, solve_dual1, solve_primal, stat_updater,
-                      window_agent)
+from zsbgames import (FixedPolicyAgent, NumericalError, OptimalAgent,
+                      SolverCache, SolverError, ValidationError, WindowAgent,
+                      WindowConfig, dual_solver, lp_core, primal_solver,
+                      run_episode, run_monte_carlo, solve_dual1, solve_primal,
+                      stat_updater, window_agent)
 from zsbgames.simulator import write_results_csv
 from zsbgames.window_agent import (FIXED_N, REMAINING_WINDOW,
                                    load_fixed_policy)
@@ -208,6 +208,32 @@ def test_degenerate_pair_gets_the_update_lp_vector(case_study, monkeypatch):
     assert len(calls) == 1
     assert other.tobytes() == update_mu(spec, mu, q, y_star, 0, 1, 2,
                                         spec.lam).vector.tobytes()
+
+
+@pytest.mark.parametrize("shift, fails", [(2.0, True), (0.5, False)])
+def test_degenerate_pair_update_lp_is_certified(case_study, monkeypatch,
+                                                shift, fails):
+    """At the degenerate pair above, the update LP's w must be the dual
+    game's value within `lp_core.check_gap`'s tolerance: a w shifted by
+    twice the tolerance is refused and nothing is stored, half of it
+    passes."""
+    spec = dataclasses.replace(case_study, lam=0.6, horizon_n=7)
+    mu = np.array([-172.33215250082952, -154.14574, -42.10464240093827])
+    q = np.array([0.7, 0.3])
+    update_mu = stat_updater.update_mu
+
+    def shifted(*args):
+        result = update_mu(*args)
+        tol = lp_core.CERT_TOL * max(1.0, abs(result.w))
+        return dataclasses.replace(result, w=result.w + shift * tol)
+    monkeypatch.setattr(stat_updater, "update_mu", shifted)
+    cache = SolverCache(spec)
+    if fails:
+        with pytest.raises(NumericalError, match="update-1"):
+            cache.update_mu(mu, q, 2, spec.lam, 1, 1)
+        assert not [key for key in cache._store if key[-1] == "lp"]
+    else:
+        assert np.isfinite(cache.update_mu(mu, q, 2, spec.lam, 1, 1)).all()
 
 
 def test_window_play_against_the_jammer_solves_no_update_lp(case_study,

@@ -57,6 +57,14 @@ LP_DIGESTS = {
         "b336ae290b3ccfbb11307e9317ba626260928080708fdf4407025c23893cbdbc",
     "update2-n2":
         "c9307533159c93791dc8277a8b361d9aa70a1c3e4416b667ed6efa60d8df504c",
+    "dual1-n3":
+        "23ff4dd4ac63ceebb51fea1876eabf4c58f9084a98d50df73ef7dbf6659ea0c6",
+    "dual2-n3":
+        "e50d5ff4449f3d3931ad014ba0d13f5ebf6bd43d4268d0f43cfb8cbfd0d54b8c",
+    "update1-n3":
+        "f3ff5a88a492a67e30e9740e6cbd1bb9bdda26ff0db8f4287f6b2261e151629f",
+    "update2-n3":
+        "79a6481db9796955956295b552422cf9f220538189e93d247242eacc3651cbbb",
 }
 
 SOLVE_DIGESTS = {
@@ -118,14 +126,15 @@ def _lp_calls(spec):
             calls[f"primal-n{n}-side{side}"] = (
                 lambda n=n, side=side:
                 solve_primal(spec, spec.p0, spec.q0, n, lam, side))
-    calls["dual1-n2"] = lambda: solve_dual1(spec, MU, spec.q0, 2, lam)
-    calls["dual2-n2"] = lambda: solve_dual2(spec, spec.p0, NU, 2, lam)
+    for n in (2, 3):
+        calls[f"dual1-n{n}"] = lambda n=n: solve_dual1(spec, MU, spec.q0, n, lam)
+        calls[f"dual2-n{n}"] = lambda n=n: solve_dual2(spec, spec.p0, NU, n, lam)
+        calls[f"update1-n{n}"] = lambda n=n: update_mu(spec, MU, spec.q0, Y_STAR,
+                                                       1, 0, n, lam)
+        calls[f"update2-n{n}"] = lambda n=n: update_nu(spec, NU, spec.p0, X_STAR,
+                                                       0, 1, n, lam)
     for kind in (1, 2):
         calls[f"dual{kind}-n2-reference"] = calls[f"dual{kind}-n2"]
-    calls["update1-n2"] = lambda: update_mu(spec, MU, spec.q0, Y_STAR, 1, 0,
-                                            2, lam)
-    calls["update2-n2"] = lambda: update_nu(spec, NU, spec.p0, X_STAR, 0, 1,
-                                            2, lam)
     return calls
 
 
@@ -133,8 +142,8 @@ def _lp_calls(spec):
 def test_highs_input_digest(case_study, monkeypatch, name):
     call = _lp_calls(case_study)[name]
     # side 1's primal solves side 2's LP cold first and then its own warm
-    warm = name in ("dual1-n2", "dual2-n2", "primal-n3-side1",
-                    "primal-n4-side1")
+    warm = name in ("dual1-n2", "dual2-n2", "dual1-n3", "dual2-n3",
+                    "primal-n3-side1", "primal-n4-side1")
     assert _first_lp_digest(monkeypatch, call, warm) == LP_DIGESTS[name]
 
 

@@ -1,7 +1,7 @@
 """Dual-game LPs.
 
 Each dual LP is the plan owner's sequence-form constraint system on
-(last state, public pairs) rows (`primal_solver.add_compact_system`) plus
+(last state, public pairs) rows (`primal_solver.add_sequence_system`) plus
 one scalar variable linking the root weighted payoffs to the opponent's
 initial vector payoff. Every solve is certified: the picker's best
 response to the solved plan, shifted by the vector payoff, must reach the
@@ -31,7 +31,7 @@ from .game_model import GameSpec
 from .history_index import HistoryIndex
 from .lp_core import CompiledLP, LpBuilder
 from .primal_solver import (BehavioralStrategy, RealizationPlan,
-                            SequenceSystem, add_compact_system,
+                            SequenceSystem, add_sequence_system,
                             extract_strategy, plan_from_solution)
 
 
@@ -73,8 +73,8 @@ def dual_template(spec: GameSpec, kind: int, n: int,
     owner = spec.side(3 - kind)     # the plan owner; the picker is its opp
     index = HistoryIndex(spec, n)
     builder = LpBuilder()
-    system = add_compact_system(builder, spec, owner.side, n, lam,
-                                np.zeros(owner.num_states))
+    system = add_sequence_system(builder, spec, owner.side, n, lam,
+                                 np.zeros(owner.num_states))
     v0 = builder.new_var()
     rel = "<=" if kind == 1 else ">="
     s = np.arange(owner.num_opp_states)

@@ -62,14 +62,6 @@ class HistoryIndex:
             hid = hid * num_pairs + a * num_b + b
         return hid
 
-    def child_id(self, side: int, t: int, hid, a, b, next_state):
-        """Id of the depth-(t+1) extension of `hid`; takes arrays too."""
-        stride = self.num_pairs ** (t - 1)
-        states, pairs = divmod(hid, stride)
-        ns = self.spec.side(side).num_states
-        return ((states * ns + next_state) * stride * self.num_pairs
-                + pairs * self.num_pairs + a * self.spec.num_b + b)
-
     def parent(self, side: int, t: int, hid):
         """(parent id, (a, b)) of a depth-t history, t >= 2; takes arrays too."""
         stride = self.num_pairs ** (t - 1)

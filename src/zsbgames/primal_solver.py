@@ -1,15 +1,15 @@
 """Sequence-form LPs for the primal game.
 
-Both players' LPs share one constraint-system builder: the acting player's
-variables are realization-plan weights over its own histories, the
-opponent side carries one weighted-payoff variable per opponent history.
+Every LP shares one constraint-system builder, `add_sequence_system`: the
+acting player's variables are realization-plan weights over its own rows,
+the opponent side carries one weighted-payoff variable per opponent row.
 The player-1 system uses >= payoff rows (the opponent minimizes), the
 player-2 system uses <= rows.
 
-`add_compact_system` builds the same system on (last state, public pairs)
-rows, which reach the same value as payoffs read only the last state and
-transitions are Markov (Nayyar, Mahajan & Teneketzis 2013). The dual-game
-and update LPs use it; the primal LP keeps the full-history system.
+A row is a full history (`full=True`, the primal LP) or a (last state,
+public pairs) pair (the dual-game and update LPs); both reach the same
+value, as payoffs read only the last state and transitions are Markov
+(Nayyar, Mahajan & Teneketzis 2013).
 
 The two players' LPs are an LP-dual pair (Koller, Megiddo & von Stengel
 1996): player 2's variables are player 1's rows and its rows player 1's
@@ -41,7 +41,7 @@ class RealizationPlan:
 
     `values[t - 1]` holds depth t's weights as a (row, own action) array,
     with a row per history id (the primal LP's) or per (last own state,
-    pairs) id `s * P**(t - 1) + r` (the compact system's); a hand-built
+    pairs) id `s * P**(t - 1) + r` (the dual LPs'); a hand-built
     plan may pass a dict keyed (t, hid, own action) instead, which is read
     into full-history arrays. `root` is the distribution its depth-1 row
     sums must match.
@@ -109,12 +109,9 @@ class BehavioralStrategy:
         rank = self.index.id_of(self.side, len(acts) + 1, (0,), acts)
         return self.probs[len(acts)][rank::stride]
 
-    def stage_matrix(self, acts=()) -> np.ndarray:
-        """The strategy after pairs `acts` as an (own action, own state)
-        matrix."""
-        return np.ascontiguousarray(self.stage_rows(acts).T)
-
-    stage1_matrix = stage_matrix
+    def stage1_matrix(self) -> np.ndarray:
+        """The stage-1 strategy as an (own action, own state) matrix."""
+        return np.ascontiguousarray(self.probs[0].T)
 
     @cached_property
     def table(self) -> dict:
@@ -142,120 +139,82 @@ class SequenceSystem(NamedTuple):
     root_rows: range                # [s] -> flow row whose rhs is root_dist[s]
 
 
-def add_sequence_system(builder: LpBuilder, spec: GameSpec, index: HistoryIndex,
-                        side: int, n: int, lam: float,
-                        root_dist: np.ndarray) -> SequenceSystem:
+def add_sequence_system(builder: LpBuilder, spec: GameSpec, side: int, n: int,
+                        lam: float, root_dist: np.ndarray,
+                        full: bool = False) -> SequenceSystem:
     """Add one player's sequence-form constraint system to `builder`.
 
-    plan_vars are nonnegative LP variables over side-`side` histories;
-    payoff_vars are free variables over the opponent's histories. The
-    terminal payoff variables at depth n+1 are the constant 0 and are
-    substituted out. Only the depth-1 flow rows (`root_rows`) depend on
-    `root_dist`, through their right-hand sides.
+    plan_vars are nonnegative weights z_t[S, r, a] over the side-`side`
+    rows, payoff_vars free values v_t[J, r] over the opponent's, for own
+    and opponent state parts S and J, pair sequence r and own action a; a
+    depth-t row has id `S * P**(t - 1) + r`. The state part is the whole
+    state sequence if `full` (the row is the history id) and the last
+    state otherwise. A payoff row per (J, r, opponent action) bounds
+    v_t[J, r] by the stage payoff of z_t[:, r] plus the v_(t+1) of its
+    extensions; the terminal v_(n+1) is the constant 0 and substituted
+    out. A flow row per depth-t own row sets its plan weights to the
+    parent weights times the transition into its last state, at depth 1
+    to root_dist[s] (`root_rows`, the only rows `root_dist` enters).
+    Its variables pass `check_capacity`.
     """
     view = spec.side(side)
     ns, no = view.num_states, view.num_opp_states
     num_own, num_opp = view.num_actions, view.num_opp_actions
-    own_counts = [index.count(side, t) for t in range(1, n + 1)]
-    opp_counts = [index.count(view.opp, t) for t in range(1, n + 1)]
+    P = spec.num_a * spec.num_b
+    seqs = [P ** (t - 1) for t in range(1, n + 1)]     # pair sequences
+    own_counts = [(ns ** t if full else ns) * R
+                  for t, R in enumerate(seqs, start=1)]
+    opp_counts = [(no ** t if full else no) * R
+                  for t, R in enumerate(seqs, start=1)]
+    check_capacity(n, (k * num_own + j
+                       for k, j in zip(own_counts, opp_counts)))
     plan_vars = builder.new_vars(num_own * sum(own_counts), lower=0.0)
     payoff_vars = builder.new_vars(sum(opp_counts))
     # first variable of depth t: plan_at[t - 1], payoff_at[t - 1]
     plan_at = plan_vars.start + num_own * np.cumsum([0] + own_counts)
     payoff_at = payoff_vars.start + np.cumsum([0] + opp_counts)
 
-    # payoff rows: one per (opponent history j, opponent action o); the
-    # own histories compatible with j = (S, r), state sequence S and pair
-    # sequence r, are (S', r) for every own state sequence S'
+    # payoff rows, one per (opponent row J * R + r, opponent action o); the
+    # own rows compatible with it are (S, r) for every own state part S
     rel = ">=" if side == 1 else "<="
-    for t in range(1, n + 1):
-        R = index.num_pairs ** (t - 1)
+    for t, R in enumerate(seqs, start=1):
         j, o = np.ogrid[:opp_counts[t - 1], :num_opp]
         j, o = j[..., None], o[..., None]
+        J, r = np.divmod(j, R)
         row = j * num_opp + o
-        own_seq, act = np.divmod(np.arange(ns ** t * num_own), num_own)
+        S, act = np.divmod(np.arange(own_counts[t - 1] // R * num_own),
+                           num_own)
         entries = [(row, payoff_at[t - 1] + j, -1.0),
-                   (row, plan_at[t - 1] + (own_seq * R + j % R) * num_own + act,
-                    (lam ** (t - 1) * view.payoff)[own_seq % ns, j // R % no,
-                                                   act, o])]
+                   (row, plan_at[t - 1] + (S * R + r) * num_own + act,
+                    (lam ** (t - 1) * view.payoff)[S % ns, J % no, act, o])]
         if t < n:
             act, nxt = np.divmod(np.arange(num_own * no), no)
             a, b = view.pair(act, o)
-            entries.append((row, payoff_at[t] + index.child_id(
-                view.opp, t, j, a, b, nxt), view.opp_trans[a, b, j // R % no, nxt]))
-        builder.add_rows(rel, np.zeros(opp_counts[t - 1] * num_opp), entries)
+            child = (J * no if full else 0) + nxt
+            entries.append((row, payoff_at[t] + (child * R + r) * P
+                            + a * spec.num_b + b,
+                            view.opp_trans[a, b, J % no, nxt]))
+        builder.add_rows(rel, np.zeros(row.size), entries)
 
-    # flow rows, one per own history: its plan weights sum to the weight it
-    # extends; depth-1 ids are the own states
+    # flow rows, one per own row S * R + r; with r = (parent pairs, (a, b)),
+    # its parents are (S // ns, parent pairs) if `full`, else every
+    # (s, parent pairs)
     act = np.arange(num_own)
-    h = np.arange(ns)[:, None]
-    root_rows = builder.add_rows("=", root_dist,
-                                 [(h, plan_at[0] + h * num_own + act, 1.0)])
-    for t in range(2, n + 1):
-        hid = np.arange(own_counts[t - 1])
-        pid, (a, b) = index.parent(side, t, hid)
-        states, _ = index.history(side, t, hid)
-        builder.add_rows("=", np.zeros(hid.size), [
-            (hid[:, None], plan_at[t - 1] + hid[:, None] * num_own + act, 1.0),
-            (hid, plan_at[t - 2] + pid * num_own + view.pair(a, b)[0],
-             -view.trans[a, b, states[-2], states[-1]])])
-
-    return SequenceSystem(plan_vars, payoff_vars, root_rows)
-
-
-def add_compact_system(builder: LpBuilder, spec: GameSpec, side: int, n: int,
-                       lam: float, root_dist: np.ndarray) -> SequenceSystem:
-    """`add_sequence_system` on (last state, public pairs) rows: plan
-    weights z_t[s, r, a] and payoff variables v_t[j, r] for own and
-    opponent last states s and j, pair sequence r and own action a, rows
-    in id order `s * P**(t - 1) + r`. A payoff row per (j, r, opponent
-    action) bounds v_t[j, r] by the stage payoff of z_t[:, r] plus the
-    v_(t+1) of r's extensions; a flow row per (s', r (a, b)) sets its plan
-    weights to sum_s T[a, b, s, s'] z_(t-1)[s, r, own action], at depth 1
-    to root_dist[s'] (`root_rows`). Its variables pass `check_capacity`."""
-    view = spec.side(side)
-    ns, no = view.num_states, view.num_opp_states
-    num_own, num_opp = view.num_actions, view.num_opp_actions
-    P = spec.num_a * spec.num_b
-    check_capacity(n, ((ns * num_own + no) * P ** (t - 1)
-                       for t in range(1, n + 1)))
-    seqs = [P ** (t - 1) for t in range(1, n + 1)]     # pair sequences
-    plan_vars = builder.new_vars(ns * num_own * sum(seqs), lower=0.0)
-    payoff_vars = builder.new_vars(no * sum(seqs))
-    # first variable of depth t: plan_at[t - 1], payoff_at[t - 1]
-    plan_at = plan_vars.start + ns * num_own * np.cumsum([0] + seqs)
-    payoff_at = payoff_vars.start + no * np.cumsum([0] + seqs)
-
-    rel = ">=" if side == 1 else "<="
+    flow_rows = []
     for t, R in enumerate(seqs, start=1):
-        j, r, o = (x[..., None, None] for x in np.ogrid[:no, :R, :num_opp])
-        row = (j * R + r) * num_opp + o
-        s, act = np.ogrid[:ns, :num_own]
-        entries = [(row, payoff_at[t - 1] + j * R + r, -1.0),
-                   (row, plan_at[t - 1] + (s * R + r) * num_own + act,
-                    (lam ** (t - 1) * view.payoff)[s, j, act, o])]
-        if t < n:
-            act, nxt = np.ogrid[:num_own, :no]
-            a, b = view.pair(act, o)
-            entries.append((row, payoff_at[t] + (nxt * R + r) * P
-                            + a * spec.num_b + b, view.opp_trans[a, b, j, nxt]))
-        builder.add_rows(rel, np.zeros(no * R * num_opp), entries)
+        h = np.arange(own_counts[t - 1])[:, None]
+        entries = [(h, plan_at[t - 1] + h * num_own + act, 1.0)]
+        if t > 1:
+            S, r = np.divmod(h, R)
+            r, (a, b) = r // P, np.divmod(r % P, spec.num_b)
+            prev = S // ns if full else np.arange(ns)
+            entries.append((h, plan_at[t - 2] + view.pair(a, b)[0]
+                            + (prev * (R // P) + r) * num_own,
+                            -view.trans[a, b, prev % ns, S % ns]))
+        flow_rows.append(builder.add_rows(
+            "=", root_dist if t == 1 else np.zeros(h.size), entries))
 
-    act = np.arange(num_own)
-    h = np.arange(ns)[:, None]
-    root_rows = builder.add_rows("=", root_dist,
-                                 [(h, plan_at[0] + h * num_own + act, 1.0)])
-    for t, R in enumerate(seqs[:-1], start=2):
-        nxt, r, a, b = (x[..., None] for x in np.ogrid[
-            :ns, :R, :spec.num_a, :spec.num_b])
-        row = ((nxt * R + r) * spec.num_a + a) * spec.num_b + b
-        s = np.arange(ns)
-        builder.add_rows("=", np.zeros(row.size), [
-            (row, plan_at[t - 1] + row * num_own + act, 1.0),
-            (row, plan_at[t - 2] + (s * R + r) * num_own + view.pair(a, b)[0],
-             -view.trans[a, b, s, nxt])])
-
-    return SequenceSystem(plan_vars, payoff_vars, root_rows)
+    return SequenceSystem(plan_vars, payoff_vars, flow_rows[0])
 
 
 def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int):
@@ -269,7 +228,7 @@ def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int):
     own, other = view.pair(p, q)
     builder = LpBuilder()
     plan_vars, payoff_vars, _ = add_sequence_system(
-        builder, spec, index, side, n, lam, np.asarray(own, dtype=float))
+        builder, spec, side, n, lam, np.asarray(own, dtype=float), full=True)
     objective = {payoff_vars[s]: float(other[s])
                  for s in range(view.num_opp_states)}
     lp = builder.build(lp_core.MAX if side == 1 else lp_core.MIN, objective)
@@ -281,7 +240,7 @@ def plan_from_solution(index: HistoryIndex, side: int, n: int,
                        root: np.ndarray, rows=None) -> RealizationPlan:
     """The plan in the LP solution's `plan_vars`, which hold it in id
     order, as one (row, own action) array per depth: `rows` rows at each
-    depth, by default full histories (`add_sequence_system`)."""
+    depth, by default full histories (`build_primal`'s)."""
     num_actions = index.spec.side(side).num_actions
     weights = primal[plan_vars.start:plan_vars.stop].reshape(-1, num_actions)
     if rows is None:

@@ -3,7 +3,7 @@ vector payoffs.
 
 The vector-payoff update LP couples one sub-system per action pair
 (a, b): a shortened (horizon n-1) opponent-side sequence system on (last
-state, public pairs) rows (`primal_solver.add_compact_system`) rooted at
+state, public pairs) rows (`primal_solver.add_sequence_system`) rooted at
 the posterior belief for that pair, a scalar tail value, and the new
 vector payoff itself. The coupling scalar equals the dual-game value, and
 one solve gives every action pair's candidate payoff. Window play reads
@@ -21,7 +21,7 @@ import numpy as np
 from . import lp_core
 from .game_model import GameSpec, SideView
 from .lp_core import LpBuilder
-from .primal_solver import add_compact_system
+from .primal_solver import add_sequence_system
 
 DEGENERATE_TOL = 1e-9
 
@@ -83,7 +83,7 @@ def _update_lp(spec: GameSpec, kind: int, vec, belief, star, n: int,
         vector_vars[aa, bb] = builder.new_vars(view.num_states)
         entries = [(s, vector_vars[aa, bb], 1.0), (s, tail_vars[aa, bb], -1.0)]
         if n >= 2:
-            _, payoff_vars, _ = add_compact_system(
+            _, payoff_vars, _ = add_sequence_system(
                 builder, spec, view.opp, n - 1, lam,
                 posterior(spec, belief, star, aa, bb))
             entries.append((s, payoff_vars.start + s, 1.0))

@@ -67,8 +67,8 @@ def _full_dual_value(spec, kind, root, vector, n):
     """The dual LP on the full-history sequence form, built row by row."""
     index = build_index(spec, n)
     builder = LpBuilder()
-    _, pay, _ = add_sequence_system(builder, spec, index, 3 - kind, n,
-                                    spec.lam, root)
+    _, pay, _ = add_sequence_system(builder, spec, 3 - kind, n, spec.lam,
+                                    root, full=True)
     v0 = builder.new_var()
     for s, val in enumerate(vector):
         builder.add_rows("<=" if kind == 1 else ">=", [-float(val)], [

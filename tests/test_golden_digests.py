@@ -127,12 +127,14 @@ def _lp_calls(spec):
                 lambda n=n, side=side:
                 solve_primal(spec, spec.p0, spec.q0, n, lam, side))
     for n in (2, 3):
-        calls[f"dual1-n{n}"] = lambda n=n: solve_dual1(spec, MU, spec.q0, n, lam)
-        calls[f"dual2-n{n}"] = lambda n=n: solve_dual2(spec, spec.p0, NU, n, lam)
-        calls[f"update1-n{n}"] = lambda n=n: update_mu(spec, MU, spec.q0, Y_STAR,
-                                                       1, 0, n, lam)
-        calls[f"update2-n{n}"] = lambda n=n: update_nu(spec, NU, spec.p0, X_STAR,
-                                                       0, 1, n, lam)
+        calls[f"dual1-n{n}"] = (
+            lambda n=n: solve_dual1(spec, MU, spec.q0, n, lam))
+        calls[f"dual2-n{n}"] = (
+            lambda n=n: solve_dual2(spec, spec.p0, NU, n, lam))
+        calls[f"update1-n{n}"] = (
+            lambda n=n: update_mu(spec, MU, spec.q0, Y_STAR, 1, 0, n, lam))
+        calls[f"update2-n{n}"] = (
+            lambda n=n: update_nu(spec, NU, spec.p0, X_STAR, 0, 1, n, lam))
     for kind in (1, 2):
         calls[f"dual{kind}-n2-reference"] = calls[f"dual{kind}-n2"]
     return calls

@@ -32,19 +32,6 @@ def test_ids_are_dense_and_invertible(index):
                 assert index.history(side, t, hid) == (states, acts)
 
 
-def test_parent_child_round_trip(index):
-    for side in (1, 2):
-        for t in (1, 2):
-            for hid, (states, _) in enumerate(index.histories(side, t)):
-                ns = 3 if side == 1 else 2
-                for a in range(2):
-                    for b in range(2):
-                        for nxt in range(ns):
-                            child = index.child_id(side, t, hid, a, b, nxt)
-                            pid, act = index.parent(side, t + 1, child)
-                            assert pid == hid and act == (a, b)
-
-
 def test_histories_sorted_states_major(index):
     level = index.histories(1, 2)
     keys = [(states, acts) for states, acts in level]
@@ -98,6 +85,4 @@ def test_layout_matches_product_enumeration(case_study):
                 if t > 1:
                     pid = prev[(states[:-1], acts[:-1])]
                     assert index.parent(side, t, hid) == (pid, acts[-1])
-                    assert index.child_id(side, t - 1, pid, *acts[-1],
-                                          states[-1]) == hid
             prev = ids

@@ -18,7 +18,7 @@ from zsbgames import (FixedPolicyAgent, SolverCache, WindowAgent,
 from zsbgames.dual_solver import dual_template
 from zsbgames.history_index import build_index
 from zsbgames.lp_core import LpBuilder
-from zsbgames.primal_solver import add_compact_system
+from zsbgames.primal_solver import add_sequence_system
 from zsbgames.stat_updater import update_belief_p, update_belief_q
 
 from conftest import random_spec
@@ -51,7 +51,7 @@ def _direct_update_lp(spec, kind, vec, belief, star, n, lam):
             tail[(aa, bb)] = builder.new_var()
             vecs[(aa, bb)] = builder.new_vars(num_vec)
             if n >= 2:
-                _, pay, _ = add_compact_system(
+                _, pay, _ = add_sequence_system(
                     builder, spec, side, n - 1, lam,
                     posterior(spec, belief, star, aa, bb))
             for s in range(num_vec):
@@ -82,7 +82,7 @@ def _direct_dual_lp(spec, kind, root, vector, n, lam):
     side = 3 - kind
     index = build_index(spec, n)
     builder = LpBuilder()
-    _, pay, _ = add_compact_system(builder, spec, side, n, lam, root)
+    _, pay, _ = add_sequence_system(builder, spec, side, n, lam, root)
     v0 = builder.new_var()
     for s, val in enumerate(vector):
         builder.add_rows("<=" if kind == 1 else ">=", [-float(val)], [

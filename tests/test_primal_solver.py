@@ -8,7 +8,9 @@ from zsbgames import (NumericalError, RealizationPlan, best_response,
                       best_response_vs_p1, best_response_vs_p2, lp_core,
                       solve_primal)
 from zsbgames.bounds import _matrix_game_value
-from zsbgames.primal_solver import build_primal, plan_from_solution
+from zsbgames.lp_core import LpBuilder
+from zsbgames.primal_solver import (add_sequence_system, build_primal,
+                                    plan_from_solution)
 
 from conftest import constant_spec, random_spec, scipy_csr
 
@@ -111,6 +113,40 @@ def test_strategy_reads_only_the_last_state(case_study, side, n):
     vs_plan = best_response_vs_p1 if side == 1 else best_response_vs_p2
     assert vs_plan(spec, plan, other, n, spec.lam).value == pytest.approx(
         res.value, abs=1e-9)
+
+
+def _compact_primal_value(spec, n, side):
+    """`build_primal`'s LP on (last own state, public pairs) rows."""
+    view = spec.side(side)
+    own, other = view.pair(spec.p0, spec.q0)
+    builder = LpBuilder()
+    _, pay, _ = add_sequence_system(builder, spec, side, n, spec.lam,
+                                    np.asarray(own, dtype=float))
+    objective = {pay[s]: float(other[s]) for s in range(view.num_opp_states)}
+    lp = builder.build(lp_core.MAX if side == 1 else lp_core.MIN, objective)
+    return lp_core.solve(lp).objective_value
+
+
+def test_compact_layout_reaches_the_primal_value(case_study):
+    """The primal LP on (last own state, pairs) rows reaches the full
+    form's value: payoffs read only the last state and transitions are
+    Markov. Random specs are drawn as for criterion 4."""
+    cases = [(case_study, 2), (case_study, 3)]
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        spec = random_spec(rng,
+                           num_k=int(rng.integers(1, 4)),
+                           num_l=int(rng.integers(1, 4)),
+                           num_a=int(rng.integers(1, 3)),
+                           num_b=int(rng.integers(1, 3)),
+                           horizon=int(rng.integers(1, 4)),
+                           lam=float(rng.uniform(0.2, 1.0)))
+        cases.append((spec, spec.horizon_n))
+    for spec, n in cases:
+        for side in (1, 2):
+            want = solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side)
+            assert abs(_compact_primal_value(spec, n, side)
+                       - want.value) <= 1e-9
 
 
 def test_value_concave_in_p_convex_in_q(rng):

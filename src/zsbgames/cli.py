@@ -21,9 +21,8 @@ import numpy as np
 from . import bounds, game_model, lp_core, primal_solver, simulator
 from .errors import (CapacityError, DomainError, NumericalError, ParseError,
                      SolverError, ValidationError)
-from .window_agent import (FIXED_N, REMAINING_WINDOW, FixedPolicyAgent,
-                           OptimalAgent, SolverCache, WindowAgent,
-                           WindowConfig, load_fixed_policy)
+from .window_agent import (FixedPolicyAgent, OptimalAgent, SolverCache,
+                           WindowAgent, WindowConfig, load_fixed_policy)
 
 EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
@@ -163,16 +162,14 @@ def bound(lam, window_n, total_n, gbar):
     click.echo(f"bound={bounds.window_bound(lam, window_n, total_n, gbar):.6f}")
 
 
-def _agent_factory(desc: str, spec, side: int, window_n, update_mode,
-                   cache: SolverCache):
+def _agent_factory(desc: str, spec, side: int, window_n, cache: SolverCache):
     """Factory of fresh agents per episode; heavy solves shared via cache."""
     if desc == "optimal":
         return lambda: OptimalAgent(spec, side, cache=cache)
     if desc == "window":
         if window_n is None:
             raise ValidationError("--window is required for window agents")
-        config = WindowConfig(window_n=window_n, total_horizon=spec.horizon_n,
-                              update_horizon_mode=update_mode)
+        config = WindowConfig(window_n=window_n, total_horizon=spec.horizon_n)
         return lambda: WindowAgent(spec, config, side, cache=cache)
     if desc.startswith("fixed:"):
         policy = load_fixed_policy(desc[len("fixed:"):])
@@ -182,10 +179,10 @@ def _agent_factory(desc: str, spec, side: int, window_n, update_mode,
         f"unknown agent {desc!r}; use optimal, window, or fixed:<file>")
 
 
-def _play_once(spec, p1_desc, p2_desc, window_n, update_mode, runs, seed,
+def _play_once(spec, p1_desc, p2_desc, window_n, runs, seed,
                cache: SolverCache):
-    f1 = _agent_factory(p1_desc, spec, 1, window_n, update_mode, cache)
-    f2 = _agent_factory(p2_desc, spec, 2, window_n, update_mode, cache)
+    f1 = _agent_factory(p1_desc, spec, 1, window_n, cache)
+    f2 = _agent_factory(p2_desc, spec, 2, window_n, cache)
     return simulator.run_monte_carlo(spec, f1, f2, runs, seed)
 
 
@@ -219,21 +216,17 @@ def _bound_check_line(spec, result, window_n, cache) -> str:
               help="Player 1 agent: optimal, window, or fixed:<file>.")
 @click.option("--p2", "p2_desc", default="window", show_default=True,
               help="Player 2 agent: optimal, window, or fixed:<file>.")
-@click.option("--update-mode", type=click.Choice([FIXED_N, REMAINING_WINDOW]),
-              default=FIXED_N, show_default=True,
-              help="Horizon of the vector-payoff update.")
 @click.option("--out", "out_file", type=click.Path(), default=None,
               help="Write the CSV here instead of stdout.")
 @_handle_errors
 def play(spec_file, window_n, horizon, runs, seed, p1_desc, p2_desc,
-         update_mode, out_file):
+         out_file):
     """Monte Carlo matches between two agents, plus a bound check line."""
     spec = game_model.load_spec(spec_file)
     if horizon is not None:
         spec = dataclasses.replace(spec, horizon_n=horizon)
     cache = SolverCache(spec)
-    result = _play_once(spec, p1_desc, p2_desc, window_n, update_mode, runs,
-                        seed, cache)
+    result = _play_once(spec, p1_desc, p2_desc, window_n, runs, seed, cache)
     if out_file is not None:
         with open(out_file, "w") as fh:
             simulator.write_results_csv(result, fh)
@@ -276,8 +269,8 @@ def reproduce_case_study(outdir, runs, grid_runs, seed, full_grid):
     for name, p1_desc, p2_desc in (
             ("p1_optimal_vs_p2_window", "optimal", "window"),
             ("p1_window_vs_p2_optimal", "window", "optimal")):
-        result = _play_once(spec, p1_desc, p2_desc, window_n, FIXED_N, runs,
-                            seed, cache)
+        result = _play_once(spec, p1_desc, p2_desc, window_n, runs, seed,
+                            cache)
         with open(out / f"mc_{name}.csv", "w") as fh:
             simulator.write_results_csv(result, fh)
         line = _bound_check_line(spec, result, window_n, cache)
@@ -297,8 +290,7 @@ def reproduce_case_study(outdir, runs, grid_runs, seed, full_grid):
                     cell = dataclasses.replace(spec, lam=lam,
                                                horizon_n=grid_horizon)
                     result = _play_once(cell, "window", f"fixed:{jammer}", n,
-                                        FIXED_N, grid_runs, seed,
-                                        SolverCache(cell))
+                                        grid_runs, seed, SolverCache(cell))
                     fh.write(f"{lam},{grid_horizon},{n},{result.num_runs},"
                              f"{result.mean:.10g},{result.stddev:.10g},"
                              f"{result.stderr:.10g}\n")

@@ -97,11 +97,6 @@ class BehavioralStrategy:
     index: HistoryIndex
     probs: list                     # [t - 1]: (state, pairs) x own action
 
-    def action_probs(self, states, acts) -> np.ndarray:
-        """The distribution after pairs `acts`; of the own states `states`
-        only the last is read."""
-        return self.stage_rows(acts)[states[-1]]
-
     def stage_rows(self, acts=()) -> np.ndarray:
         """The strategy after pairs `acts` as an (own state, own action)
         view of `probs`."""

@@ -15,8 +15,8 @@ an observed pair that plan never plays.
 
 As the statistic is fully accessible, all of an agent's state but its own
 current state is fixed by the public pairs seen so far. `SolverCache`
-keeps it in a tree per (side, window size, horizon, update mode), a node
-per public prefix, so only a new prefix runs the per-stage update.
+keeps it in a tree per (side, window size, horizon), a node per public
+prefix, so only a new prefix runs the per-stage update.
 
 `OptimalAgent`, the one-window `WindowAgent`, plays the full-horizon
 security strategy; `FixedPolicyAgent` plays a stationary per-state
@@ -38,8 +38,6 @@ from . import dual_solver, lp_core, primal_solver, stat_updater
 from .errors import ParseError, ValidationError
 from .game_model import GameSpec, SideView, read_numbers
 
-FIXED_N = "fixed_n"
-REMAINING_WINDOW = "remaining_window"
 # nodes a cache's trees hold at most (the n=2, N=8 case-study duel has
 # 21,845 public prefixes a side); past it a new node is not stored
 MAX_TREE_NODES = 50_000
@@ -53,16 +51,12 @@ MAX_STORE_ENTRIES = 5_000
 class WindowConfig:
     window_n: int
     total_horizon: int
-    update_horizon_mode: str = FIXED_N
 
     def __post_init__(self):
         if self.window_n < 1 or self.total_horizon < self.window_n:
             raise ValidationError(
                 f"need 1 <= window_n <= total_horizon, got "
                 f"n={self.window_n}, N={self.total_horizon}")
-        if self.update_horizon_mode not in (FIXED_N, REMAINING_WINDOW):
-            raise ValidationError(
-                f"unknown update_horizon_mode {self.update_horizon_mode!r}")
 
 
 def _check_input(view: SideView, own_state, a=0, b=0) -> None:
@@ -104,7 +98,8 @@ class _Node:
 
 class SolverCache:
     """Memoizes LP solves and read-outs keyed on the rounded statistic,
-    solved at that rounded statistic (the primal at the raw one).
+    solved at that rounded statistic (the primal at the exact one, keyed
+    on its bytes).
 
     The statistic trajectory of a window agent depends only on the public
     action sequence, so sharing one cache across the episodes of a Monte
@@ -139,7 +134,8 @@ class SolverCache:
         return self._memo(self._store, key, compute, MAX_STORE_ENTRIES)
 
     def primal(self, p, q, n, lam, side):
-        key = ("primal", side, n, lam, _stat_key(p, q)[1])
+        stat = np.concatenate((p, q), dtype=float).tobytes()
+        key = ("primal", side, n, lam, stat)
         result = self._remember(key, lambda: primal_solver.solve_primal(
             self.spec, p, q, n, lam, side))
         if result.pair is not None:
@@ -214,12 +210,10 @@ class SolverCache:
 class WindowAgent:
     """Plays one side of the game window by window.
 
-    With `update_horizon_mode == FIXED_N` the vector payoff is advanced
-    with the configured window size as horizon; REMAINING_WINDOW uses the
-    number of stages left in the current window instead (falling back to
-    the next window's length at a window's last stage). The window that
-    ends at the horizon does not advance it: only a later window's dual LP
-    reads the vector payoff, and `act()` reads only the strategy.
+    The vector payoff is advanced with the configured window size as
+    horizon. The window that ends at the horizon does not advance it: only
+    a later window's dual LP reads the vector payoff, and `act()` reads
+    only the strategy.
     `own_state` is the agent's current state; the rest of its state is
     read from the current node of the cache's tree, and `act()` is that
     node's stage row for `own_state`.
@@ -245,8 +239,8 @@ class WindowAgent:
         _check_input(self._view, own_state)
         config = self.config
         self._node = self.cache._memo(self.cache._tree, (
-            self.side, config.window_n, config.total_horizon,
-            config.update_horizon_mode), self._root, MAX_TREE_NODES)
+            self.side, config.window_n, config.total_horizon), self._root,
+            MAX_TREE_NODES)
         self.own_state = own_state
 
     def _root(self) -> _Node:
@@ -284,14 +278,10 @@ class WindowAgent:
         vector_payoff = node.vector_payoff
         if (node.t - len(window_acts) + node.window_len
                 < config.total_horizon):
-            horizon = config.window_n
-            if config.update_horizon_mode == REMAINING_WINDOW:
-                horizon = (node.window_len - len(window_acts) or min(
-                    config.window_n, config.total_horizon - node.t))
             update = (self.cache.update_nu if self.side == 1
                       else self.cache.update_mu)
-            vector_payoff = update(node.vector_payoff, node.belief, horizon,
-                                   spec.lam, a, b)
+            vector_payoff = update(node.vector_payoff, node.belief,
+                                   config.window_n, spec.lam, a, b)
 
         t = node.t + 1
         if len(window_acts) < node.window_len:

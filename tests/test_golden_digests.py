@@ -29,7 +29,8 @@ from zsbgames import (FixedPolicyAgent, SolverCache, WindowAgent,
                       lp_core, run_monte_carlo, solve_dual1, solve_dual2,
                       solve_primal, update_mu, update_nu)
 from zsbgames.simulator import write_results_csv
-from zsbgames.window_agent import FIXED_N, REMAINING_WINDOW
+
+from conftest import random_spec
 
 MU = np.array([-120.0, -60.0, -10.0])        # over player 1's states
 NU = np.array([-100.0, -50.0])               # over player 2's states
@@ -80,8 +81,8 @@ PLAY_DIGESTS = {
         "6b8908a2a18227f9d8bb37c3fc834cb770d0e14bcdf501864fc426daef7f881a",
     "jammer-3":
         "8c2e999cbf4e7a135f0a3415ec0e1994a5d560a9611ea27b828fa4c71cd3ec45",
-    "remaining-window-50":
-        "46c6f98c39c076ce2f9f8a9d375a7feb43e45073c63feb34ac7add9d7d129dbb",
+    "degenerate-duel-20":
+        "dd144954a3da6bd8f7314cf2b3f64c704008fff786ef1aabada4c8147083bc06",
 }
 
 
@@ -167,20 +168,25 @@ def test_best_response_and_strategy_digest(case_study, side):
     assert digest == SOLVE_DIGESTS[f"n{n}-side{side}"]
 
 
-# name -> (lambda, N, n, update horizon mode, player 2, episodes)
+# name -> (game, lambda, N, n, player 2, episodes, update LPs solved); the
+# game is the case study or, by its seed, a `random_spec` with one player-1
+# state, whose play meets degenerate pairs
 PLAY_BATCHES = {
-    "duel-200": (0.6, 8, 2, FIXED_N, "window", 200),
-    "jammer-3": (0.9, 12, 3, FIXED_N, "jammer", 3),
-    "remaining-window-50": (0.6, 7, 3, REMAINING_WINDOW, "window", 50),
+    "duel-200": ("case", 0.6, 8, 2, "window", 200, 0),
+    "jammer-3": ("case", 0.9, 12, 3, "jammer", 3, 0),
+    "degenerate-duel-20": (28, 0.9, 5, 2, "window", 20, 4),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PLAY_DIGESTS))
 def test_play_digest(case_study, name):
     """Window play on one shared cache, seeds 0.., hashed as written."""
-    lam, horizon, window_n, mode, player2, runs = PLAY_BATCHES[name]
-    game = dataclasses.replace(case_study, lam=lam, horizon_n=horizon)
-    config = WindowConfig(window_n, horizon, mode)
+    game, lam, horizon, window_n, player2, runs, update_lps = PLAY_BATCHES[name]
+    game = (dataclasses.replace(case_study, lam=lam, horizon_n=horizon)
+            if game == "case" else
+            random_spec(np.random.default_rng(game), num_k=1, num_l=2,
+                        horizon=horizon, lam=lam))
+    config = WindowConfig(window_n, horizon)
     cache = SolverCache(game)
     if player2 == "jammer":
         policy = json.loads((Path(zsbgames.__file__).parent / "data" /
@@ -193,5 +199,6 @@ def test_play_digest(case_study, name):
         runs, 0)
     buf = io.StringIO()
     write_results_csv(result, buf)
+    assert sum(key[-1] == "lp" for key in cache._store) == update_lps
     assert (hashlib.sha256(buf.getvalue().encode()).hexdigest()
             == PLAY_DIGESTS[name])

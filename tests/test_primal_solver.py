@@ -69,7 +69,7 @@ def test_strategy_recomposes_plan(case_study):
         assert want.shape == (len(reach), spec.num_a)
         nxt = {}
         for (s, acts), weight in reach.items():
-            probs = strat.action_probs((s,), acts)
+            probs = strat.stage_rows(acts)[s]
             row = want[index.id_of(1, t, (s,), acts)]
             assert weight * probs == pytest.approx(row, abs=1e-7)
             for a, b, s_next in product(range(spec.num_a), range(spec.num_b),

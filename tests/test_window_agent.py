@@ -14,8 +14,7 @@ from zsbgames import (FixedPolicyAgent, NumericalError, OptimalAgent,
                       run_episode, run_monte_carlo, solve_dual1, solve_primal,
                       stat_updater, window_agent)
 from zsbgames.simulator import write_results_csv
-from zsbgames.window_agent import (FIXED_N, REMAINING_WINDOW,
-                                   load_fixed_policy)
+from zsbgames.window_agent import load_fixed_policy
 
 from conftest import random_spec
 
@@ -26,8 +25,6 @@ def test_window_config_validation():
         WindowConfig(window_n=0, total_horizon=4)
     with pytest.raises(ValidationError):
         WindowConfig(window_n=5, total_horizon=4)
-    with pytest.raises(ValidationError):
-        WindowConfig(window_n=2, total_horizon=4, update_horizon_mode="bogus")
 
 
 @pytest.mark.parametrize("total", [4, 2])
@@ -76,7 +73,7 @@ def test_first_window_uses_primal_strategy(rng):
     agent = WindowAgent(spec, config, 1)
     agent.begin_episode(1)
     want = solve_primal(spec, spec.p0, spec.q0, 2, spec.lam,
-                        1).strategy.action_probs((1,), ())
+                        1).strategy.stage_rows()[1]
     assert np.allclose(agent.act(), want, atol=1e-9)
     assert np.array_equal(
         agent.vector_payoff,
@@ -107,33 +104,15 @@ def test_statistic_advances_and_windows_roll(rng):
         agent.observe(0, 0, 0)
 
 
-def test_remaining_window_mode_runs(rng):
-    spec = random_spec(rng, horizon=4)
-    config = WindowConfig(window_n=2, total_horizon=4,
-                          update_horizon_mode=REMAINING_WINDOW)
-    agent = WindowAgent(spec, config, 1)
-    agent.begin_episode(0)
-    for t in range(1, 4):
-        agent.act()
-        agent.observe(0, 1, t % spec.num_k)
-    assert agent.t == 4
-
-
-@pytest.mark.parametrize("mode, total, window_n, want", [
-    (REMAINING_WINDOW, 5, 2, [1, 2, 1, 1]),
-    (REMAINING_WINDOW, 7, 3, [2, 1, 3, 2, 1, 1]),
-    (REMAINING_WINDOW, 4, 4, []),
-    (FIXED_N, 5, 2, [2] * 4),
-    (FIXED_N, 7, 3, [3] * 6),
-    (FIXED_N, 4, 4, []),
-    (REMAINING_WINDOW, 6, 3, [2, 1, 3]),
-    (FIXED_N, 6, 3, [3] * 3),
+@pytest.mark.parametrize("total, window_n, want", [
+    pytest.param(5, 2, [2] * 4, id="fixed_n-5-2-want3"),
+    pytest.param(7, 3, [3] * 6, id="fixed_n-7-3-want4"),
+    pytest.param(4, 4, [], id="fixed_n-4-4-want5"),
+    pytest.param(6, 3, [3] * 3, id="fixed_n-6-3-want7"),
 ])
-def test_update_horizon_per_observe(rng, monkeypatch, mode, total, window_n,
-                                    want):
-    """The vector-payoff update's horizon: the window size, or the stages
-    left in the window and at its last stage the next window's length. The
-    window that ends at the horizon does not advance the vector payoff."""
+def test_update_horizon_per_observe(rng, monkeypatch, total, window_n, want):
+    """The vector-payoff update's horizon is the window size. The window
+    that ends at the horizon does not advance the vector payoff."""
     spec = random_spec(rng, num_k=1, num_l=2, horizon=total)
     cache = SolverCache(spec)
     seen, update = [], cache._update
@@ -143,8 +122,7 @@ def test_update_horizon_per_observe(rng, monkeypatch, mode, total, window_n,
         return update(kind, vec, belief, n, lam, a, b)
 
     monkeypatch.setattr(cache, "_update", record)
-    agent = WindowAgent(spec, WindowConfig(window_n, total, mode), 2,
-                        cache=cache)
+    agent = WindowAgent(spec, WindowConfig(window_n, total), 2, cache=cache)
     agent.begin_episode(0)
     for t in range(1, total):
         agent.observe(t % 2, 0, t % 2)
@@ -183,8 +161,8 @@ def test_read_out_keeps_the_update_lp_value(n):
 
 
 def test_degenerate_pair_gets_the_update_lp_vector(case_study, monkeypatch):
-    """A statistic met in a REMAINING_WINDOW batch (lambda=0.6, N=7, n=3,
-    seed 0): player 2's dual plan never plays b = 1, which was observed."""
+    """A case-study statistic (lambda=0.6) at which player 2's n=2 dual
+    plan never plays b = 1: observing b = 1 there is a degenerate pair."""
     spec = dataclasses.replace(case_study, lam=0.6, horizon_n=7)
     mu = np.array([-172.33215250082952, -154.14574, -42.10464240093827])
     q = np.array([0.7, 0.3])
@@ -277,6 +255,19 @@ def test_side1_primal_stores_the_side2_primal_it_ran(rng, monkeypatch):
     for name in ("col_status", "row_status"):
         assert (list(getattr(got.basis, name))
                 == list(getattr(want.basis, name)))
+
+
+@pytest.mark.parametrize("side", [1, 2])
+def test_primal_is_keyed_on_its_exact_prior(rng, side):
+    """Two own priors 1e-14 apart, alike when rounded to 12 decimals, are
+    two primal entries: each result is solved at its own prior."""
+    spec = random_spec(rng, horizon=2)
+    cache = SolverCache(spec)
+    prior = np.array([0.4, 0.6])
+    for own in (prior, prior + [1e-14, -1e-14]):
+        p, q = spec.side(side).pair(own, spec.side(3 - side).prior)
+        result = cache.primal(p, q, 2, spec.lam, side)
+        assert result.plan.root.tobytes() == own.tobytes()
 
 
 def test_agents_refuse_a_cache_for_another_spec(rng):
@@ -418,25 +409,32 @@ def _recorded_play(spec, config, seeds, cache=None):
     return out
 
 
-@pytest.mark.parametrize("lam, total, window_n, mode, runs", [
-    (0.6, 8, 2, FIXED_N, 24),
-    (0.6, 7, 3, REMAINING_WINDOW, 10),
+@pytest.mark.parametrize("game, lam, total, window_n, runs, update_lps", [
+    pytest.param("case", 0.6, 8, 2, 24, 0, id="0.6-8-2-fixed_n-24"),
+    pytest.param(28, 0.9, 5, 2, 20, 4, id="random28-0.9-5-2-fixed_n-20"),
 ])
-def test_tree_plays_as_the_per_stage_update(case_study, monkeypatch, lam,
-                                            total, window_n, mode, runs):
+def test_tree_plays_as_the_per_stage_update(case_study, monkeypatch, game,
+                                            lam, total, window_n, runs,
+                                            update_lps):
     """Episodes on one shared cache, which walk its tree of public prefixes,
     in order and reversed, play byte for byte as the per-stage update does
     on one shared cache (the tree capped at 0 nodes), and as episodes on a
     fresh cache each: memo entries are solved at their rounded statistic,
-    so no stage depends on which episodes ran before."""
-    spec = dataclasses.replace(case_study, lam=lam, horizon_n=total)
-    config = WindowConfig(window_n, total, mode)
+    so no stage depends on which episodes ran before. The game is the case
+    study or, by its seed, a `random_spec` with one player-1 state whose
+    play meets degenerate pairs and so solves update LPs."""
+    spec = (dataclasses.replace(case_study, lam=lam, horizon_n=total)
+            if game == "case" else
+            random_spec(np.random.default_rng(game), num_k=1, num_l=2,
+                        horizon=total, lam=lam))
+    config = WindowConfig(window_n, total)
     seeds = list(range(runs))
     plays = []
     for order in (seeds, seeds[::-1]):
         cache = SolverCache(spec)
         walked = _recorded_play(spec, config, order, cache)
         assert len(cache._tree) < 2 * runs * (total - 1)
+        assert sum(key[-1] == "lp" for key in cache._store) == update_lps
         with monkeypatch.context() as patch:
             patch.setattr(window_agent, "MAX_TREE_NODES", 0)
             assert _recorded_play(spec, config, order,

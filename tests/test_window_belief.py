@@ -4,15 +4,15 @@ The reference keeps the agent's posterior over the window's own-state
 sequences as a dict, marginalizes the acting strategy's table into a stage
 matrix X with it, and advances the belief with `update_belief_p/q`. Games
 are drawn from small integer weights, so every likelihood is either zero
-or well above the degenerate-update tolerances.
+or well above the degenerate-update tolerances. Episodes share one cache,
+so later ones walk the tree of public prefixes that earlier ones grew.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from zsbgames import GameSpec, WindowAgent, WindowConfig
+from zsbgames import GameSpec, SolverCache, WindowAgent, WindowConfig
 from zsbgames.stat_updater import update_belief_p, update_belief_q
-from zsbgames.window_agent import FIXED_N, REMAINING_WINDOW
 
 
 def _ints(draw, shape, hi):
@@ -31,7 +31,8 @@ def _dists(draw, shape):
 
 @st.composite
 def _plays(draw):
-    """A game, a window config, a side and the public play of one episode."""
+    """A game, a window config, a side and the (start state, public play)
+    of one to three episodes."""
     nk, nl, na, nb = (draw(st.integers(1, hi)) for hi in (3, 2, 2, 2))
     total = draw(st.integers(2, 4))
     spec = GameSpec(
@@ -41,15 +42,16 @@ def _plays(draw):
         trans_p=draw(_dists((na, nb, nk, nk))),
         trans_q=draw(_dists((na, nb, nl, nl))),
         lam=draw(st.sampled_from([0.5, 0.9, 1.0])), horizon_n=total)
-    config = WindowConfig(draw(st.integers(1, min(total, 2))), total,
-                          draw(st.sampled_from([FIXED_N, REMAINING_WINDOW])))
+    config = WindowConfig(draw(st.integers(1, min(total, 2))), total)
     side = draw(st.sampled_from([1, 2]))
     ns = nk if side == 1 else nl
     stage = st.tuples(st.integers(0, na - 1), st.integers(0, nb - 1),
                       st.integers(0, ns - 1))
-    play = draw(st.lists(stage, min_size=total - 1, max_size=total - 1))
-    start = draw(st.integers(0, ns - 1))
-    return spec, config, side, start, play
+    episode = st.tuples(st.integers(0, ns - 1),
+                        st.lists(stage, min_size=total - 1,
+                                 max_size=total - 1))
+    episodes = draw(st.lists(episode, min_size=1, max_size=3))
+    return spec, config, side, episodes
 
 
 def _reference_stage(spec, side, strategy, weights, acts, a, b):
@@ -83,19 +85,31 @@ def _reference_stage(spec, side, strategy, weights, acts, a, b):
     return X, {k: v / total for k, v in nxt.items()}
 
 
+def _check_stage(agent):
+    """At every stage the belief is a distribution, the vector payoff is
+    finite and the agent acts with a distribution."""
+    for dist, tol in ((agent.belief, 1e-9), (agent.act(), 1e-7)):
+        assert np.all(dist >= 0.0) and abs(dist.sum() - 1.0) <= tol
+    assert np.isfinite(agent.vector_payoff).all()
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(_plays())
 def test_belief_is_the_stage_matrix_posterior(case):
-    spec, config, side, start, play = case
+    spec, config, side, episodes = case
     update_belief = update_belief_p if side == 1 else update_belief_q
-    agent = WindowAgent(spec, config, side)
-    agent.begin_episode(start)
-    for a, b, nxt in play:
-        if agent.window_acts == ():
-            weights = {(s,): float(w) for s, w in enumerate(agent.belief)}
-        prior, strategy, acts = agent.belief, agent.strategy, agent.window_acts
-        X, weights = _reference_stage(spec, side, strategy, weights, acts,
-                                      a, b)
-        agent.observe(a, b, nxt)
-        want = update_belief(spec, prior, X, a, b)
-        assert np.max(np.abs(agent.belief - want)) <= 1e-12
+    cache = SolverCache(spec)
+    for start, play in episodes:
+        agent = WindowAgent(spec, config, side, cache=cache)
+        agent.begin_episode(start)
+        _check_stage(agent)
+        for a, b, nxt in play:
+            if agent.window_acts == ():
+                weights = {(s,): float(w) for s, w in enumerate(agent.belief)}
+            prior, strategy = agent.belief, agent.strategy
+            X, weights = _reference_stage(spec, side, strategy, weights,
+                                          agent.window_acts, a, b)
+            agent.observe(a, b, nxt)
+            want = update_belief(spec, prior, X, a, b)
+            assert np.max(np.abs(agent.belief - want)) <= 1e-12
+            _check_stage(agent)

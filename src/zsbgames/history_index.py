@@ -17,12 +17,16 @@ solvers work on that layout and no per-history table exists.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .errors import CapacityError
 from .game_model import GameSpec
 
 DEFAULT_MAX_VARS = 5_000_000
+# about 90 bytes a nonzero to build: 744 MB at the case study's n=5 (8.5M)
+DEFAULT_MAX_NONZEROS = 10_000_000
 
 
 class HistoryIndex:
@@ -77,17 +81,15 @@ class HistoryIndex:
                 for hid in range(self.count(side, t))]
 
 
-def check_capacity(depth: int, sizes) -> None:
-    """Raise CapacityError if the variable counts `sizes` of an LP's
-    depths 1..depth sum past DEFAULT_MAX_VARS; they are summed only until
-    they pass it."""
-    total = 0
-    for size in sizes:
-        total += size
-        if total > DEFAULT_MAX_VARS:
+def check_capacity(depth: int, sizes, nonzeros=()) -> None:
+    """Raise CapacityError if an LP's variable counts `sizes` or nonzero
+    counts `nonzeros` over depths 1..depth sum past DEFAULT_MAX_VARS or
+    DEFAULT_MAX_NONZEROS; each is summed only until it passes its limit."""
+    for counts, limit, what in ((sizes, DEFAULT_MAX_VARS, "variables"),
+                                (nonzeros, DEFAULT_MAX_NONZEROS, "nonzeros")):
+        if any(total > limit for total in accumulate(counts)):
             raise CapacityError(f"sequence-form LP at depth {depth} would "
-                                f"exceed the limit of {DEFAULT_MAX_VARS} "
-                                "variables")
+                                f"exceed the limit of {limit} {what}")
 
 
 def build_index(spec: GameSpec, depth: int) -> HistoryIndex:

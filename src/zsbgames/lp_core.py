@@ -308,8 +308,8 @@ def linprog(c, *, bounds, A_ub, b_ub, A_eq, b_eq, basis=None):
     Raises ValueError for non-finite c, b_ub or b_eq, a matrix that is not
     such a record, mismatched shapes, more variables, rows or nonzeros than
     int32 holds (checked before any array is read) or a lower bound above
-    its upper bound. An optimal point that breaks a row or bound by more
-    than CERT_TOL is reported with status 4.
+    its upper bound; an LP family's c and bounds are checked once. An
+    optimal point breaking a row or bound by more than CERT_TOL gets status 4.
     """
     c = np.asarray(c, dtype=float)
     num_vars = c.size
@@ -318,24 +318,28 @@ def linprog(c, *, bounds, A_ub, b_ub, A_eq, b_eq, basis=None):
         raise ValueError("A_ub and A_eq must be CsrMatrix records with one "
                          "column per variable")
     num_ub, num_nz = A_ub.shape[0], A_ub.nnz + A_eq.nnz
-    if max(num_vars, num_ub + A_eq.shape[0], num_nz) > _INT32_MAX:
-        raise ValueError("more variables, rows or nonzeros than int32 holds")
-    if c.ndim != 1 or not np.isfinite(c).all():
-        raise ValueError("c must be a finite 1-D array")
-    b_ub = _rhs(b_ub, A_ub, "b_ub")
-    b_eq = _rhs(b_eq, A_eq, "b_eq")
-    lb, ub = np.asarray(bounds, dtype=float).reshape(num_vars, 2).T.copy()
-    if not (lb <= ub).all():
-        raise ValueError("every lower bound must be at most its upper bound")
-
-    lower = np.concatenate([np.full(num_ub, -math.inf), b_eq])
-    upper = np.concatenate([b_ub, b_eq])
     family = _FAMILIES.get(A_ub)
     if family is not None and not all(map(operator.is_, (c, bounds, A_eq),
                                           family.parts)):
         family = None
-    if family is not None and family.model is not None:
-        model, loaded = family.model, True
+    kept = family and family.model      # made by the family's first solve
+    if kept is None:
+        if max(num_vars, num_ub + A_eq.shape[0], num_nz) > _INT32_MAX:
+            raise ValueError("more variables, rows or nonzeros than int32 holds")
+        if c.ndim != 1 or not np.isfinite(c).all():
+            raise ValueError("c must be a finite 1-D array")
+        lb, ub = np.asarray(bounds, dtype=float).reshape(num_vars, 2).T.copy()
+        if not (lb <= ub).all():
+            raise ValueError("every lower bound must be at most its upper bound")
+    else:       # which checked its c and its (n, 2) float bounds
+        lb, ub = bounds.T
+    b_ub = _rhs(b_ub, A_ub, "b_ub")
+    b_eq = _rhs(b_eq, A_eq, "b_eq")
+
+    lower = np.concatenate([np.full(num_ub, -math.inf), b_eq])
+    upper = np.concatenate([b_ub, b_eq])
+    if kept is not None:
+        model, loaded = kept, True
         model.clearSolver()
         model.passOptions(_OPTIONS)
         # an equality row's lower bound is its upper, an inequality's -inf;

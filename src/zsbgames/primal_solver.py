@@ -150,7 +150,7 @@ def add_sequence_system(builder: LpBuilder, spec: GameSpec, side: int, n: int,
     out. A flow row per depth-t own row sets its plan weights to the
     parent weights times the transition into its last state, at depth 1
     to root_dist[s] (`root_rows`, the only rows `root_dist` enters).
-    Its variables pass `check_capacity`.
+    Its variables and entries pass `check_capacity`.
     """
     view = spec.side(side)
     ns, no = view.num_states, view.num_opp_states
@@ -161,8 +161,11 @@ def add_sequence_system(builder: LpBuilder, spec: GameSpec, side: int, n: int,
                   for t, R in enumerate(seqs, start=1)]
     opp_counts = [(no ** t if full else no) * R
                   for t, R in enumerate(seqs, start=1)]
-    check_capacity(n, (k * num_own + j
-                       for k, j in zip(own_counts, opp_counts)))
+    # entries per depth, zeros included, as the rows below add them
+    check_capacity(n, (k * num_own + j for k, j in zip(own_counts, opp_counts)),
+                   (j * num_opp * (1 + k // R * num_own + (t < n) * num_own * no)
+                    + k * (num_own + (t > 1) * (1 if full else ns))
+                    for t, (R, k, j) in enumerate(zip(seqs, own_counts, opp_counts), 1)))
     plan_vars = builder.new_vars(num_own * sum(own_counts), lower=0.0)
     payoff_vars = builder.new_vars(sum(opp_counts))
     # first variable of depth t: plan_at[t - 1], payoff_at[t - 1]

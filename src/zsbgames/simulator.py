@@ -2,8 +2,9 @@
 
 RNG: numpy's default PCG64 generator, one stream per episode seeded with
 `base_seed + episode_index`, so traces reproduce across platforms and
-episodes may be evaluated in any order. A Monte Carlo run memoizes the CDF
-of each distribution it draws from, so a draw is a uniform and a bisection.
+episodes may be evaluated in any order. A draw bisects a CDF at a uniform:
+a Monte Carlo run builds chance's CDFs once (`_chance_tables`) and memoizes
+those of agents' action rows by their bytes (`_sample`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .game_model import GameSpec
 
 
-@dataclass
+@dataclass(slots=True)
 class StageRecord:
     t: int
     k: int
@@ -44,6 +45,16 @@ class McResult:
     seeds: list
 
 
+def _cdf(probs) -> list:
+    """The CDF of weights `probs` clipped at 0, as `rng.choice` has it."""
+    p = np.maximum(np.asarray(probs, dtype=float), 0.0)
+    total = p.sum()
+    if not 0.0 < total < np.inf:                # NaN fails too
+        raise ValueError(f"probabilities {probs} have no positive finite sum")
+    cdf = (p / total).cumsum()
+    return (cdf / cdf[-1]).tolist()
+
+
 def _sample(rng: np.random.Generator, probs: np.ndarray,
             cdfs: dict | None = None) -> int:
     """An index drawn with weights `probs` clipped at 0: the draw and the
@@ -52,29 +63,32 @@ def _sample(rng: np.random.Generator, probs: np.ndarray,
     p = np.asarray(probs, dtype=float)
     cdfs = {} if cdfs is None else cdfs
     if (key := p.tobytes()) not in cdfs:
-        p = np.maximum(p, 0.0)
-        total = p.sum()
-        if not 0.0 < total < np.inf:            # NaN fails too
-            raise ValueError(f"probabilities {probs} have no positive finite sum")
-        cdf = (p / total).cumsum()
-        cdfs[key] = (cdf / cdf[-1]).tolist()
+        cdfs[key] = _cdf(p)
     return bisect_right(cdfs[key], rng.random())
 
 
+def _chance_tables(spec: GameSpec) -> tuple:
+    """The CDFs of p0, q0, trans_p[a][b][k] and trans_q[a][b][l]."""
+    return (_cdf(spec.p0), _cdf(spec.q0),
+            *([[list(map(_cdf, by_b)) for by_b in by_a] for by_a in trans]
+              for trans in (spec.trans_p, spec.trans_q)))
+
+
 def run_episode(spec: GameSpec, agent1, agent2, seed: int, *,
-                cdfs=None) -> EpisodeTrace:
+                cdfs=None, chance=None) -> EpisodeTrace:
     """Play one episode of spec.horizon_n stages; deterministic given seed.
 
     Agents only ever receive the public action pair and their own next
     state, never the opponent's state or the stage payoff. Episodes may
-    share one `cdfs` dict (see `_sample`).
+    share `chance`, `_chance_tables(spec)`, and `cdfs` (see `_sample`).
     """
     # one call draws the uniforms of k, l, then a, b, k' and l' per stage
     uniforms = np.random.default_rng(seed).random(4 * spec.horizon_n)
     rng = SimpleNamespace(random=iter(uniforms.tolist()).__next__)
-    lam, payoff, trans_p, trans_q = spec.lam, spec.payoff, spec.trans_p, spec.trans_q
-    k = _sample(rng, spec.p0, cdfs)
-    l = _sample(rng, spec.q0, cdfs)
+    p0, q0, trans_p, trans_q = chance or _chance_tables(spec)
+    lam, payoff = spec.lam, spec.payoff
+    k = bisect_right(p0, rng.random())
+    l = bisect_right(q0, rng.random())
     agent1.begin_episode(k)
     agent2.begin_episode(l)
     records = []
@@ -83,11 +97,11 @@ def run_episode(spec: GameSpec, agent1, agent2, seed: int, *,
         a = _sample(rng, agent1.act(), cdfs)
         b = _sample(rng, agent2.act(), cdfs)
         pay = lam ** (t - 1) * float(payoff[k, l, a, b])
-        records.append(StageRecord(t=t, k=k, l=l, a=a, b=b, stage_payoff=pay))
+        records.append(StageRecord(t, k, l, a, b, pay))
         total += pay
         if t < spec.horizon_n:
-            k_next = _sample(rng, trans_p[a, b, k], cdfs)
-            l_next = _sample(rng, trans_q[a, b, l], cdfs)
+            k_next = bisect_right(trans_p[a][b][k], rng.random())
+            l_next = bisect_right(trans_q[a][b][l], rng.random())
             agent1.observe(a, b, k_next)
             agent2.observe(a, b, l_next)
             k, l = k_next, l_next
@@ -99,15 +113,11 @@ def run_monte_carlo(spec: GameSpec, agent_factory1, agent_factory2,
     """Independent episodes with seeds base_seed + i; fresh agents each run."""
     if num_runs < 1:
         raise ValueError("num_runs must be >= 1")
-    totals = np.empty(num_runs)
-    seeds = []
-    cdfs = {}
-    for i in range(num_runs):
-        seed = base_seed + i
-        trace = run_episode(spec, agent_factory1(), agent_factory2(), seed,
-                            cdfs=cdfs)
-        totals[i] = trace.total
-        seeds.append(seed)
+    seeds = list(range(base_seed, base_seed + num_runs))
+    cdfs, chance = {}, _chance_tables(spec)
+    totals = np.array([run_episode(spec, agent_factory1(), agent_factory2(),
+                                   seed, cdfs=cdfs, chance=chance).total
+                       for seed in seeds])
     mean = float(totals.sum() / num_runs)       # fixed-order sum, deterministic
     stddev = float(totals.std(ddof=1)) if num_runs > 1 else 0.0
     stderr = stddev / np.sqrt(num_runs) if num_runs > 1 else 0.0

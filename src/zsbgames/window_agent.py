@@ -14,9 +14,9 @@ statistic (`SolverCache._update`), so play solves no update LP except for
 an observed pair that plan never plays.
 
 As the statistic is fully accessible, all of an agent's state but its own
-current state is fixed by the public pairs seen so far. `SolverCache`
-keeps it in a tree per (side, window size, horizon), a node per public
-prefix, so only a new prefix runs the per-stage update.
+state is fixed by the public pairs seen so far. `SolverCache` keeps it in
+a tree per (side, window size, horizon), a node per public prefix: a known
+prefix is one lookup, and a node makes its update read-out once.
 
 `OptimalAgent`, the one-window `WindowAgent`, plays the full-horizon
 security strategy; `FixedPolicyAgent` plays a stationary per-state
@@ -82,10 +82,11 @@ class _Node:
     """A `WindowAgent`'s state after some public pairs, shared by episodes:
     everything but the agent's own current state. `stage` is the window
     strategy at this stage, a row per own state (`stage_rows`), so acting
-    is one index."""
+    is one index; `inputs`, the bytes of belief and stage, keys posteriors,
+    and `read_out`, set by its first child, is `SolverCache._update`'s."""
 
     __slots__ = ("t", "window_id", "window_len", "strategy", "belief",
-                 "vector_payoff", "window_acts", "stage")
+                 "vector_payoff", "window_acts", "stage", "inputs", "read_out")
 
     def __init__(self, t, window_id, window_len, strategy, belief,
                  vector_payoff, window_acts):
@@ -94,6 +95,7 @@ class _Node:
         self.belief, self.vector_payoff = belief, vector_payoff
         belief.flags.writeable = vector_payoff.flags.writeable = False
         self.stage = strategy.stage_rows(window_acts)
+        self.inputs = belief.tobytes() + self.stage.tobytes()
 
 
 class SolverCache:
@@ -117,7 +119,7 @@ class SolverCache:
         self.spec = spec
         self._store = {}
         self._templates = {}
-        self._beliefs = {}  # (side, a, b, belief, stage bytes) -> posterior
+        self._beliefs = {}  # (side, a, b, node inputs) -> posterior
         self._tree = {}     # (node, a, b) -> child; (side, *config) -> root
 
     @staticmethod
@@ -157,23 +159,29 @@ class SolverCache:
     def dual2(self, p, nu, n, lam):
         return self._dual(2, p, nu, n, lam)
 
-    def _update(self, kind, vec, belief, n, lam, a, b):
+    def _update(self, kind, vec, belief, n, lam, a, b, node=None):
         """Vector payoff over player `kind`'s states after pair (a, b), read
         off the plan of the dual-`kind` game at (vec, belief): -BR(s) /
         (lam bar[m]), with BR(s) the responder's best-response value at its
         depth-2 row of last state s and pair (a, b), and bar[m] the plan
         owner's stage weight of its action in (a, b). It is 0 at n = 1, and
-        at bar[m] <= DEGENERATE_TOL the update LP's if its w is the dual's."""
+        at bar[m] <= DEGENERATE_TOL the update LP's if its w is the dual's.
+        A tree `node` at (vec, belief) keeps its read-out for later pairs."""
         view = self.spec.side(kind)
         if n == 1:
             return np.zeros(view.num_states)
-        (vec, belief), stat = _stat_key(vec, belief)
-        key = (f"upd{kind}", n, lam, stat)
-        star, bar, br, value = self._remember(key, lambda: self._read_out(
-            view, vec, belief, n, lam))
+        read_out = getattr(node, "read_out", None)
+        if read_out is None:
+            (vec, belief), stat = _stat_key(vec, belief)
+            key = (f"upd{kind}", n, lam, stat)
+            read_out = (key, vec, belief) + self._remember(key, lambda: (
+                self._read_out(view, vec, belief, n, lam)))
+            if node is not None:
+                node.read_out = read_out
+        key, vec, belief, star, bar, neg_br, value = read_out
         m = view.pair(a, b)[1]
         if bar[m] > stat_updater.DEGENERATE_TOL:
-            return -br[a, b] / (lam * bar[m])
+            return neg_br[a, b] / (lam * bar[m])
         update = stat_updater.update_mu if kind == 1 else stat_updater.update_nu
         def solve():
             result = update(self.spec, vec, belief, star, a, b, n, lam)
@@ -182,23 +190,23 @@ class SolverCache:
         return self._remember(key + ("lp",), solve)[a, b]
 
     def _read_out(self, view, vec, belief, n, lam):
-        """(star, bar, BR, dual value) of `_update`, with BR[a, b, s] the
+        """(star, bar, -BR, dual value) of `_update`, with BR[a, b, s] the
         responder's depth-2 row of last state s and pair (a, b)."""
         dual = (self.dual1 if view.side == 1 else self.dual2)(
             *view.pair(vec, belief), n, lam)
         depth2 = dual.response.values[1]
         star = dual.strategy.stage1_matrix()
-        return star, star @ belief, depth2.reshape(
+        return star, star @ belief, -depth2.reshape(
             view.num_states, -1, self.spec.num_b).transpose(1, 2, 0), dual.value
 
-    def _belief(self, side, belief, stage, a, b):
-        """Player `side`'s posterior after (a, b) under `stage`, a row per
-        own state, memoized: many public prefixes meet the same inputs."""
+    def _belief(self, side, node, a, b):
+        """Player `side`'s posterior after (a, b) at `node`, memoized by
+        `node.inputs`: many public prefixes meet the same inputs."""
         update = (stat_updater.update_belief_p if side == 1
                   else stat_updater.update_belief_q)
-        key = (side, a, b, belief.tobytes(), stage.tobytes())
-        return self._memo(self._beliefs, key, lambda: update(
-            self.spec, belief, np.ascontiguousarray(stage.T), a, b), MAX_TREE_NODES)
+        return self._memo(self._beliefs, (side, a, b, node.inputs), lambda: update(
+            self.spec, node.belief, np.ascontiguousarray(node.stage.T), a, b),
+            MAX_TREE_NODES)
 
     def update_mu(self, mu, q, n, lam, a, b):
         return self._update(1, mu, q, n, lam, a, b)
@@ -259,29 +267,32 @@ class WindowAgent:
     # -- observation -------------------------------------------------------
 
     def observe(self, a: int, b: int, own_next_state: int) -> None:
-        _check_input(self._view, own_next_state, a, b)
         node = self._node
-        if node.t >= self.config.total_horizon:
-            raise ValidationError("observe called past the horizon")
-        self._node = self.cache._memo(self.cache._tree, (node, a, b), lambda:
-                                      self._next(node, a, b), MAX_TREE_NODES)
+        child = self.cache._tree.get((node, a, b))
+        # a known child is of a checked pair within the horizon
+        if child is None or not 0 <= own_next_state < self._view.num_states:
+            _check_input(self._view, own_next_state, a, b)
+            if node.t >= self.config.total_horizon:
+                raise ValidationError("observe called past the horizon")
+            child = self.cache._memo(self.cache._tree, (node, a, b), lambda:
+                                     self._next(node, a, b), MAX_TREE_NODES)
+        self._node = child
         self.own_state = own_next_state
 
     def _next(self, node: _Node, a: int, b: int) -> _Node:
         """The node after `node` and the pair (a, b)."""
         spec, view, config = self.spec, self._view, self.config
-        belief = self.cache._belief(self.side, node.belief, node.stage, a, b)
+        belief = self.cache._belief(self.side, node, a, b)
         window_acts = node.window_acts + ((a, b),)
 
-        # the dual game at the pre-stage statistic advances the vector
-        # payoff, read only by later windows
+        # the opponent's dual game at the pre-stage statistic advances the
+        # vector payoff, read only by later windows
         vector_payoff = node.vector_payoff
         if (node.t - len(window_acts) + node.window_len
                 < config.total_horizon):
-            update = (self.cache.update_nu if self.side == 1
-                      else self.cache.update_mu)
-            vector_payoff = update(node.vector_payoff, node.belief,
-                                   config.window_n, spec.lam, a, b)
+            vector_payoff = self.cache._update(
+                3 - self.side, node.vector_payoff, node.belief,
+                config.window_n, spec.lam, a, b, node)
 
         t = node.t + 1
         if len(window_acts) < node.window_len:

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zsbgames import (CapacityError, build_index, history_index, solve_dual1,
-                      solve_dual2, solve_primal)
+from zsbgames import (CapacityError, build_index, history_index,
+                      primal_solver, solve_dual1, solve_dual2, solve_primal)
 
 from conftest import random_spec
 
@@ -63,6 +68,52 @@ def test_capacity_guard_counts_the_lp_built(monkeypatch, case_study):
     monkeypatch.setattr(history_index, "DEFAULT_MAX_VARS", 100)
     with pytest.raises(CapacityError, match="limit of 100 variables"):
         solve_dual2(spec, spec.p0, nu, n, spec.lam)
+
+
+def test_nonzero_guard_counts_the_entries_built(monkeypatch, case_study):
+    """The case study's full-history primal LP at n=3 has 16,270 nonzeros
+    on either side, all of them counted: a limit of 16,270 admits it, one
+    of 16,269 refuses it."""
+    spec = case_study
+    for side in (1, 2):
+        lp = primal_solver.build_primal(spec, spec.p0, spec.q0, 3, spec.lam,
+                                        side)[0]
+        assert lp.a_ub.nnz + lp.a_eq.nnz == 16_270
+    monkeypatch.setattr(history_index, "DEFAULT_MAX_NONZEROS", 16_269)
+    for side in (1, 2):
+        with pytest.raises(CapacityError, match="limit of 16269 nonzeros"):
+            primal_solver.build_primal(spec, spec.p0, spec.q0, 3, spec.lam,
+                                       side)
+
+
+def test_nonzero_guard_refuses_before_building():
+    """A 3-state, 3-action game's full-history primal LP at n=4 has about
+    245,000 variables but 44 million nonzeros: it is refused before any
+    array is allocated. It runs in a child process limited to 2 GB of
+    address space, so that building it could not exhaust the machine."""
+    code = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        import numpy as np
+        from zsbgames import CapacityError, primal_solver
+        from conftest import random_spec
+        spec = random_spec(np.random.default_rng(0), 3, 3, 3, 3, horizon=4)
+        for side in (1, 2):
+            try:
+                primal_solver.build_primal(spec, spec.p0, spec.q0, 4,
+                                           spec.lam, side)
+            except CapacityError as exc:
+                print(exc)
+    """)
+    tests = Path(__file__).parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(tests.parent / "src"), str(tests)]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["sequence-form LP at depth 4 would "
+                                        "exceed the limit of 10000000 "
+                                        "nonzeros"] * 2
 
 
 def test_layout_matches_product_enumeration(case_study):

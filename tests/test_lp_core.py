@@ -274,6 +274,28 @@ def test_warm_solve_repeats_after_other_solves(case_study):
     assert again[2] > 0                 # the warm start still pivots
 
 
+def test_family_copies_still_check_their_right_hand_sides():
+    """An LP family's c and bounds are checked on the solve that makes its
+    kept model and not again for its copies; a copy's b_ub and b_eq are
+    checked on every solve, and a c or bounds that is not the family's own
+    array is checked in full."""
+    lp, x, y = _knapsack_lp()
+    copy = lp.with_rhs([0], [5.0])
+    assert lp_core.solve(copy).objective_value == pytest.approx(13.0, abs=1e-9)
+    parts = dict(bounds=copy.bounds, A_ub=copy.a_ub, A_eq=copy.a_eq,
+                 b_eq=copy.b_eq)
+    for b_ub in ([math.nan, 3.0], [5.0]):
+        with pytest.raises(ValueError, match="b_ub"):
+            lp_core.linprog(copy.c, b_ub=np.array(b_ub), **parts)
+    flipped = copy.bounds.copy()
+    flipped[0] = [1.0, 0.0]
+    with pytest.raises(ValueError, match="lower bound"):
+        lp_core.linprog(copy.c, b_ub=copy.b_ub, **{**parts, "bounds": flipped})
+    with pytest.raises(ValueError, match="finite"):
+        lp_core.linprog(np.array([math.nan, 1.0]), b_ub=copy.b_ub, **parts)
+    assert lp_core.solve(copy).objective_value == pytest.approx(13.0, abs=1e-9)
+
+
 def test_columns_past_int32_raise_before_arrays_are_read():
     """2**31 columns are refused from the shapes alone: c and the bounds
     are broadcast views, which a read would expand to gigabytes."""

@@ -117,9 +117,9 @@ def test_update_horizon_per_observe(rng, monkeypatch, total, window_n, want):
     cache = SolverCache(spec)
     seen, update = [], cache._update
 
-    def record(kind, vec, belief, n, lam, a, b):
+    def record(kind, vec, belief, n, lam, a, b, node=None):
         seen.append(n)
-        return update(kind, vec, belief, n, lam, a, b)
+        return update(kind, vec, belief, n, lam, a, b, node)
 
     monkeypatch.setattr(cache, "_update", record)
     agent = WindowAgent(spec, WindowConfig(window_n, total), 2, cache=cache)
@@ -127,6 +127,62 @@ def test_update_horizon_per_observe(rng, monkeypatch, total, window_n, want):
     for t in range(1, total):
         agent.observe(t % 2, 0, t % 2)
     assert seen == want
+
+
+def test_revisited_nodes_do_no_work_again(case_study, monkeypatch):
+    """A node's read-out is made once, on its first child: 200 window-duel
+    episodes on the case study (lambda=0.6, N=8, n=2) round a statistic
+    for a read-out at most once per parent node that advances the vector
+    payoff (one in windows 1-3 of the four). The same 200 episodes
+    again on the same cache only walk the tree: they round no statistic,
+    update no belief and call no solver, and they total the same."""
+    spec = dataclasses.replace(case_study, lam=0.6, horizon_n=8)
+    config = WindowConfig(window_n=2, total_horizon=8)
+    cache = SolverCache(spec)
+    calls, in_dual = [], []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            if not in_dual or name != "stat_key":
+                calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    def dual(self, *args):          # keys its own solves: not a read-out
+        in_dual.append(True)
+        try:
+            return dual_of(self, *args)
+        finally:
+            in_dual.pop()
+
+    dual_of = SolverCache._dual
+    monkeypatch.setattr(SolverCache, "_dual", dual)
+    for module, name in ((window_agent, "_stat_key"),
+                         (stat_updater, "update_belief_p"),
+                         (stat_updater, "update_belief_q"),
+                         (stat_updater, "update_mu"),
+                         (stat_updater, "update_nu"),
+                         (primal_solver, "solve_primal"),
+                         (dual_solver, "solve_dual1"),
+                         (dual_solver, "solve_dual2"),
+                         (lp_core, "linprog")):
+        monkeypatch.setattr(module, name, counted(
+            name.removeprefix("_"), getattr(module, name)))
+
+    def play():
+        return run_monte_carlo(
+            spec, lambda: WindowAgent(spec, config, 1, cache=cache),
+            lambda: WindowAgent(spec, config, 2, cache=cache), 200, 0).totals
+
+    first = play()
+    updating = {key[0] for key in cache._tree
+                if isinstance(key[0], window_agent._Node)
+                and key[0].window_id < 4}
+    assert 0 < calls.count("stat_key") <= len(updating)
+    assert calls.count("linprog") > 0
+    calls.clear()
+    assert np.array_equal(play(), first)
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -319,14 +375,31 @@ def _case_agent(case_study, kind):
     ("window", "begin_episode", (-1,)),
     ("fixed", "begin_episode", (-1,)),
     ("fixed", "observe", (0, 0, 2)),
+    ("window", "observe", (0, 0, -1)),
 ])
 def test_agents_reject_out_of_range_input(case_study, kind, call, args):
     """A state or action outside the game would index another history's
-    entry (or, counted from the end, another state's row)."""
+    entry (or, counted from the end, another state's row). A window agent
+    checks its input also on a prefix that an earlier episode on its cache
+    walked, where observe is a lookup of a known child, and past the
+    horizon on a last node such an episode reached."""
     agent = _case_agent(case_study, kind)
     agent.begin_episode(0)
     with pytest.raises(ValidationError):
         getattr(agent, call)(*args)
+    if (kind, call) != ("window", "observe"):
+        return
+    earlier = WindowAgent(agent.spec, agent.config, 1, cache=agent.cache)
+    earlier.begin_episode(0)
+    earlier.observe(0, 0, 1)
+    agent.begin_episode(0)
+    assert (agent._node, 0, 0) in agent.cache._tree
+    with pytest.raises(ValidationError, match="outside the game"):
+        agent.observe(*args)
+    agent.observe(0, 0, 1)
+    assert agent._node is earlier._node
+    with pytest.raises(ValidationError, match="past the horizon"):
+        agent.observe(0, 0, 0)
 
 
 @pytest.mark.parametrize("kind", ["optimal", "window"])

@@ -17,7 +17,7 @@ import numpy as np
 from . import lp_core
 from .errors import CapacityError, DomainError, NumericalError
 from .game_model import GameSpec
-from .history_index import build_index
+from .history_index import HistoryIndex
 
 DEFAULT_MAX_PURE = 4096
 
@@ -136,7 +136,7 @@ def oracle_value(spec: GameSpec, p, q, n: int, lam: float) -> float:
             raise CapacityError(f"player {view.side} has more than {limit} "
                                 f"pure strategies at horizon {n}")
     base = dataclasses.replace(spec, p0=p, q0=q, lam=lam, horizon_n=n)
-    index = build_index(base, n)
+    index = HistoryIndex(base, n)
     plans1 = _pure_plans(base, index, 1, n)
     plans2 = _pure_plans(base, index, 2, n)
     kernel = _sequence_kernel(base, index, n, lam)

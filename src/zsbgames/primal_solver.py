@@ -4,7 +4,8 @@ Every LP shares one constraint-system builder, `add_sequence_system`: the
 acting player's variables are realization-plan weights over its own rows,
 the opponent side carries one weighted-payoff variable per opponent row.
 The player-1 system uses >= payoff rows (the opponent minimizes), the
-player-2 system uses <= rows.
+player-2 system uses <= rows. A system's flow rows, one per plan row and
+depth, are how `plan_from_solution` splits a solution into the plan.
 
 A row is a full history (`full=True`, the primal LP) or a (last state,
 public pairs) pair (the dual-game and update LPs); both reach the same
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import best_response, lp_core
 from .game_model import GameSpec
-from .history_index import HistoryIndex, build_index, check_capacity
+from .history_index import HistoryIndex, check_capacity
 from .lp_core import LpBuilder
 
 UNREACHABLE_TOL = 1e-9
@@ -131,7 +132,7 @@ class SequenceSystem(NamedTuple):
     plan_vars: range                # own (t, row, own action), in id order
     payoff_vars: range              # opponent (t, row), in id order, so
                                     # payoff_vars[s] is opponent state s's root
-    root_rows: range                # [s] -> flow row whose rhs is root_dist[s]
+    flow_rows: list                 # [t - 1]: one per own row of depth t
 
 
 def add_sequence_system(builder: LpBuilder, spec: GameSpec, side: int, n: int,
@@ -149,7 +150,7 @@ def add_sequence_system(builder: LpBuilder, spec: GameSpec, side: int, n: int,
     extensions; the terminal v_(n+1) is the constant 0 and substituted
     out. A flow row per depth-t own row sets its plan weights to the
     parent weights times the transition into its last state, at depth 1
-    to root_dist[s] (`root_rows`, the only rows `root_dist` enters).
+    to root_dist[s] (`flow_rows[0]`, the only rows `root_dist` enters).
     Its variables and entries pass `check_capacity`.
     """
     view = spec.side(side)
@@ -212,39 +213,37 @@ def add_sequence_system(builder: LpBuilder, spec: GameSpec, side: int, n: int,
         flow_rows.append(builder.add_rows(
             "=", root_dist if t == 1 else np.zeros(h.size), entries))
 
-    return SequenceSystem(plan_vars, payoff_vars, flow_rows[0])
+    return SequenceSystem(plan_vars, payoff_vars, flow_rows)
 
 
 def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int):
-    """Player `side`'s primal LP; returns (lp, plan_vars, payoff_vars, index).
+    """Player `side`'s primal LP; returns (lp, system, index).
 
     The plan is rooted at the player's own belief; the objective weights
     the opponent's root payoff variables with the opponent's belief.
     """
     view = spec.side(side)
-    index = build_index(spec, n)
+    index = HistoryIndex(spec, n)
     own, other = view.pair(p, q)
     builder = LpBuilder()
-    plan_vars, payoff_vars, _ = add_sequence_system(
-        builder, spec, side, n, lam, np.asarray(own, dtype=float), full=True)
-    objective = {payoff_vars[s]: float(other[s])
+    system = add_sequence_system(builder, spec, side, n, lam,
+                                 np.asarray(own, dtype=float), full=True)
+    objective = {system.payoff_vars[s]: float(other[s])
                  for s in range(view.num_opp_states)}
     lp = builder.build(lp_core.MAX if side == 1 else lp_core.MIN, objective)
-    return lp, plan_vars, payoff_vars, index
+    return lp, system, index
 
 
-def plan_from_solution(index: HistoryIndex, side: int, n: int,
-                       plan_vars: range, primal: np.ndarray,
-                       root: np.ndarray, rows=None) -> RealizationPlan:
-    """The plan in the LP solution's `plan_vars`, which hold it in id
-    order, as one (row, own action) array per depth: `rows` rows at each
-    depth, by default full histories (`build_primal`'s)."""
+def plan_from_solution(index: HistoryIndex, side: int, system: SequenceSystem,
+                       primal: np.ndarray, root: np.ndarray) -> RealizationPlan:
+    """The plan in the LP solution's `system.plan_vars`, which hold it in
+    id order, as one (row, own action) array per depth, with a row per
+    flow row of `system`: the layout of the system that built the LP."""
     num_actions = index.spec.side(side).num_actions
+    plan_vars, sizes = system.plan_vars, [len(rows) for rows in system.flow_rows]
     weights = primal[plan_vars.start:plan_vars.stop].reshape(-1, num_actions)
-    if rows is None:
-        rows = [index.count(side, t) for t in range(1, n + 1)]
-    values = [weights[end - size:end] for size, end in zip(rows, accumulate(rows))]
-    return RealizationPlan(side=side, depth=n, index=index,
+    values = [weights[end - size:end] for size, end in zip(sizes, accumulate(sizes))]
+    return RealizationPlan(side=side, depth=len(sizes), index=index,
                            root=np.asarray(root, dtype=float), values=values)
 
 
@@ -287,13 +286,13 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
     own, other = spec.side(side).pair(p, q)
     # side 2's LP is freed before side 1's is built
     pair = solve_primal(spec, p, q, n, lam, 2) if side == 1 else None
-    lp, plan_vars, _, index = build_primal(spec, p, q, n, lam, side)
+    lp, system, index = build_primal(spec, p, q, n, lam, side)
     if pair is not None:
         lp.basis = lp_core.complementary_basis(pair.basis, lp)
     if inspect_lp is not None:
         inspect_lp(lp)
     sol = lp_core.solve(lp)
-    plan = plan_from_solution(index, side, n, plan_vars, sol.primal, own)
+    plan = plan_from_solution(index, side, system, sol.primal, own)
     strategy = extract_strategy(plan, spec)
     vs_plan = (best_response.best_response_vs_p1 if side == 1
                else best_response.best_response_vs_p2)

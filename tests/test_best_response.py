@@ -8,14 +8,13 @@ from zsbgames import (HistoryIndex, best_response_vs_p1, best_response_vs_p2,
 from zsbgames.bounds import _pure_plans, _sequence_kernel
 from zsbgames.dual_solver import _solve, dual_template
 from zsbgames.primal_solver import RealizationPlan
-from zsbgames.history_index import build_index
 
 from conftest import random_spec
 
 
 def _uniform_plan(spec, side, n):
     """Realization plan of the uniform behavioral strategy."""
-    index = build_index(spec, n)
+    index = HistoryIndex(spec, n)
     root = spec.p0 if side == 1 else spec.q0
     num_acts = spec.num_a if side == 1 else spec.num_b
     trans = spec.trans_p if side == 1 else spec.trans_q

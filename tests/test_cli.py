@@ -4,7 +4,8 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from zsbgames import best_response, lp_core, primal_solver, save_spec
+from zsbgames import (best_response, history_index, lp_core, primal_solver,
+                      save_spec, simulator)
 from zsbgames.cli import main
 from zsbgames.game_model import case_study_path
 
@@ -158,6 +159,36 @@ def test_solve_rejects_bad_distribution_flag(tmp_path, rng):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("text,message", [
+    ("0.5,abc", "--p must be comma-separated floats"),
+    ("0.5,0.5", "--p has 2 entries, expected 3"),
+])
+def test_solve_rejects_malformed_distribution_flag(text, message):
+    result = CliRunner().invoke(main, ["solve", "--spec", str(case_study_path()),
+                                       "--p", text])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("doc,code,message", [
+    ("nan", 2, "payoff contains non-finite entries"),
+    ("[]", 5, "top-level JSON value must be an object"),
+], ids=["nan-payoff", "array"])
+def test_validate_exit_codes(tmp_path, doc, code, message):
+    """A NaN payoff entry is an invalid model (2), a JSON array where the
+    game object belongs is a malformed file (5)."""
+    path = tmp_path / "game.json"
+    save_spec(constant_spec(), path)
+    if doc == "nan":
+        game = json.loads(path.read_text())
+        game["payoff"][0][0][0][0] = float("nan")
+        doc = json.dumps(game)
+    path.write_text(doc)
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert result.exit_code == code, result.output
+    assert result.output == f"error: {message}\n"
+
+
 def test_solve_matches_oracle(tmp_path, rng):
     path = _write(tmp_path, random_spec(rng, horizon=2))
     runner = CliRunner()
@@ -261,6 +292,49 @@ def test_play_window_vs_optimal(tmp_path, rng):
     assert "satisfied=" in lines[-1]
 
 
+def test_play_horizon_override(tmp_path, rng, monkeypatch):
+    """`--horizon` replaces the file's horizon: every episode plays 3
+    stages of a game whose file says 2."""
+    path = _write(tmp_path, random_spec(rng, horizon=2))
+    traces = []
+    real = simulator.run_episode
+
+    def recording(*args, **kwargs):
+        traces.append(real(*args, **kwargs))
+        return traces[-1]
+    monkeypatch.setattr(simulator, "run_episode", recording)
+    result = CliRunner().invoke(main, [
+        "play", "--spec", path, "--horizon", "3", "--window", "2",
+        "--runs", "4", "--p1", "window", "--p2", "optimal"])
+    assert result.exit_code == 0, result.output
+    assert [[r.t for r in trace.records] for trace in traces] == [[1, 2, 3]] * 4
+    assert result.output.splitlines()[1:5] == [
+        f"{trace.seed},{trace.total:.10g}" for trace in traces]
+
+
+def test_play_bound_unknown_when_the_full_primal_is_refused(monkeypatch,
+                                                           case_study):
+    """With the nonzero limit between the window primal's count and the
+    full-horizon primal's, window play runs and the bound line says it
+    could not compare against the game value."""
+    spec = case_study
+
+    def nonzeros(n):
+        lp = primal_solver.build_primal(spec, spec.p0, spec.q0, n, spec.lam,
+                                        1)[0]
+        return lp.a_ub.nnz + lp.a_eq.nnz
+    window, full = nonzeros(2), nonzeros(spec.horizon_n)
+    assert window < full - 1
+    monkeypatch.setattr(history_index, "DEFAULT_MAX_NONZEROS", full - 1)
+    result = CliRunner().invoke(main, [
+        "play", "--spec", str(case_study_path()), "--window", "2",
+        "--runs", "3", "--p1", "window", "--p2", "window"])
+    assert result.exit_code == 0, result.output
+    last = result.output.splitlines()[-1]
+    assert last.startswith("bound=18.064800 mean=")
+    assert last.endswith(" satisfied=unknown")
+
+
 def test_play_fixed_policy_and_out_file(tmp_path, rng):
     spec = random_spec(rng, horizon=2)
     path = _write(tmp_path, spec)
@@ -310,6 +384,21 @@ def test_reproduce_case_study_tiny(tmp_path):
     summary = (outdir / "summary.txt").read_text()
     assert summary.startswith("value=112.905")
     assert "bound=18.064800" in summary
+
+
+def test_reproduce_case_study_grid(tmp_path):
+    """`--grid-runs` plays the N=8 grid: one row per (lambda, window)."""
+    outdir = tmp_path / "results"
+    result = CliRunner().invoke(main, [
+        "reproduce-case-study", "--outdir", str(outdir), "--runs", "2",
+        "--grid-runs", "1"])
+    assert result.exit_code == 0, result.output
+    rows = (outdir / "grid.csv").read_text().splitlines()
+    assert rows[0] == "lambda,horizon,window,runs,mean,stddev,stderr"
+    assert [row.split(",")[:4] for row in rows[1:]] == [
+        [lam, "8", n, "1"] for lam in ("0.3", "0.6", "0.9") for n in "23"]
+    assert (outdir / "summary.txt").read_text().splitlines()[-1] == (
+        "grid: grid.csv (N=8, n in (2, 3), lambda in (0.3, 0.6, 0.9))")
 
 
 def test_reproduce_case_study_solves_full_primal_once(tmp_path, monkeypatch):

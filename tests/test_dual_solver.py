@@ -6,7 +6,7 @@ import pytest
 from zsbgames import (NumericalError, best_response, load_case_study,
                       lp_core, solve_dual1, solve_dual2, solve_primal)
 from zsbgames.dual_solver import dual_template
-from zsbgames.history_index import build_index
+from zsbgames.history_index import HistoryIndex
 from zsbgames.lp_core import LpBuilder
 from zsbgames.primal_solver import add_sequence_system
 
@@ -65,7 +65,7 @@ def test_dual_strategies_are_distributions(rng):
 
 def _full_dual_value(spec, kind, root, vector, n):
     """The dual LP on the full-history sequence form, built row by row."""
-    index = build_index(spec, n)
+    index = HistoryIndex(spec, n)
     builder = LpBuilder()
     _, pay, _ = add_sequence_system(builder, spec, 3 - kind, n, spec.lam,
                                     root, full=True)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zsbgames import (CapacityError, build_index, history_index,
+from zsbgames import (CapacityError, HistoryIndex, history_index,
                       primal_solver, solve_dual1, solve_dual2, solve_primal)
 
 from conftest import random_spec
@@ -18,7 +18,7 @@ from conftest import random_spec
 def index():
     spec = random_spec(np.random.default_rng(0), num_k=3, num_l=2,
                        num_a=2, num_b=2, horizon=3)
-    return build_index(spec, 3)
+    return HistoryIndex(spec, 3)
 
 
 def test_counts_follow_closed_form(index):
@@ -44,26 +44,39 @@ def test_histories_sorted_states_major(index):
 
 
 def test_capacity_guard(monkeypatch):
+    """The variable limit counts the primal LP that is built: one variable
+    below a side's size refuses it, that size admits it."""
     spec = random_spec(np.random.default_rng(1), num_k=3, num_l=3,
                        num_a=3, num_b=3)
-    build_index(spec, 3)            # about 18,000 variables
-    monkeypatch.setattr(history_index, "DEFAULT_MAX_VARS", 10_000)
-    with pytest.raises(CapacityError, match="limit of 10000 variables"):
-        build_index(spec, 3)
+    def build(side):
+        return primal_solver.build_primal(spec, spec.p0, spec.q0, 3, spec.lam,
+                                          side)[0]
+    for side, size in [(side, build(side).num_vars) for side in (1, 2)]:
+        monkeypatch.setattr(history_index, "DEFAULT_MAX_VARS", size - 1)
+        with pytest.raises(CapacityError,
+                           match=f"limit of {size - 1} variables"):
+            build(side)
+        monkeypatch.setattr(history_index, "DEFAULT_MAX_VARS", size)
+        assert build(side).num_vars == size
 
 
 def test_capacity_guard_counts_the_lp_built(monkeypatch, case_study):
     """At n=3 the case study's compact dual LPs have 148 and 169 variables
-    and its full-history primal LP 1,088 (1,851 counted for both players'
-    systems): a limit of 1,000 refuses only the primal, one of 100 the
-    duals too."""
+    and its full-history primal LPs 1,088 (side 1) and 763 (side 2): a
+    limit of 1,000 refuses only side 1's primal, one of 700 both primals,
+    one of 100 the duals too."""
     spec, n = case_study, 3
     monkeypatch.setattr(history_index, "DEFAULT_MAX_VARS", 1_000)
     mu, nu = np.full(spec.num_k, -50.0), np.full(spec.num_l, -50.0)
     assert np.isfinite(solve_dual1(spec, mu, spec.q0, n, spec.lam).value)
     assert np.isfinite(solve_dual2(spec, spec.p0, nu, n, spec.lam).value)
+    assert np.isfinite(solve_primal(spec, spec.p0, spec.q0, n, spec.lam,
+                                    2).value)
+    with pytest.raises(CapacityError, match="limit of 1000 variables"):
+        solve_primal(spec, spec.p0, spec.q0, n, spec.lam, 1)
+    monkeypatch.setattr(history_index, "DEFAULT_MAX_VARS", 700)
     for side in (1, 2):
-        with pytest.raises(CapacityError, match="limit of 1000 variables"):
+        with pytest.raises(CapacityError, match="limit of 700 variables"):
             solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side)
     monkeypatch.setattr(history_index, "DEFAULT_MAX_VARS", 100)
     with pytest.raises(CapacityError, match="limit of 100 variables"):
@@ -120,7 +133,7 @@ def test_layout_matches_product_enumeration(case_study):
     """Ids number the histories as itertools.product lists them: state
     sequences major, then action-pair sequences, pairs a-major."""
     spec, depth = case_study, 4
-    index = build_index(spec, depth)
+    index = HistoryIndex(spec, depth)
     pairs = list(product(range(spec.num_a), range(spec.num_b)))
     for side, ns in ((1, spec.num_k), (2, spec.num_l)):
         prev = {}

@@ -16,7 +16,7 @@ from zsbgames import (FixedPolicyAgent, SolverCache, WindowAgent,
                       WindowConfig, lp_core, run_episode, solve_dual1,
                       solve_dual2, update_mu, update_nu)
 from zsbgames.dual_solver import dual_template
-from zsbgames.history_index import build_index
+from zsbgames.history_index import HistoryIndex
 from zsbgames.lp_core import LpBuilder
 from zsbgames.primal_solver import add_sequence_system
 from zsbgames.stat_updater import update_belief_p, update_belief_q
@@ -44,7 +44,7 @@ def _direct_update_lp(spec, kind, vec, belief, star, n, lam):
     rel, final_rel = ("<=", ">=") if kind == 1 else (">=", "<=")
     builder = LpBuilder()
     scalar = builder.new_var()
-    index = build_index(spec, n - 1) if n >= 2 else None
+    index = HistoryIndex(spec, n - 1) if n >= 2 else None
     tail, vecs = {}, {}
     for aa in range(spec.num_a):
         for bb in range(spec.num_b):
@@ -80,7 +80,7 @@ def _direct_update_lp(spec, kind, vec, belief, star, n, lam):
 
 def _direct_dual_lp(spec, kind, root, vector, n, lam):
     side = 3 - kind
-    index = build_index(spec, n)
+    index = HistoryIndex(spec, n)
     builder = LpBuilder()
     _, pay, _ = add_sequence_system(builder, spec, side, n, lam, root)
     v0 = builder.new_var()

@@ -4,13 +4,13 @@ from itertools import product
 import numpy as np
 import pytest
 
-from zsbgames import (NumericalError, RealizationPlan, best_response,
-                      best_response_vs_p1, best_response_vs_p2, lp_core,
-                      solve_primal)
+from zsbgames import (HistoryIndex, NumericalError, RealizationPlan,
+                      best_response, best_response_vs_p1, best_response_vs_p2,
+                      lp_core, solve_primal)
 from zsbgames.bounds import _matrix_game_value
 from zsbgames.lp_core import LpBuilder
 from zsbgames.primal_solver import (add_sequence_system, build_primal,
-                                    plan_from_solution)
+                                    extract_strategy, plan_from_solution)
 
 from conftest import constant_spec, random_spec, scipy_csr
 
@@ -39,11 +39,10 @@ def test_both_sides_agree(rng):
 
 def test_optimal_plan_is_feasible(rng):
     spec = random_spec(rng, num_k=2, num_l=2, num_a=2, num_b=2, horizon=3)
-    lp, plan_vars, _, index = build_primal(spec, spec.p0, spec.q0, 3,
-                                           spec.lam, 1)
+    lp, system, index = build_primal(spec, spec.p0, spec.q0, 3, spec.lam, 1)
     res = solve_primal(spec, spec.p0, spec.q0, 3, spec.lam, 1)
     point = np.zeros(lp.num_vars)
-    point[plan_vars] = np.concatenate([w.ravel() for w in res.plan.values])
+    point[system.plan_vars] = np.concatenate([w.ravel() for w in res.plan.values])
     # the = rows are the flow rows, one per own history; they involve only
     # plan variables, so the payoff variables can stay at 0
     assert lp.b_eq.size == sum(index.count(1, t) for t in range(1, 4))
@@ -115,22 +114,29 @@ def test_strategy_reads_only_the_last_state(case_study, side, n):
         res.value, abs=1e-9)
 
 
-def _compact_primal_value(spec, n, side):
-    """`build_primal`'s LP on (last own state, public pairs) rows."""
+def _compact_primal(spec, n, side):
+    """`build_primal`'s LP on (last own state, public pairs) rows: its
+    value and its plan, read by the rows of the system that built it."""
     view = spec.side(side)
     own, other = view.pair(spec.p0, spec.q0)
     builder = LpBuilder()
-    _, pay, _ = add_sequence_system(builder, spec, side, n, spec.lam,
-                                    np.asarray(own, dtype=float))
-    objective = {pay[s]: float(other[s]) for s in range(view.num_opp_states)}
+    system = add_sequence_system(builder, spec, side, n, spec.lam,
+                                 np.asarray(own, dtype=float))
+    objective = {system.payoff_vars[s]: float(other[s])
+                 for s in range(view.num_opp_states)}
     lp = builder.build(lp_core.MAX if side == 1 else lp_core.MIN, objective)
-    return lp_core.solve(lp).objective_value
+    sol = lp_core.solve(lp)
+    plan = plan_from_solution(HistoryIndex(spec, n), side, system, sol.primal,
+                              own)
+    return sol.objective_value, plan
 
 
 def test_compact_layout_reaches_the_primal_value(case_study):
     """The primal LP on (last own state, pairs) rows reaches the full
     form's value: payoffs read only the last state and transitions are
-    Markov. Random specs are drawn as for criterion 4."""
+    Markov. Its plan, split by the system's own rows, concedes that value
+    to a best response, and its strategy plays distributions. Random specs
+    are drawn as for criterion 4."""
     cases = [(case_study, 2), (case_study, 3)]
     rng = np.random.default_rng(41)
     for _ in range(40):
@@ -145,8 +151,15 @@ def test_compact_layout_reaches_the_primal_value(case_study):
     for spec, n in cases:
         for side in (1, 2):
             want = solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side)
-            assert abs(_compact_primal_value(spec, n, side)
-                       - want.value) <= 1e-9
+            value, plan = _compact_primal(spec, n, side)
+            assert abs(value - want.value) <= 1e-9
+            vs_plan = best_response_vs_p1 if side == 1 else best_response_vs_p2
+            other = spec.side(side).pair(spec.p0, spec.q0)[1]
+            assert abs(vs_plan(spec, plan, other, n, spec.lam).value
+                       - value) <= 1e-9
+            for probs in extract_strategy(plan, spec).probs:
+                assert np.all(probs >= 0.0)
+                assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-9
 
 
 def test_value_concave_in_p_convex_in_q(rng):
@@ -217,8 +230,8 @@ def test_side_two_lp_is_the_lp_dual_of_side_one(rng, shape, n):
     num_k, num_l, num_a, num_b = shape
     spec = random_spec(rng, num_k=num_k, num_l=num_l, num_a=num_a,
                        num_b=num_b, horizon=n)
-    lp1, plan1, payoff1, _ = build_primal(spec, spec.p0, spec.q0, n, spec.lam, 1)
-    lp2, plan2, payoff2, _ = build_primal(spec, spec.p0, spec.q0, n, spec.lam, 2)
+    lp1, (plan1, payoff1, _), _ = build_primal(spec, spec.p0, spec.q0, n, spec.lam, 1)
+    lp2, (plan2, payoff2, _), _ = build_primal(spec, spec.p0, spec.q0, n, spec.lam, 2)
     a1, b1 = _builder_form(lp1)
     a2, b2 = _builder_form(lp2)
     assert (lp1.sense, lp2.sense) == (lp_core.MAX, lp_core.MIN)
@@ -250,9 +263,9 @@ def _warm_side1(spec, p, q, n, lam, monkeypatch):
     monkeypatch.setattr(lp_core, "linprog", record)
     res = solve_primal(spec, p, q, n, lam, 1)
     monkeypatch.undo()
-    lp, plan_vars, _, index = build_primal(spec, p, q, n, lam, 1)
+    lp, system, index = build_primal(spec, p, q, n, lam, 1)
     cold = lp_core.solve(lp)
-    plan = plan_from_solution(index, 1, n, plan_vars, cold.primal, p)
+    plan = plan_from_solution(index, 1, system, cold.primal, p)
     return res, warm_nits, cold.objective_value, plan
 
 

@@ -1,8 +1,8 @@
 """Best-response value against a fixed realization plan.
 
 With the plan fixed, the responder's weighted payoff follows a backward
-recursion over its information: for each responder action, the
-plan-weighted stage payoff of the compatible plan histories plus the
+recursion over its information: for each responder action, the stage
+payoff weighted by the plan's (last own state, pairs) rows plus the
 transition-weighted values of the children; the responder takes the
 minimum against a player-1 plan and the maximum against a player-2 plan.
 This is the sequence-form best response (von Stengel 1996), exact at
@@ -40,15 +40,14 @@ def _solve_vs_plan(spec: GameSpec, plan: RealizationPlan, weights, n: int,
     ns, no, num_own = view.num_states, view.num_opp_states, view.num_actions
     P = plan.index.num_pairs
     best = np.min if plan.side == 1 else np.max
-    plan_weights = plan.last_state_weights()
     values = [None] * n
     for t in range(n, 0, -1):
         R = P ** (t - 1)
-        # per pair sequence r: the plan weights of its compatible histories
-        # (S, r) by last own state; einsum's summation order follows its
-        # operands' memory layout, so `reach` is made C-contiguous
+        # per pair sequence r: the plan weights by last own state; einsum's
+        # summation order follows its operands' memory layout, so `reach`
+        # is made C-contiguous
         reach = np.ascontiguousarray(
-            plan_weights[t - 1].reshape(ns, R, num_own).transpose(1, 0, 2))
+            plan.values[t - 1].reshape(ns, R, num_own).transpose(1, 0, 2))
         stage = lam ** (t - 1) * np.einsum("rsa,soab->rob", reach, view.payoff)
         # responder row s * R + r: [row, responder action]
         vals = stage.transpose(1, 0, 2).reshape(no * R, -1)

@@ -8,6 +8,7 @@ stage payoff tensor, a discount factor and a finite horizon.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -44,8 +45,11 @@ class GameSpec:
 
     def __post_init__(self):
         for name in _ARRAY_FIELDS:
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=float))
+            try:
+                arr = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{name} is not a numeric array: {exc}") from exc
+            object.__setattr__(self, name, arr)
         validate(self)
 
     def side(self, side: int) -> SideView:
@@ -96,8 +100,9 @@ def validate(spec: GameSpec) -> None:
         if (isinstance(val, bool) or not isinstance(val, (int, np.integer))
                 or val < 1):
             raise ValidationError(f"{field} must be a positive integer, got {val!r}")
-    if isinstance(spec.lam, (bool, np.bool_)) or not (0.0 < spec.lam <= 1.0):
-        raise ValidationError(f"lambda must lie in (0, 1], got {spec.lam}")
+    if (isinstance(spec.lam, bool) or not isinstance(spec.lam, numbers.Real)
+            or not (0.0 < spec.lam <= 1.0)):
+        raise ValidationError(f"lambda must lie in (0, 1], got {spec.lam!r}")
 
     shapes = {
         "payoff": (spec.payoff, (spec.num_k, spec.num_l, spec.num_a, spec.num_b)),

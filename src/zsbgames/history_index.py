@@ -58,7 +58,7 @@ class HistoryIndex:
         return tuple(digits[:t]), tuple(zip(digits[t::2], digits[t + 1::2]))
 
     def id_of(self, side: int, t: int, states, acts) -> int:
-        ns = self.spec.num_k if side == 1 else self.spec.num_l
+        ns = self.spec.side(side).num_states
         num_pairs, num_b = self.num_pairs, self.spec.num_b
         hid = 0
         for s in states:

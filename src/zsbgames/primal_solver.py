@@ -10,7 +10,8 @@ depth, are how `plan_from_solution` splits a solution into the plan.
 A row is a full history (`full=True`, the primal LP) or a (last state,
 public pairs) pair (the dual-game and update LPs); both reach the same
 value, as payoffs read only the last state and transitions are Markov
-(Nayyar, Mahajan & Teneketzis 2013).
+(Nayyar, Mahajan & Teneketzis 2013). A `RealizationPlan` sums a plan on
+either layout to the latter rows.
 
 The two players' LPs are an LP-dual pair (Koller, Megiddo & von Stengel
 1996): player 2's variables are player 1's rows and its rows player 1's
@@ -21,7 +22,7 @@ complementary to the optimal basis of player 2's, which is solved cold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
@@ -38,50 +39,37 @@ UNREACHABLE_TOL = 1e-9
 
 @dataclass
 class RealizationPlan:
-    """Reach-probability weights per (history, own action).
+    """Reach-probability weights per (last own state, pairs, own action).
 
-    `values[t - 1]` holds depth t's weights as a (row, own action) array,
-    with a row per history id (the primal LP's) or per (last own state,
-    pairs) id `s * P**(t - 1) + r` (the dual LPs'); a hand-built
-    plan may pass a dict keyed (t, hid, own action) instead, which is read
-    into full-history arrays. `root` is the distribution its depth-1 row
-    sums must match.
+    `values[t - 1]` holds depth t's weights as a read-only (row, own
+    action) array whose row for last own state s and pair sequence `acts`
+    is `id_of(side, t, (s,), acts)`, the rows of `BehavioralStrategy.probs`.
+    Payoffs read only the last state and transitions are Markov, so a
+    plan's value depends on nothing else. Construction sums the given rows
+    over earlier own states, in id order from 0.0: per-depth arrays on
+    full-history rows (the primal LP's) or on those rows already (the dual
+    LPs'), or a dict keyed (t, full-history id, own action). `root` is the
+    distribution its depth-1 row sums must match.
     """
 
     side: int
     depth: int
     index: HistoryIndex
     root: np.ndarray
-    values: list                    # [t - 1]: row x own action
-    _last_state: list | None = field(default=None, init=False, repr=False)
+    values: list                    # [t - 1]: (state, pairs) x own action
 
     def __post_init__(self):
+        view, P = self.index.spec.side(self.side), self.index.num_pairs
+        ns, acts = view.num_states, view.num_actions
         if isinstance(self.values, dict):
-            acts = self.index.spec.side(self.side).num_actions
-            shapes = [(self.index.count(self.side, t), acts)
-                      for t in range(1, self.depth + 1)]
-            self.values = [np.array([self.values[(t, *k)]
-                                     for k in np.ndindex(shape)],
-                                    dtype=float).reshape(shape)
-                           for t, shape in enumerate(shapes, start=1)]
-
-    def last_state_weights(self) -> list[np.ndarray]:
-        """The plan summed over earlier own states, in id order from 0.0:
-        one (last state, pair sequence) x own action array per depth t,
-        whose row for last state s and pairs `acts` is `id_of(side, t,
-        (s,), acts)`. Payoffs read only the last state and transitions are
-        Markov, so the plan's value depends on nothing else. A plan on
-        those rows already is summed over its one block. Computed on the
-        first call, as read-only arrays that later calls return."""
-        if self._last_state is None:
-            ns, P = self.index.spec.side(self.side).num_states, self.index.num_pairs
-            self._last_state = [
-                np.add.reduce(w.reshape(-1, ns * P ** (t - 1), w.shape[1]),
-                              axis=0, initial=0.0)
-                for t, w in enumerate(self.values, start=1)]
-            for w in self._last_state:
-                w.flags.writeable = False
-        return self._last_state
+            self.values = [np.array([self.values[(t, *k)] for k in np.ndindex(
+                self.index.count(self.side, t), acts)], dtype=float)
+                for t in range(1, self.depth + 1)]
+        self.values = [np.add.reduce(np.reshape(w, (-1, ns * P ** (t - 1), acts)),
+                                     axis=0, initial=0.0)
+                       for t, w in enumerate(self.values, start=1)]
+        for w in self.values:
+            w.flags.writeable = False
 
 
 @dataclass
@@ -237,8 +225,9 @@ def build_primal(spec: GameSpec, p, q, n: int, lam: float, side: int):
 def plan_from_solution(index: HistoryIndex, side: int, system: SequenceSystem,
                        primal: np.ndarray, root: np.ndarray) -> RealizationPlan:
     """The plan in the LP solution's `system.plan_vars`, which hold it in
-    id order, as one (row, own action) array per depth, with a row per
-    flow row of `system`: the layout of the system that built the LP."""
+    id order, split into one (row, own action) array per depth by the flow
+    rows of `system`, whichever layout built the LP; the plan sums them to
+    (last own state, pairs) rows."""
     num_actions = index.spec.side(side).num_actions
     plan_vars, sizes = system.plan_vars, [len(rows) for rows in system.flow_rows]
     weights = primal[plan_vars.start:plan_vars.stop].reshape(-1, num_actions)
@@ -249,17 +238,16 @@ def plan_from_solution(index: HistoryIndex, side: int, system: SequenceSystem,
 
 def extract_strategy(plan: RealizationPlan, spec: GameSpec) -> BehavioralStrategy:
     """Sufficient-statistic strategy from a realization plan: each (last
-    own state, pair sequence) plays its plan weights summed over earlier
-    own states, normalized. Recomposed, it gives the plan's last-state sum
-    and hence the plan's security value (the common-information argument
-    of Nayyar, Mahajan & Teneketzis 2013).
+    own state, pair sequence) plays its plan row, normalized. Recomposed,
+    it gives the plan and hence the plan's security value (the
+    common-information argument of Nayyar, Mahajan & Teneketzis 2013).
 
     At information sets whose reach weight is below UNREACHABLE_TOL the
     plan pins down nothing; those sets get the uniform distribution.
     """
     view = spec.side(plan.side)
     probs = []
-    for t, w in enumerate(plan.last_state_weights(), start=1):
+    for t, w in enumerate(plan.values, start=1):
         denom = plan.root if t == 1 else w.sum(axis=1)
         reached = ~(denom <= UNREACHABLE_TOL)
         dist = np.full(w.shape, 1.0 / view.num_actions)

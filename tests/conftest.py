@@ -2,11 +2,28 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from zsbgames import GameSpec, load_case_study
+from zsbgames import GameSpec, load_case_study, primal_solver
 
 # one line per acceptance criterion, echoed after the run so pass/fail
 # verdicts survive pytest's output capture
 ACCEPTANCE_LINES = []
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_pycollect_makeitem(collector):
+    """`primal_layout` cases on `full`, the layout `build_primal` builds,
+    carry the test's plain id (`test_x[2]`, not `test_x[full-2]`); only
+    `compact` cases name their layout. Renamed as they are made, so a
+    plain id selects its case from the command line."""
+    items = yield
+    for item in items if isinstance(items, list) else ():
+        callspec = getattr(item, "callspec", None)
+        if callspec is None or callspec.params.get("primal_layout") != "full":
+            continue
+        parts = [part for part in callspec.id.split("-") if part != "full"]
+        item.name = item.originalname + (f"[{'-'.join(parts)}]" if parts else "")
+        item._nodeid = f"{collector.nodeid}::{item.name}"
+    return items
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -56,6 +73,21 @@ def constant_spec(c=1.0, lam=0.5, horizon=3, num_k=2, num_l=2,
 @pytest.fixture(scope="session")
 def case_study():
     return load_case_study()
+
+
+@pytest.fixture(params=["full", "compact"])
+def primal_layout(request, monkeypatch):
+    """The primal LP's row layout: `full` histories, as `build_primal`
+    builds it, or `compact` (last own state, public pairs) rows, by a
+    `primal_solver.add_sequence_system` that drops `full`. Plan consumers
+    must read both alike."""
+    if request.param == "compact":
+        real = primal_solver.add_sequence_system
+
+        def compact(*args, full=False, **kwargs):
+            return real(*args, **kwargs)
+        monkeypatch.setattr(primal_solver, "add_sequence_system", compact)
+    return request.param
 
 
 @pytest.fixture

@@ -68,21 +68,20 @@ def test_payoff_map_consistent_with_value(rng):
 
 def _full_history_values(spec, plan, n):
     """(t, responder history id) -> best-response value, by the plain
-    recursion over the responder's full histories."""
+    recursion over the responder's full histories against the plan's
+    (last own state, pairs) rows."""
     view = spec.side(plan.side)
     index, opp = plan.index, view.opp
     best = min if plan.side == 1 else max
     values = {}
     for t in range(n, 0, -1):
-        own = {}                    # pairs -> [(own id, last own state)]
-        for hid, (states, acts) in enumerate(index.histories(plan.side, t)):
-            own.setdefault(acts, []).append((hid, states[-1]))
         for hid, (states, acts) in enumerate(index.histories(opp, t)):
             j, options = states[-1], []
             for o in range(view.num_opp_actions):
-                v = sum(plan.values[t - 1][oid, act] * spec.lam ** (t - 1)
-                        * view.payoff[s, j, act, o]
-                        for oid, s in own[acts]
+                v = sum(plan.values[t - 1][index.id_of(plan.side, t, (s,), acts),
+                                           act]
+                        * spec.lam ** (t - 1) * view.payoff[s, j, act, o]
+                        for s in range(view.num_states)
                         for act in range(view.num_actions))
                 for act in range(view.num_actions if t < n else 0):
                     a, b = view.pair(act, o)
@@ -98,7 +97,7 @@ def _full_history_values(spec, plan, n):
 
 @pytest.mark.parametrize("side", [1, 2])
 @pytest.mark.parametrize("sizes", [(2, 3, 2, 3), (3, 2, 3, 2)])
-def test_rows_hold_every_full_history_value(rng, side, sizes):
+def test_rows_hold_every_full_history_value(rng, primal_layout, side, sizes):
     """Each full responder history's value, by a recursion over full
     histories, is the value of its (last state, pairs) row; one responder
     state has zero prior weight."""
@@ -130,9 +129,19 @@ def test_wrong_plan_side_rejected(rng):
         best_response_vs_p2(spec, r1.plan, spec.p0, 2, spec.lam)
 
 
+def _on_full_histories(plan):
+    """The plan's rows placed at the full histories whose earlier own
+    states are all 0, each of which has its row's id, as one vector over
+    `_sequence_kernel`'s coordinates; the kernel reads only last states."""
+    return np.concatenate([
+        np.pad(w, ((0, plan.index.count(plan.side, t) - len(w)), (0, 0))).ravel()
+        for t, w in enumerate(plan.values, start=1)])
+
+
 @pytest.mark.parametrize("side", [1, 2])
 @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (2, 2, 1, 3), (2, 2, 3, 1)])
-def test_best_response_matches_pure_strategy_enumeration(rng, side, sizes):
+def test_best_response_matches_pure_strategy_enumeration(rng, primal_layout,
+                                                         side, sizes):
     """At each responder initial state, including a zero-prior one, the
     best-response value is the best payoff over the responder's reduced
     pure strategies started there, against optimal and uniform plans."""
@@ -147,7 +156,7 @@ def test_best_response_matches_pure_strategy_enumeration(rng, side, sizes):
     optimal = solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side).plan
     for plan in (optimal, _uniform_plan(spec, side, n)):
         index = plan.index
-        weights = np.concatenate([w.ravel() for w in plan.values])
+        weights = _on_full_histories(plan)
         kernel = _sequence_kernel(spec, index, n, spec.lam)
         br = vs_plan(spec, plan, spec.q0 if side == 1 else spec.p0, n,
                      spec.lam)
@@ -169,7 +178,7 @@ def test_kept_gathers_give_a_fresh_index_bytes(side, n):
     """A dual template's index keeps the best response's gathers from one
     solve to the next; against the template's plans they give, byte for
     byte, what a fresh index's gathers give on 20 random specs. A plan's
-    last-state weights are computed once, as read-only arrays."""
+    values are read-only arrays."""
     rng = np.random.default_rng(40 + 3 * side + n)
     vs_plan = best_response_vs_p1 if side == 1 else best_response_vs_p2
     for _ in range(20):
@@ -189,8 +198,5 @@ def test_kept_gathers_give_a_fresh_index_bytes(side, n):
             assert kept.value == fresh.value
             for got, want in zip(kept.values, fresh.values, strict=True):
                 assert got.tobytes() == want.tobytes()
-            last = plan.last_state_weights()
-            assert plan.last_state_weights() is last
-            assert all(w is v and not w.flags.writeable for w, v in
-                       zip(plan.last_state_weights(), last, strict=True))
+            assert not any(w.flags.writeable for w in plan.values)
         assert len(template.index.gathers) == n - 1

@@ -84,6 +84,14 @@ def test_construction_and_replace_validate():
         dataclasses.replace(spec, p0=[0.9, 0.9])
     with pytest.raises(ValidationError, match="q0"):
         dataclasses.replace(spec, q0=[1.5, -0.5])
+    # a non-number is a ValidationError naming its field, not a TypeError
+    for lam in ("0.5", None, 0.5j):
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(spec, lam=lam)
+        assert str(info.value) == f"lambda must lie in (0, 1], got {lam!r}"
+    for p0 in (["a", "b", "c"], [10 ** 400, 0, 0]):
+        with pytest.raises(ValidationError, match="p0 is not a numeric array"):
+            dataclasses.replace(spec, p0=p0)
 
 
 def test_g_bar_is_max_entry():

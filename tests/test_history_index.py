@@ -37,6 +37,12 @@ def test_ids_are_dense_and_invertible(index):
                 assert index.history(side, t, hid) == (states, acts)
 
 
+@pytest.mark.parametrize("side", [0, 3])
+def test_id_of_rejects_a_side_other_than_1_or_2(index, side):
+    with pytest.raises(ValueError, match="side must be 1 or 2"):
+        index.id_of(side, 1, (0,), ())
+
+
 def test_histories_sorted_states_major(index):
     level = index.histories(1, 2)
     keys = [(states, acts) for states, acts in level]

@@ -37,15 +37,20 @@ def test_both_sides_agree(rng):
         assert v1 == pytest.approx(v2, abs=1e-7)
 
 
-def test_optimal_plan_is_feasible(rng):
+def test_optimal_plan_is_feasible(rng, primal_layout):
+    """The solved plan meets the flow rows of a sequence system on (last
+    own state, pairs) rows."""
     spec = random_spec(rng, num_k=2, num_l=2, num_a=2, num_b=2, horizon=3)
-    lp, system, index = build_primal(spec, spec.p0, spec.q0, 3, spec.lam, 1)
     res = solve_primal(spec, spec.p0, spec.q0, 3, spec.lam, 1)
+    builder = LpBuilder()
+    system = add_sequence_system(builder, spec, 1, 3, spec.lam, spec.p0)
+    lp = builder.build(lp_core.MAX, {})
     point = np.zeros(lp.num_vars)
     point[system.plan_vars] = np.concatenate([w.ravel() for w in res.plan.values])
-    # the = rows are the flow rows, one per own history; they involve only
-    # plan variables, so the payoff variables can stay at 0
-    assert lp.b_eq.size == sum(index.count(1, t) for t in range(1, 4))
+    # the = rows are the flow rows, one per own (last state, pairs) row;
+    # they involve only plan variables, so the payoff variables can stay at 0
+    P = spec.num_a * spec.num_b
+    assert lp.b_eq.size == sum(spec.num_k * P ** (t - 1) for t in range(1, 4))
     assert np.all(np.abs(scipy_csr(lp.a_eq) @ point - lp.b_eq) <= 1e-6)
 
 
@@ -57,14 +62,14 @@ def test_strategy_rows_are_distributions(rng):
         assert probs.sum() == pytest.approx(1.0, abs=1e-7)
 
 
-def test_strategy_recomposes_plan(case_study):
+def test_strategy_recomposes_plan(case_study, primal_layout):
     """Reach probability times behavioral weights, on (last own state,
-    pair sequence), reproduces the plan summed over earlier own states."""
+    pair sequence), reproduces the plan's rows."""
     spec = case_study
     res = solve_primal(spec, spec.p0, spec.q0, 3, spec.lam, 1)
     strat, index = res.strategy, res.plan.index
     reach = {(s, ()): float(spec.p0[s]) for s in range(spec.num_k)}
-    for t, want in enumerate(res.plan.last_state_weights(), start=1):
+    for t, want in enumerate(res.plan.values, start=1):
         assert want.shape == (len(reach), spec.num_a)
         nxt = {}
         for (s, acts), weight in reach.items():
@@ -81,7 +86,7 @@ def test_strategy_recomposes_plan(case_study):
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("side", [1, 2])
-def test_strategy_reads_only_the_last_state(case_study, side, n):
+def test_strategy_reads_only_the_last_state(case_study, primal_layout, side, n):
     """Histories that share their last own state and pairs get one table
     row, and the table, expanded to a plan over full histories, concedes
     exactly the LP value to a best response."""
@@ -260,9 +265,9 @@ def _warm_side1(spec, p, q, n, lam, monkeypatch):
             warm_nits.append(res.nit)
         return res
 
-    monkeypatch.setattr(lp_core, "linprog", record)
-    res = solve_primal(spec, p, q, n, lam, 1)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(lp_core, "linprog", record)
+        res = solve_primal(spec, p, q, n, lam, 1)
     lp, system, index = build_primal(spec, p, q, n, lam, 1)
     cold = lp_core.solve(lp)
     plan = plan_from_solution(index, 1, system, cold.primal, p)
@@ -270,17 +275,17 @@ def _warm_side1(spec, p, q, n, lam, monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_case_study_side1_starts_at_its_optimum(case_study, monkeypatch, n):
+def test_case_study_side1_starts_at_its_optimum(case_study, primal_layout,
+                                                monkeypatch, n):
     """From the basis complementary to side 2's optimal basis, side 1's LP
     takes no simplex iteration and gives the cold solve's value and
-    last-state weights."""
+    plan."""
     spec = case_study
     res, warm_nits, cold_value, cold_plan = _warm_side1(
         spec, spec.p0, spec.q0, n, spec.lam, monkeypatch)
     assert warm_nits == [0]
     assert abs(res.value - cold_value) <= 1e-12
-    for got, want in zip(res.plan.last_state_weights(),
-                         cold_plan.last_state_weights(), strict=True):
+    for got, want in zip(res.plan.values, cold_plan.values, strict=True):
         assert np.abs(got - want).max() <= 1e-9
 
 
@@ -316,25 +321,27 @@ def test_side_validation():
 
 
 @pytest.mark.parametrize("side", [1, 2])
-def test_plan_from_a_dict_reads_like_the_solver_plan(rng, side):
-    """A plan built from a dict keyed (t, hid, own action) holds the same
-    per-depth (history id, own action) arrays as the solver's plan with
-    those weights, so last-state weights and best responses agree byte for
-    byte."""
+def test_plan_from_a_dict_reads_like_the_solver_plan(rng, primal_layout, side):
+    """A plan built from a dict keyed (t, full-history id, own action),
+    holding the solver plan's rows at the histories whose earlier own
+    states are all 0 (each has its row's id) and zeros elsewhere, holds
+    the solver plan's per-depth (last state, pairs) arrays, so they and
+    best responses agree byte for byte."""
     n = 3
     spec = random_spec(rng, num_k=2, num_l=3, num_a=3, num_b=2, horizon=n)
     res = solve_primal(spec, spec.p0, spec.q0, n, spec.lam, side)
     solved = res.plan
-    values = {(t, hid, act): float(w[hid, act])
+    view = spec.side(side)
+    values = {(t, hid, act): float(w[hid, act]) if hid < len(w) else 0.0
               for t, w in enumerate(solved.values, start=1)
-              for hid, act in np.ndindex(*w.shape)}
+              for hid, act in np.ndindex(solved.index.count(side, t),
+                                         view.num_actions)}
     hand = RealizationPlan(side=side, depth=n, index=solved.index,
                            root=solved.root, values=values)
-    view = spec.side(side)
     assert [w.shape for w in hand.values] == [
-        (solved.index.count(side, t), view.num_actions) for t in (1, 2, 3)]
-    for got, want in zip(hand.last_state_weights(),
-                         solved.last_state_weights(), strict=True):
+        (view.num_states * solved.index.num_pairs ** (t - 1), view.num_actions)
+        for t in (1, 2, 3)]
+    for got, want in zip(hand.values, solved.values, strict=True):
         assert got.tobytes() == want.tobytes()
     vs_plan = best_response_vs_p1 if side == 1 else best_response_vs_p2
     other = view.pair(spec.p0, spec.q0)[1]

@@ -8,9 +8,10 @@ array it was given, so a change anywhere between the history ids and
 HiGHS (sequence system, row blocks, sign handling, sparse assembly) shows
 up even where all values agree to the last digit but one, or only in the
 sign of a zero. The solve tests hash the best-response roots and payoff
-map and the strategy table, and the play tests hash the results CSV of
-seeded window-play batches; these depend on HiGHS's output and hence on
-its build (they were computed with the HiGHS bundled with scipy 1.17.1
+map and the strategy table, the dual tests every array of a dual result
+and of a window node's read-out, and the play tests hash the results CSV
+of seeded window-play batches and count their HiGHS runs; these depend on
+HiGHS's output and hence on its build (they were computed with the HiGHS bundled with scipy 1.17.1
 on x86-64).
 """
 
@@ -74,6 +75,21 @@ SOLVE_DIGESTS = {
         "30554eed7fa295e084587ccb03308088ba814c838999f2231273f86730c2a236",
     "n3-side2":
         "4c6726bf9205670f8d03344eab3042b848ffd9a7d5ace3283d79a655ac226a40",
+}
+
+# value, plan, picker's response and strategy of a dual solve at MU / NU;
+# the read-out hashes `SolverCache._read_out` of both kinds at n=2
+DUAL_DIGESTS = {
+    "dual1-n2":
+        "83e246c5a27b4f451c1c35605aa80c49a5d49e726848b1f9fc9b25197387e09b",
+    "dual1-n3":
+        "9e0281ba9b35c46e4490e373ad0750653689dd05f5c0dda35fd487fa5e33239e",
+    "dual2-n2":
+        "706e732bb1f77fa282e489efaf72215204b48c8fd0bcd22caff5ce9d7c00542f",
+    "dual2-n3":
+        "381ee3413040e8e1780a2d078e125b66d238016170ae65a1f2428c1ec45ef0d8",
+    "read-out-n2":
+        "c9832a5671e55a882609ce62f1063eeac48458710f4c024dae4c8154df6fd2a5",
 }
 
 PLAY_DIGESTS = {
@@ -168,20 +184,48 @@ def test_best_response_and_strategy_digest(case_study, side):
     assert digest == SOLVE_DIGESTS[f"n{n}-side{side}"]
 
 
-# name -> (game, lambda, N, n, player 2, episodes, update LPs solved); the
-# game is the case study or, by its seed, a `random_spec` with one player-1
-# state, whose play meets degenerate pairs
+def _dual_calls(spec):
+    return {f"dual{kind}-n{n}": lambda kind=kind, n=n: (
+        solve_dual1(spec, MU, spec.q0, n, spec.lam) if kind == 1
+        else solve_dual2(spec, spec.p0, NU, n, spec.lam))
+        for kind in (1, 2) for n in (2, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_DIGESTS))
+def test_dual_digest(case_study, name):
+    spec = case_study
+    if name == "read-out-n2":
+        cache = SolverCache(spec)
+        digest = _digest(*(arr for kind, vec, belief in ((1, MU, spec.q0),
+                                                         (2, NU, spec.p0))
+                           for arr in cache._read_out(spec.side(kind), vec,
+                                                      belief, 2, spec.lam)))
+    else:
+        res = _dual_calls(spec)[name]()
+        digest = _digest(np.float64(res.value), *res.plan.values,
+                         *res.response.values, *res.strategy.probs)
+    assert digest == DUAL_DIGESTS[name]
+
+
+# name -> (game, lambda, N, n, player 2, episodes, update LPs solved,
+# `lp_core.linprog` calls); the game is the case study or, by its seed, a
+# `random_spec` with one player-1 state, whose play meets degenerate pairs
 PLAY_BATCHES = {
-    "duel-200": ("case", 0.6, 8, 2, "window", 200, 0),
-    "jammer-3": ("case", 0.9, 12, 3, "jammer", 3, 0),
-    "degenerate-duel-20": (28, 0.9, 5, 2, "window", 20, 4),
+    "duel-200": ("case", 0.6, 8, 2, "window", 200, 0, 172),
+    "jammer-3": ("case", 0.9, 12, 3, "jammer", 3, 0, 23),
+    "degenerate-duel-20": (28, 0.9, 5, 2, "window", 20, 4, 46),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PLAY_DIGESTS))
-def test_play_digest(case_study, name):
+def test_play_digest(case_study, monkeypatch, name):
     """Window play on one shared cache, seeds 0.., hashed as written."""
-    game, lam, horizon, window_n, player2, runs, update_lps = PLAY_BATCHES[name]
+    (game, lam, horizon, window_n, player2, runs, update_lps,
+     highs_runs) = PLAY_BATCHES[name]
+    calls = []
+    real = lp_core.linprog
+    monkeypatch.setattr(lp_core, "linprog", lambda *args, **kwargs: (
+        calls.append(1), real(*args, **kwargs))[1])
     game = (dataclasses.replace(case_study, lam=lam, horizon_n=horizon)
             if game == "case" else
             random_spec(np.random.default_rng(game), num_k=1, num_l=2,
@@ -200,5 +244,6 @@ def test_play_digest(case_study, name):
     buf = io.StringIO()
     write_results_csv(result, buf)
     assert sum(key[-1] == "lp" for key in cache._store) == update_lps
+    assert len(calls) == highs_runs
     assert (hashlib.sha256(buf.getvalue().encode()).hexdigest()
             == PLAY_DIGESTS[name])

@@ -39,7 +39,7 @@ def _solve_vs_plan(spec: GameSpec, plan: RealizationPlan, weights, n: int,
     view = spec.side(plan.side)     # the plan owner's view
     ns, no, num_own = view.num_states, view.num_opp_states, view.num_actions
     P = plan.index.num_pairs
-    best = np.min if plan.side == 1 else np.max
+    best = np.minimum.reduce if plan.side == 1 else np.maximum.reduce
     values = [None] * n
     for t in range(n, 0, -1):
         R = P ** (t - 1)
@@ -52,18 +52,19 @@ def _solve_vs_plan(spec: GameSpec, plan: RealizationPlan, weights, n: int,
         # responder row s * R + r: [row, responder action]
         vals = stage.transpose(1, 0, 2).reshape(no * R, -1)
         if t < n:
-            # (transition weight, child row) per (own action, next state),
-            # kept by the index: a dual template's solves build them once
+            # transition weights and child rows stacked by (own action, next
+            # state), kept by the index: a dual template's solves build them once
             kept = plan.index.gathers
             if (plan.side, t) not in kept:
                 last, r = np.divmod(np.arange(no * R)[:, None], R)
                 act, nxt = (x[:, None, None] for x in
                             np.divmod(np.arange(num_own * no), no))
                 a, b = view.pair(act, np.arange(view.num_opp_actions))
-                kept[plan.side, t] = list(zip(view.opp_trans[a, b, last, nxt], (
-                    nxt * R + r) * P + a * spec.num_b + b))
-            for coef, child in kept[plan.side, t]:
-                vals += coef * values[t][child]
+                kept[plan.side, t] = (view.opp_trans[a, b, last, nxt], (
+                    nxt * R + r) * P + a * spec.num_b + b)
+            coefs, children = kept[plan.side, t]
+            for term in coefs * values[t][children]:
+                vals += term
         values[t - 1] = best(vals, axis=1)
     roots = values[0]               # depth-1 rows are the responder states
     value = float(np.dot(np.asarray(weights, dtype=float), roots))

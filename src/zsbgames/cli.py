@@ -5,7 +5,8 @@ optional strategy and LP dump), play seeded Monte Carlo matches between
 agents with a bound check, print the window bound, compute the oracle
 value of a tiny game, and reproduce the bundled case study end to end.
 
-Exit codes: 0 success, 2 validation, 3 capacity, 4 solver, 5 I/O.
+Exit codes: 0 success, 2 validation, 3 capacity (or out of memory), 4
+solver (a HiGHS run past `lp_core.TIME_LIMIT_S` too), 5 I/O.
 """
 
 from __future__ import annotations
@@ -28,6 +29,11 @@ EXIT_VALIDATION = 2
 EXIT_CAPACITY = 3
 EXIT_SOLVER = 4
 EXIT_IO = 5
+# error types -> exit code; a MemoryError is an LP built or solved past memory
+_EXIT_CODES = (((ValidationError, DomainError), EXIT_VALIDATION),
+               ((CapacityError, MemoryError), EXIT_CAPACITY),
+               ((SolverError, NumericalError), EXIT_SOLVER),
+               ((ParseError, OSError), EXIT_IO))
 
 
 def _handle_errors(fn):
@@ -35,18 +41,11 @@ def _handle_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (ValidationError, DomainError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_VALIDATION)
-        except CapacityError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_CAPACITY)
-        except (SolverError, NumericalError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_SOLVER)
-        except (ParseError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_IO)
+        except tuple(kind for kinds, _ in _EXIT_CODES for kind in kinds) as exc:
+            memory = "out of memory: " if isinstance(exc, MemoryError) else ""
+            click.echo(f"error: {memory}{exc}", err=True)
+            sys.exit(next(code for kinds, code in _EXIT_CODES
+                          if isinstance(exc, kinds)))
     return wrapper
 
 

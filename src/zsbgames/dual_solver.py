@@ -29,7 +29,7 @@ from . import best_response, lp_core
 from .best_response import BestResponseResult
 from .game_model import GameSpec
 from .history_index import HistoryIndex
-from .lp_core import CompiledLP, LpBuilder
+from .lp_core import CompiledLP, LpBuilder, RhsRows
 from .primal_solver import (BehavioralStrategy, RealizationPlan,
                             SequenceSystem, add_sequence_system,
                             extract_strategy, plan_from_solution)
@@ -59,12 +59,13 @@ class DualTemplate:
     lp: CompiledLP
     system: SequenceSystem          # flow_rows[0]: rhs = plan owner's belief
     coupling_rows: range            # rhs = -(vector payoff)
+    rhs: RhsRows                    # those rows, as `lp_at` sets them
 
     def lp_at(self, root, vector) -> CompiledLP:
         rows = self.system.flow_rows[0], self.coupling_rows
         if (len(root), len(vector)) != tuple(map(len, rows)):
             raise ValueError(f"dual-{self.kind} takes {tuple(map(len, rows))} entries")
-        return self.lp.with_rhs([*rows[0], *rows[1]], np.concatenate((root, -vector)))
+        return self.rhs.copy_of(self.lp, np.concatenate((root, -vector)))
 
 
 def dual_template(spec: GameSpec, kind: int, n: int,
@@ -81,7 +82,8 @@ def dual_template(spec: GameSpec, kind: int, n: int,
         (s, system.payoff_vars.start + s, 1.0), (s, v0, -1.0)])
     lp = builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0})
     return DualTemplate(kind=kind, n=n, lam=lam, index=index, lp=lp, system=system,
-                        coupling_rows=coupling_rows)
+                        coupling_rows=coupling_rows,
+                        rhs=RhsRows(lp, [*system.flow_rows[0], *coupling_rows]))
 
 
 def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
@@ -104,7 +106,7 @@ def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:
     vs_plan = (best_response.best_response_vs_p2 if kind == 1
                else best_response.best_response_vs_p1)
     response = vs_plan(spec, plan, np.zeros(vector.size), n, lam)
-    best = np.max if kind == 1 else np.min
+    best = np.maximum.reduce if kind == 1 else np.minimum.reduce
     lp_core.check_gap(f"dual-{kind}", sol.objective_value,
                       float(best(response.roots + vector)))
     return DualResult(value=sol.objective_value,

@@ -4,9 +4,10 @@ The primal, dual and vector-payoff update solvers add variables and rows
 to an `LpBuilder`, whose `build` compiles them into a `CompiledLP`, the
 array form HiGHS takes, and call `solve`; the best response needs no LP.
 The dual LP, solved many times at different statistics, is built once and
-patched with `CompiledLP.with_rhs`, which sets right-hand sides. `solve`
-returns only optimal solutions and raises for everything else, so its
-callers hold no status check.
+patched by `RhsRows`, which works out once where the rows it sets sit, so
+a patched copy costs one copy and one indexed write. `solve` returns only
+optimal solutions and raises for everything else, so its callers hold no
+status check.
 
 `linprog` is the one place that runs HiGHS, on matrices given as
 `CsrMatrix` records, which check their form when they are built. It hands
@@ -16,14 +17,15 @@ repeats `scipy.optimize.linprog(method="highs")`'s checks, status codes
 and certificate. A cold solve uses its options and returns its point bit
 for bit; a warm start prices with Devex, which needs no BTRAN per row to
 start from a basis as dual steepest edge does, and reaches its status and
-objective. An LP family, a `CompiledLP` and the copies `with_rhs` makes
+objective. An LP family, a `CompiledLP` and the copies `RhsRows` makes
 of it, keeps one model while it lives, which each solve clears and
 patches in only the right-hand sides that differ, so one family is not
 solved from two threads at once; every other LP gets a fresh model.
 Either way a solve starts from a cleared solver with scipy's options and
 the LP's own basis (`CompiledLP.basis`) or none, so identical input
 gives bit-identical output whatever ran before, as reproducible strategy
-extraction needs.
+extraction needs. Every HiGHS run has a budget of TIME_LIMIT_S seconds;
+a run that reaches it has status 1 and `solve` raises NumericalError.
 
 `complementary_basis` maps an optimal basis of an LP's dual to an optimal
 basis of the LP; the two players' primal LPs are such a pair.
@@ -36,7 +38,7 @@ import math
 import operator
 import sys
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
 
@@ -198,7 +200,7 @@ class CompiledLP:
     and right-hand side negated.
 
     `rels[row]` is the relation row `row` was added with and `slots[row]`
-    where it sits in b_ub or b_eq, so `with_rhs` can patch right-hand sides
+    where it sits in b_ub or b_eq, so `RhsRows` can patch right-hand sides
     without reassembling the matrices. `basis`, if set, is the HiGHS basis
     every solve of the LP and its patched copies starts from.
     """
@@ -218,30 +220,39 @@ class CompiledLP:
     def num_vars(self) -> int:
         return self.c.size
 
-    def with_rhs(self, rows, values) -> CompiledLP:
-        """Copy whose rows `rows` have right-hand sides `values` (as many;
-        else ValueError); the matrices, c, the bounds and the basis are
-        shared, and the copies solve on one kept HiGHS model."""
-        if self.a_ub not in _FAMILIES:
-            _FAMILIES[self.a_ub] = _Family(self)
-        b_ub, b_eq = self.b_ub.copy(), self.b_eq.copy()
-        for row, value in zip(rows, values, strict=True):
-            rel = self.rels[row]
-            if rel == "=":
-                b_eq[self.slots[row]] = float(value)
-            else:
-                b_ub[self.slots[row]] = _SIGN[rel] * float(value)
-        return replace(self, b_ub=b_ub, b_eq=b_eq)
+
+class RhsRows:
+    """Rows of an LP whose right-hand sides its copies set, with where each sits
+    in (b_ub, b_eq) and its sign worked out once; the copies share one model."""
+
+    def __init__(self, lp: CompiledLP, rows):
+        if lp.a_ub not in _FAMILIES:
+            _FAMILIES[lp.a_ub] = _Family(lp)
+        rels = np.array([lp.rels[row] for row in rows], dtype=str)
+        self.at = lp.slots[list(rows)] + lp.b_ub.size * (rels == "=")
+        self.sign = np.where(rels == ">=", _SIGN[">="], 1.0)
+
+    def copy_of(self, lp: CompiledLP, values) -> CompiledLP:
+        """`lp`, of the family, with `values` as these rows' right-hand sides."""
+        if len(values) != self.sign.size:
+            raise ValueError(f"{self.sign.size} rows take {len(values)} values")
+        b = np.concatenate((lp.b_ub, lp.b_eq))
+        b[self.at] = self.sign * np.asarray(values, dtype=float)
+        return CompiledLP(lp.sense, lp.c, lp.a_ub, b[:lp.b_ub.size], lp.a_eq,
+                          b[lp.b_ub.size:], lp.bounds, lp.rels, lp.slots, lp.basis)
 
 
-# the options scipy.optimize.linprog(method="highs") sets; the others keep
-# HiGHS's defaults, as they do there. A warm start also prices with Devex.
+TIME_LIMIT_S = 600.0    # a run's budget: 1,000x the benchmarks' largest LP
+# the options scipy.optimize.linprog(method="highs") sets, and the budget;
+# the others keep HiGHS's defaults, as they do there. A warm start also
+# prices with Devex.
 _OPTIONS = highs.HighsOptions()
 _OPTIONS.presolve = "on"
 _OPTIONS.simplex_strategy = highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 _OPTIONS.highs_debug_level = highs.HighsDebugLevel.kHighsDebugLevelNone
 _OPTIONS.output_flag = False
 _OPTIONS.log_to_console = False
+_OPTIONS.time_limit = TIME_LIMIT_S
 
 _MODEL = highs.HighsModelStatus
 # HiGHS model status -> scipy.optimize.linprog status; anything else is 4
@@ -336,7 +347,6 @@ def linprog(c, *, bounds, A_ub, b_ub, A_eq, b_eq, basis=None):
     b_ub = _rhs(b_ub, A_ub, "b_ub")
     b_eq = _rhs(b_eq, A_eq, "b_eq")
 
-    lower = np.concatenate([np.full(num_ub, -math.inf), b_eq])
     upper = np.concatenate([b_ub, b_eq])
     if kept is not None:
         model, loaded = kept, True
@@ -346,7 +356,8 @@ def linprog(c, *, bounds, A_ub, b_ub, A_eq, b_eq, basis=None):
         # the rows exist and the bounds are finite, so no change fails
         for row in np.flatnonzero(upper.view(np.int64)
                                   != family.upper.view(np.int64)).tolist():
-            model.changeRowBounds(row, lower[row], upper[row])
+            model.changeRowBounds(row, -math.inf if row < num_ub else upper[row],
+                                  upper[row])
     else:
         model = highs._Highs()
         model.passOptions(_OPTIONS)
@@ -354,8 +365,9 @@ def linprog(c, *, bounds, A_ub, b_ub, A_eq, b_eq, basis=None):
         # rows into its column form in row order and reads num_vars
         # integrality flags
         loaded = model.passModel(
-            num_vars, lower.size, num_nz, highs.MatrixFormat.kRowwise,
-            highs.ObjSense.kMinimize, 0.0, c, lb, ub, lower, upper,
+            num_vars, upper.size, num_nz, highs.MatrixFormat.kRowwise,
+            highs.ObjSense.kMinimize, 0.0, c, lb, ub,
+            np.concatenate([np.full(num_ub, -math.inf), b_eq]), upper,
             np.concatenate([A_ub.indptr[:-1], A_eq.indptr[:-1] + A_ub.nnz],
                            dtype=np.int32),
             np.concatenate([A_ub.indices, A_eq.indices], dtype=np.int32),
@@ -371,14 +383,14 @@ def linprog(c, *, bounds, A_ub, b_ub, A_eq, b_eq, basis=None):
     ran = loaded and model.run() != _ERROR
     status = model.getModelStatus() if loaded else _MODEL.kModelError
     message = f"HiGHS model status {model.modelStatusToString(status)}"
-    info = model.getInfo()
-    nit = (info.simplex_iteration_count or info.ipm_iteration_count) if ran else 0
+    nit = (model.getInfoValue("simplex_iteration_count")[1]
+           or model.getInfoValue("ipm_iteration_count")[1]) if ran else 0
     if status != _MODEL.kOptimal or not ran:
         code = 4 if status == _MODEL.kOptimal else _STATUS.get(status, 4)
         return HighsResult(None, None, code, nit, message)
 
     x, row_value = _solution(model)
-    fun = info.objective_function_value
+    fun = model.getObjectiveValue()
     # every comparison with a NaN is False, so NaNs fail the certificate
     certified = (not math.isnan(fun)
                  and (x >= lb - CERT_TOL).all() and (x <= ub + CERT_TOL).all()

@@ -86,13 +86,6 @@ class BehavioralStrategy:
     index: HistoryIndex
     probs: list                     # [t - 1]: (state, pairs) x own action
 
-    def stage_rows(self, acts=()) -> np.ndarray:
-        """The strategy after pairs `acts` as an (own state, own action)
-        view of `probs`."""
-        stride = self.index.num_pairs ** len(acts)
-        rank = self.index.id_of(self.side, len(acts) + 1, (0,), acts)
-        return self.probs[len(acts)][rank::stride]
-
     def stage1_matrix(self) -> np.ndarray:
         """The stage-1 strategy as an (own action, own state) matrix."""
         return np.ascontiguousarray(self.probs[0].T)
@@ -245,14 +238,13 @@ def extract_strategy(plan: RealizationPlan, spec: GameSpec) -> BehavioralStrateg
     At information sets whose reach weight is below UNREACHABLE_TOL the
     plan pins down nothing; those sets get the uniform distribution.
     """
-    view = spec.side(plan.side)
+    uniform = 1.0 / spec.side(plan.side).num_actions
     probs = []
     for t, w in enumerate(plan.values, start=1):
-        denom = plan.root if t == 1 else w.sum(axis=1)
-        reached = ~(denom <= UNREACHABLE_TOL)
-        dist = np.full(w.shape, 1.0 / view.num_actions)
-        dist[reached] = np.maximum(w[reached] / denom[reached, None], 0.0)
-        probs.append(dist)
+        denom = (plan.root if t == 1 else w.sum(axis=1))[:, None]
+        dist = np.divide(w, denom, out=np.full(w.shape, uniform),
+                         where=~(denom <= UNREACHABLE_TOL))
+        probs.append(np.maximum(dist, 0.0, out=dist))
     return BehavioralStrategy(side=plan.side, depth=plan.depth,
                               index=plan.index, probs=probs)
 

@@ -80,22 +80,25 @@ def _stat_key(x1, x2):
 
 class _Node:
     """A `WindowAgent`'s state after some public pairs, shared by episodes:
-    everything but the agent's own current state. `stage` is the window
-    strategy at this stage, a row per own state (`stage_rows`), so acting
-    is one index; `inputs`, the bytes of belief and stage, keys posteriors,
-    and `read_out`, set by its first child, is `SolverCache._update`'s."""
+    everything but the agent's own current state. `stage`, the window
+    strategy here a row per own state (rows `rank::P**depth`, `rank` the
+    window's pairs in base P), makes acting one index. The first child sets
+    `inputs`, the bytes of belief and stage, which key posteriors, and
+    `read_out`, `SolverCache._update`'s."""
 
     __slots__ = ("t", "window_id", "window_len", "strategy", "belief",
-                 "vector_payoff", "window_acts", "stage", "inputs", "read_out")
+                 "vector_payoff", "window_acts", "rank", "stage", "inputs",
+                 "read_out")
 
     def __init__(self, t, window_id, window_len, strategy, belief,
-                 vector_payoff, window_acts):
+                 vector_payoff, window_acts=(), rank=0):
         self.t, self.window_id, self.window_len = t, window_id, window_len
-        self.strategy, self.window_acts = strategy, window_acts
+        self.strategy, self.window_acts, self.rank = strategy, window_acts, rank
         self.belief, self.vector_payoff = belief, vector_payoff
         belief.flags.writeable = vector_payoff.flags.writeable = False
-        self.stage = strategy.stage_rows(window_acts)
-        self.inputs = belief.tobytes() + self.stage.tobytes()
+        depth = len(window_acts)
+        self.stage = strategy.probs[depth][rank::strategy.index.num_pairs ** depth]
+        self.inputs = self.read_out = None
 
 
 class SolverCache:
@@ -119,6 +122,7 @@ class SolverCache:
         self.spec = spec
         self._store = {}
         self._templates = {}
+        self._exact = {}    # (name, n, lam, exact statistic) -> `_rounded`'s
         self._beliefs = {}  # (side, a, b, node inputs) -> posterior
         self._tree = {}     # (node, a, b) -> child; (side, *config) -> root
 
@@ -135,6 +139,17 @@ class SolverCache:
     def _remember(self, key, compute):
         return self._memo(self._store, key, compute, MAX_STORE_ENTRIES)
 
+    def _rounded(self, name, x1, x2, n, lam, compute):
+        """(key, r1, r2, entry): (x1, x2) rounded to (r1, r2) and the store's
+        entry `compute(r1, r2)` under key; an exact (x1, x2) seen is a lookup."""
+        def entry():
+            (r1, r2), stat = _stat_key(x1, x2)
+            key = (name, n, lam, stat)
+            return key, r1, r2, self._remember(key, lambda: compute(r1, r2))
+        return self._memo(self._exact, (name, n, lam, np.asarray(x1, dtype=float).tobytes(),
+                                        np.asarray(x2, dtype=float).tobytes()), entry,
+                          MAX_TREE_NODES)
+
     def primal(self, p, q, n, lam, side):
         stat = np.concatenate((p, q), dtype=float).tobytes()
         key = ("primal", side, n, lam, stat)
@@ -149,9 +164,8 @@ class SolverCache:
         solve = dual_solver.solve_dual1 if kind == 1 else dual_solver.solve_dual2
         template = self._memo(self._templates, (kind, n, lam), lambda:
                               dual_solver.dual_template(self.spec, kind, n, lam))
-        (x1, x2), stat = _stat_key(x1, x2)
-        return self._remember((f"dual{kind}", n, lam, stat), lambda:
-                              solve(self.spec, x1, x2, n, lam, template=template))
+        return self._rounded(f"dual{kind}", x1, x2, n, lam, lambda x1, x2: solve(
+            self.spec, x1, x2, n, lam, template=template))[3]
 
     def dual1(self, mu, q, n, lam):
         return self._dual(1, mu, q, n, lam)
@@ -166,22 +180,23 @@ class SolverCache:
         depth-2 row of last state s and pair (a, b), and bar[m] the plan
         owner's stage weight of its action in (a, b). It is 0 at n = 1, and
         at bar[m] <= DEGENERATE_TOL the update LP's if its w is the dual's.
-        A tree `node` at (vec, belief) keeps its read-out for later pairs."""
-        view = self.spec.side(kind)
-        if n == 1:
-            return np.zeros(view.num_states)
+        The read-out divides for all pairs; a tree `node` keeps it."""
         read_out = getattr(node, "read_out", None)
         if read_out is None:
-            (vec, belief), stat = _stat_key(vec, belief)
-            key = (f"upd{kind}", n, lam, stat)
-            read_out = (key, vec, belief) + self._remember(key, lambda: (
-                self._read_out(view, vec, belief, n, lam)))
+            view, tol = self.spec.side(kind), stat_updater.DEGENERATE_TOL
+            if n == 1:
+                return np.zeros(view.num_states)
+            def divide(vec, belief):    # all pairs; a degenerate one's goes unread
+                star, bar, neg_br, value = self._read_out(view, vec, belief, n, lam)
+                bar = bar[None, :, None] if kind == 1 else bar[:, None, None]  # bar[m]
+                return star, value, np.broadcast_to(bar > tol, neg_br.shape)[..., 0], (
+                    neg_br / (lam * np.maximum(bar, tol)))
+            read_out = self._rounded(f"upd{kind}", vec, belief, n, lam, divide)
             if node is not None:
                 node.read_out = read_out
-        key, vec, belief, star, bar, neg_br, value = read_out
-        m = view.pair(a, b)[1]
-        if bar[m] > stat_updater.DEGENERATE_TOL:
-            return neg_br[a, b] / (lam * bar[m])
+        key, vec, belief, (star, value, regular, vectors) = read_out
+        if regular[a, b]:
+            return vectors[a, b]
         update = stat_updater.update_mu if kind == 1 else stat_updater.update_nu
         def solve():
             result = update(self.spec, vec, belief, star, a, b, n, lam)
@@ -202,6 +217,8 @@ class SolverCache:
     def _belief(self, side, node, a, b):
         """Player `side`'s posterior after (a, b) at `node`, memoized by
         `node.inputs`: many public prefixes meet the same inputs."""
+        if node.inputs is None:
+            node.inputs = node.belief.tobytes() + node.stage.tobytes()
         update = (stat_updater.update_belief_p if side == 1
                   else stat_updater.update_belief_q)
         return self._memo(self._beliefs, (side, a, b, node.inputs), lambda: update(
@@ -257,7 +274,7 @@ class WindowAgent:
                                    self.side)
         return _Node(1, 1, window_len, result.strategy,
                      self._view.prior.copy(),
-                     result.initial_vector_payoff.copy(), ())
+                     result.initial_vector_payoff.copy())
 
     # -- acting ------------------------------------------------------------
 
@@ -297,7 +314,8 @@ class WindowAgent:
         t = node.t + 1
         if len(window_acts) < node.window_len:
             return _Node(t, node.window_id, node.window_len, node.strategy,
-                         belief, vector_payoff, window_acts)
+                         belief, vector_payoff, window_acts,
+                         node.rank * spec.num_a * spec.num_b + a * spec.num_b + b)
         # the next window plays the opponent's dual game, whose plan owner
         # is this side
         window_len = min(config.window_n, config.total_horizon - t + 1)
@@ -305,7 +323,7 @@ class WindowAgent:
         strategy = dual(*view.pair(belief, vector_payoff), window_len,
                         spec.lam).strategy
         return _Node(t, node.window_id + 1, window_len, strategy, belief,
-                     vector_payoff, ())
+                     vector_payoff)
 
 
 for _name in ("t", "window_id", "window_len", "strategy", "belief",

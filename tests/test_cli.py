@@ -216,6 +216,20 @@ def test_case_study_capacity_exit_code(command, horizon):
     assert result.output.startswith("error: ") and len(result.output) < 120
 
 
+def test_out_of_memory_exit_code(tmp_path, rng, monkeypatch):
+    """Running out of memory while building or solving an LP is a capacity
+    failure (exit 3) with an error line, not a traceback."""
+    path = _write(tmp_path, random_spec(rng))
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("std::bad_alloc")
+    monkeypatch.setattr(primal_solver, "solve_primal", out_of_memory)
+    result = CliRunner().invoke(main, ["solve", "--spec", path])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith("error: out of memory: std::bad_alloc")
+    assert "Traceback" not in result.output
+
+
 def test_oracle_uncertified_lp_exit_code(tmp_path, rng, monkeypatch):
     """A matrix-game LP whose point fails the certificate is a solver
     failure (exit 4), not a crash."""

@@ -1,4 +1,4 @@
-"""The copies `CompiledLP.with_rhs` makes of one LP, an LP family, solve
+"""The copies `lp_core.RhsRows` makes of one LP, an LP family, solve
 on one kept HiGHS model. A solve on it must give the bytes a fresh model
 gives, whatever ran before, and the model must go with its family."""
 

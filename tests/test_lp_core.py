@@ -116,7 +116,7 @@ def test_build_compiles_rows_into_arrays(tmp_path):
     assert lp.rels == ["<=", ">=", "="]
     assert lp.slots.tolist() == [0, 1, 0]
 
-    patched = lp.with_rhs([1, 2], [3.0, 0.5])
+    patched = lp_core.RhsRows(lp, [1, 2]).copy_of(lp, [3.0, 0.5])
     assert patched.b_ub.tolist() == [4.0, -3.0]
     assert patched.b_eq.tolist() == [0.5]
     assert patched.a_ub is lp.a_ub and patched.a_eq is lp.a_eq
@@ -280,7 +280,7 @@ def test_family_copies_still_check_their_right_hand_sides():
     checked on every solve, and a c or bounds that is not the family's own
     array is checked in full."""
     lp, x, y = _knapsack_lp()
-    copy = lp.with_rhs([0], [5.0])
+    copy = lp_core.RhsRows(lp, [0]).copy_of(lp, [5.0])
     assert lp_core.solve(copy).objective_value == pytest.approx(13.0, abs=1e-9)
     parts = dict(bounds=copy.bounds, A_ub=copy.a_ub, A_eq=copy.a_eq,
                  b_eq=copy.b_eq)

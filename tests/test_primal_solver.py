@@ -73,8 +73,8 @@ def test_strategy_recomposes_plan(case_study, primal_layout):
         assert want.shape == (len(reach), spec.num_a)
         nxt = {}
         for (s, acts), weight in reach.items():
-            probs = strat.stage_rows(acts)[s]
-            row = want[index.id_of(1, t, (s,), acts)]
+            row_id = index.id_of(1, t, (s,), acts)
+            probs, row = strat.probs[t - 1][row_id], want[row_id]
             assert weight * probs == pytest.approx(row, abs=1e-7)
             for a, b, s_next in product(range(spec.num_a), range(spec.num_b),
                                         range(spec.num_k)):

@@ -73,7 +73,7 @@ def test_first_window_uses_primal_strategy(rng):
     agent = WindowAgent(spec, config, 1)
     agent.begin_episode(1)
     want = solve_primal(spec, spec.p0, spec.q0, 2, spec.lam,
-                        1).strategy.stage_rows()[1]
+                        1).strategy.probs[0][1]
     assert np.allclose(agent.act(), want, atol=1e-9)
     assert np.array_equal(
         agent.vector_payoff,

@@ -10,13 +10,13 @@ LP value (`lp_core.check_gap`).
 The statistic enters a dual LP only through right-hand sides: the plan
 owner's belief in the depth-1 flow rows and the vector payoff in the
 coupling rows. A `DualTemplate` is therefore compiled once per (kind, n,
-lambda) and patched for each solve. For the same reason an optimal basis
-at one statistic stays dual feasible at every other: each solve starts
-from the template's reference basis, that of one cold solve at the plan
-owner's prior and a zero vector payoff, so a result depends on its
-statistic alone and never on what was solved before. The template's
-patched LPs are one LP family, so `lp_core` solves them all on one kept
-HiGHS model, cleared before each solve.
+lambda), with where those rows sit (`lp_core.RhsRows`). For the same
+reason an optimal basis at one statistic stays dual feasible at every
+other: each solve starts from the template's reference basis, that of
+one cold solve at the plan owner's prior and a zero vector payoff, so a
+result depends on its statistic alone and never on what was solved
+before. The template's patched LPs are one LP family, so `lp_core`
+solves them all on one kept HiGHS model, cleared before each solve.
 """
 
 from __future__ import annotations

@@ -324,8 +324,8 @@ def linprog(c, *, bounds, A_ub, b_ub, A_eq, b_eq, basis=None):
     """
     c = np.asarray(c, dtype=float)
     num_vars = c.size
-    if not all(isinstance(mat, CsrMatrix) and mat.shape[1] == num_vars
-               for mat in (A_ub, A_eq)):
+    if not (isinstance(A_ub, CsrMatrix) and isinstance(A_eq, CsrMatrix)
+            and A_ub.shape[1] == A_eq.shape[1] == num_vars):
         raise ValueError("A_ub and A_eq must be CsrMatrix records with one "
                          "column per variable")
     num_ub, num_nz = A_ub.shape[0], A_ub.nnz + A_eq.nnz
@@ -390,12 +390,12 @@ def linprog(c, *, bounds, A_ub, b_ub, A_eq, b_eq, basis=None):
         return HighsResult(None, None, code, nit, message)
 
     x, row_value = _solution(model)
-    fun = model.getObjectiveValue()
+    fun, slack = model.getObjectiveValue(), upper - row_value    # b_ub, b_eq
     # every comparison with a NaN is False, so NaNs fail the certificate
     certified = (not math.isnan(fun)
                  and (x >= lb - CERT_TOL).all() and (x <= ub + CERT_TOL).all()
-                 and (b_ub - row_value[:num_ub] >= -CERT_TOL).all()
-                 and (np.abs(b_eq - row_value[num_ub:]) <= CERT_TOL).all())
+                 and (slack[:num_ub] >= -CERT_TOL).all()
+                 and (np.abs(slack[num_ub:]) <= CERT_TOL).all())
     if not certified:
         return HighsResult(x, fun, 4, nit, message + ", but the point breaks "
                            f"a row or bound by more than {CERT_TOL:.2e}")

@@ -65,9 +65,11 @@ class RealizationPlan:
             self.values = [np.array([self.values[(t, *k)] for k in np.ndindex(
                 self.index.count(self.side, t), acts)], dtype=float)
                 for t in range(1, self.depth + 1)]
-        self.values = [np.add.reduce(np.reshape(w, (-1, ns * P ** (t - 1), acts)),
-                                     axis=0, initial=0.0)
-                       for t, w in enumerate(self.values, start=1)]
+        rows = [ns * P ** t for t in range(len(self.values))]   # per depth
+        # the sum over blocks from 0.0; a dual LP's one block only adds 0.0
+        self.values = [w + 0.0 if np.shape(w) == (r, acts) else np.add.reduce(
+            np.reshape(w, (-1, r, acts)), axis=0, initial=0.0)
+            for r, w in zip(rows, self.values)]
         for w in self.values:
             w.flags.writeable = False
 

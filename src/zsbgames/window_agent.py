@@ -16,7 +16,8 @@ an observed pair that plan never plays.
 As the statistic is fully accessible, all of an agent's state but its own
 state is fixed by the public pairs seen so far. `SolverCache` keeps it in
 a tree per (side, window size, horizon), a node per public prefix: a known
-prefix is one lookup, and a node makes its update read-out once.
+prefix is one lookup, a node makes its update read-out once, for all
+pairs, and a statistic the cache has met exactly is one lookup too.
 
 `OptimalAgent`, the one-window `WindowAgent`, plays the full-horizon
 security strategy; `FixedPolicyAgent` plays a stationary per-state
@@ -146,9 +147,9 @@ class SolverCache:
             (r1, r2), stat = _stat_key(x1, x2)
             key = (name, n, lam, stat)
             return key, r1, r2, self._remember(key, lambda: compute(r1, r2))
-        return self._memo(self._exact, (name, n, lam, np.asarray(x1, dtype=float).tobytes(),
-                                        np.asarray(x2, dtype=float).tobytes()), entry,
-                          MAX_TREE_NODES)
+        exact = (name, n, lam, np.asarray(x1, dtype=float).tobytes(),
+                 np.asarray(x2, dtype=float).tobytes())
+        return self._memo(self._exact, exact, entry, MAX_TREE_NODES)
 
     def primal(self, p, q, n, lam, side):
         stat = np.concatenate((p, q), dtype=float).tobytes()
@@ -162,10 +163,10 @@ class SolverCache:
     def _dual(self, kind, x1, x2, n, lam):
         """Dual-`kind` solve; x1, x2 are its player-1 and player-2 inputs."""
         solve = dual_solver.solve_dual1 if kind == 1 else dual_solver.solve_dual2
-        template = self._memo(self._templates, (kind, n, lam), lambda:
-                              dual_solver.dual_template(self.spec, kind, n, lam))
         return self._rounded(f"dual{kind}", x1, x2, n, lam, lambda x1, x2: solve(
-            self.spec, x1, x2, n, lam, template=template))[3]
+            self.spec, x1, x2, n, lam, template=self._memo(
+                self._templates, (kind, n, lam),
+                lambda: dual_solver.dual_template(self.spec, kind, n, lam))))[3]
 
     def dual1(self, mu, q, n, lam):
         return self._dual(1, mu, q, n, lam)
@@ -213,17 +214,6 @@ class SolverCache:
         star = dual.strategy.stage1_matrix()
         return star, star @ belief, -depth2.reshape(
             view.num_states, -1, self.spec.num_b).transpose(1, 2, 0), dual.value
-
-    def _belief(self, side, node, a, b):
-        """Player `side`'s posterior after (a, b) at `node`, memoized by
-        `node.inputs`: many public prefixes meet the same inputs."""
-        if node.inputs is None:
-            node.inputs = node.belief.tobytes() + node.stage.tobytes()
-        update = (stat_updater.update_belief_p if side == 1
-                  else stat_updater.update_belief_q)
-        return self._memo(self._beliefs, (side, a, b, node.inputs), lambda: update(
-            self.spec, node.belief, np.ascontiguousarray(node.stage.T), a, b),
-            MAX_TREE_NODES)
 
     def update_mu(self, mu, q, n, lam, a, b):
         return self._update(1, mu, q, n, lam, a, b)
@@ -299,7 +289,15 @@ class WindowAgent:
     def _next(self, node: _Node, a: int, b: int) -> _Node:
         """The node after `node` and the pair (a, b)."""
         spec, view, config = self.spec, self._view, self.config
-        belief = self.cache._belief(self.side, node, a, b)
+        # the posterior, memoized by `node.inputs`: many prefixes meet them
+        if node.inputs is None:
+            node.inputs = node.belief.tobytes() + node.stage.tobytes()
+        update = (stat_updater.update_belief_p if self.side == 1
+                  else stat_updater.update_belief_q)
+        belief = self.cache._memo(
+            self.cache._beliefs, (self.side, a, b, node.inputs), lambda: update(
+                spec, node.belief, np.ascontiguousarray(node.stage.T), a, b),
+            MAX_TREE_NODES)
         window_acts = node.window_acts + ((a, b),)
 
         # the opponent's dual game at the pre-stage statistic advances the

@@ -81,9 +81,8 @@ def dual_template(spec: GameSpec, kind: int, n: int,
     coupling_rows = builder.add_rows(rel, np.zeros(s.size), [
         (s, system.payoff_vars.start + s, 1.0), (s, v0, -1.0)])
     lp = builder.build(lp_core.MIN if kind == 1 else lp_core.MAX, {v0: 1.0})
-    return DualTemplate(kind=kind, n=n, lam=lam, index=index, lp=lp, system=system,
-                        coupling_rows=coupling_rows,
-                        rhs=RhsRows(lp, [*system.flow_rows[0], *coupling_rows]))
+    return DualTemplate(kind, n, lam, index, lp, system, coupling_rows,
+                        RhsRows(lp, [*system.flow_rows[0], *coupling_rows]))
 
 
 def _solve(spec, kind, root, vector, n, lam, template) -> DualResult:

@@ -232,8 +232,7 @@ class RhsRows:
         self.at = lp.slots[list(rows)] + lp.b_ub.size * (rels == "=")
         self.sign = np.where(rels == ">=", _SIGN[">="], 1.0)
 
-    def copy_of(self, lp: CompiledLP, values) -> CompiledLP:
-        """`lp`, of the family, with `values` as these rows' right-hand sides."""
+    def copy_of(self, lp: CompiledLP, values) -> CompiledLP:   # lp: one of the family
         if len(values) != self.sign.size:
             raise ValueError(f"{self.sign.size} rows take {len(values)} values")
         b = np.concatenate((lp.b_ub, lp.b_eq))

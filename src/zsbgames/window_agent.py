@@ -79,13 +79,18 @@ def _stat_key(x1, x2):
     return (rounded[:len(x1)], rounded[len(x1):]), rounded.tobytes()
 
 
+def _frozen(arr):
+    """`arr`, made read-only where it is made: episodes and callers share it."""
+    arr.setflags(write=False)
+    return arr
+
+
 class _Node:
-    """A `WindowAgent`'s state after some public pairs, shared by episodes:
-    everything but the agent's own current state. `stage`, the window
-    strategy here a row per own state (rows `rank::P**depth`, `rank` the
-    window's pairs in base P), makes acting one index. The first child sets
-    `inputs`, the bytes of belief and stage, which key posteriors, and
-    `read_out`, `SolverCache._update`'s."""
+    """A `WindowAgent`'s state after some public pairs, shared by episodes,
+    so its arrays are read-only. `stage`, the window strategy here a row
+    per own state (rows `rank::P**depth`, `rank` the window's pairs in base
+    P), makes acting one index. The first child sets `inputs`, the bytes of
+    belief and stage keying posteriors, and `read_out`, `_update`'s."""
 
     __slots__ = ("t", "window_id", "window_len", "strategy", "belief",
                  "vector_payoff", "window_acts", "rank", "stage", "inputs",
@@ -96,7 +101,6 @@ class _Node:
         self.t, self.window_id, self.window_len = t, window_id, window_len
         self.strategy, self.window_acts, self.rank = strategy, window_acts, rank
         self.belief, self.vector_payoff = belief, vector_payoff
-        belief.flags.writeable = vector_payoff.flags.writeable = False
         depth = len(window_acts)
         self.stage = strategy.probs[depth][rank::strategy.index.num_pairs ** depth]
         self.inputs = self.read_out = None
@@ -141,8 +145,8 @@ class SolverCache:
         return self._memo(self._store, key, compute, MAX_STORE_ENTRIES)
 
     def _rounded(self, name, x1, x2, n, lam, compute):
-        """(key, r1, r2, entry): (x1, x2) rounded to (r1, r2) and the store's
-        entry `compute(r1, r2)` under key; an exact (x1, x2) seen is a lookup."""
+        """(key, r1, r2, store[key] = `compute(r1, r2)`) at (x1, x2) rounded
+        to (r1, r2); an exact (x1, x2) met before is one lookup."""
         def entry():
             (r1, r2), stat = _stat_key(x1, x2)
             key = (name, n, lam, stat)
@@ -175,23 +179,23 @@ class SolverCache:
         return self._dual(2, p, nu, n, lam)
 
     def _update(self, kind, vec, belief, n, lam, a, b, node=None):
-        """Vector payoff over player `kind`'s states after pair (a, b), read
-        off the plan of the dual-`kind` game at (vec, belief): -BR(s) /
-        (lam bar[m]), with BR(s) the responder's best-response value at its
-        depth-2 row of last state s and pair (a, b), and bar[m] the plan
-        owner's stage weight of its action in (a, b). It is 0 at n = 1, and
-        at bar[m] <= DEGENERATE_TOL the update LP's if its w is the dual's.
-        The read-out divides for all pairs; a tree `node` keeps it."""
+        """Vector payoff over player `kind`'s states after pair (a, b), read off
+        the plan of the dual-`kind` game at (vec, belief), for all pairs at
+        once: -BR(s) / (lam bar[m]), with BR(s) the responder's best-response
+        value at its depth-2 row of last state s and pair (a, b), and bar[m]
+        the plan owner's stage weight of its action in (a, b); a tree `node`
+        keeps it. It is 0 at n = 1, and at bar[m] <= DEGENERATE_TOL the
+        update LP's if its w is the dual's. The result is read-only."""
         read_out = getattr(node, "read_out", None)
         if read_out is None:
             view, tol = self.spec.side(kind), stat_updater.DEGENERATE_TOL
             if n == 1:
-                return np.zeros(view.num_states)
+                return _frozen(np.zeros(view.num_states))
             def divide(vec, belief):    # all pairs; a degenerate one's goes unread
                 star, bar, neg_br, value = self._read_out(view, vec, belief, n, lam)
                 bar = bar[None, :, None] if kind == 1 else bar[:, None, None]  # bar[m]
                 return star, value, np.broadcast_to(bar > tol, neg_br.shape)[..., 0], (
-                    neg_br / (lam * np.maximum(bar, tol)))
+                    _frozen(neg_br / (lam * np.maximum(bar, tol))))
             read_out = self._rounded(f"upd{kind}", vec, belief, n, lam, divide)
             if node is not None:
                 node.read_out = read_out
@@ -202,7 +206,7 @@ class SolverCache:
         def solve():
             result = update(self.spec, vec, belief, star, a, b, n, lam)
             lp_core.check_gap(f"update-{kind}", result.w, value)
-            return result.all_vectors
+            return {pair: _frozen(v) for pair, v in result.all_vectors.items()}
         return self._remember(key + ("lp",), solve)[a, b]
 
     def _read_out(self, view, vec, belief, n, lam):
@@ -262,9 +266,8 @@ class WindowAgent:
         spec, window_len = self.spec, self.config.window_n
         result = self.cache.primal(spec.p0, spec.q0, window_len, spec.lam,
                                    self.side)
-        return _Node(1, 1, window_len, result.strategy,
-                     self._view.prior.copy(),
-                     result.initial_vector_payoff.copy())
+        return _Node(1, 1, window_len, result.strategy, _frozen(self._view.prior.copy()),
+                     _frozen(result.initial_vector_payoff.copy()))
 
     # -- acting ------------------------------------------------------------
 
@@ -295,8 +298,8 @@ class WindowAgent:
         update = (stat_updater.update_belief_p if self.side == 1
                   else stat_updater.update_belief_q)
         belief = self.cache._memo(
-            self.cache._beliefs, (self.side, a, b, node.inputs), lambda: update(
-                spec, node.belief, np.ascontiguousarray(node.stage.T), a, b),
+            self.cache._beliefs, (self.side, a, b, node.inputs), lambda: _frozen(update(
+                spec, node.belief, np.ascontiguousarray(node.stage.T), a, b)),
             MAX_TREE_NODES)
         window_acts = node.window_acts + ((a, b),)
 

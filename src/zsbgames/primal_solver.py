@@ -252,7 +252,7 @@ def extract_strategy(plan: RealizationPlan, spec: GameSpec) -> BehavioralStrateg
 
 
 def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
-                 inspect_lp=None) -> PrimalResult:
+                 inspect_lp=None, pair: PrimalResult | None = None) -> PrimalResult:
     """Game value, security strategy and initial vector payoff for `side`.
 
     The initial vector payoff of the other side's dual game is recomputed
@@ -260,14 +260,17 @@ def solve_primal(spec: GameSpec, p, q, n: int, lam: float, side: int,
     even at opponent states with zero prior weight. That best response
     certifies the solve: its value must match the LP value within
     CERT_TOL * max(1, |value|), else NumericalError. `inspect_lp`, if
-    given, is called with the compiled LP before it is solved. Side 1's
-    result keeps the side-2 result it starts from as `pair`.
+    given, is called with the compiled LP before it is solved. Side 1 starts
+    from the side-2 result `pair` (solved here if None) and keeps it.
     """
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     own, other = spec.side(side).pair(p, q)
     # side 2's LP is freed before side 1's is built
-    pair = solve_primal(spec, p, q, n, lam, 2) if side == 1 else None
+    if side == 1 and pair is None:
+        pair = solve_primal(spec, p, q, n, lam, 2)
+    elif side == 2 and pair is not None:
+        raise ValueError("only side 1's LP starts from a side-2 result")
     lp, system, index = build_primal(spec, p, q, n, lam, side)
     if pair is not None:
         lp.basis = lp_core.complementary_basis(pair.basis, lp)

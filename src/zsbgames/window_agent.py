@@ -13,11 +13,11 @@ advances by a read-out of the plan of the dual game at the pre-stage
 statistic (`SolverCache._update`), so play solves no update LP except for
 an observed pair that plan never plays.
 
-As the statistic is fully accessible, all of an agent's state but its own
-state is fixed by the public pairs seen so far. `SolverCache` keeps it in
-a tree per (side, window size, horizon), a node per public prefix: a known
-prefix is one lookup, a node makes its update read-out once, for all
-pairs, and a statistic the cache has met exactly is one lookup too.
+All of an agent's state but its own state is fixed by the public pairs
+seen so far, and many prefixes reach one state. `SolverCache` keeps a node
+per state (stage, window strategy and pairs, belief, vector payoff) and the
+(node, pair) steps between them: a known step is one lookup, a node makes
+its update read-out once, and a statistic met exactly is one lookup too.
 
 `OptimalAgent`, the one-window `WindowAgent`, plays the full-horizon
 security strategy; `FixedPolicyAgent` plays a stationary per-state
@@ -39,8 +39,8 @@ from . import dual_solver, lp_core, primal_solver, stat_updater
 from .errors import ParseError, ValidationError
 from .game_model import GameSpec, SideView, read_numbers
 
-# nodes a cache's trees hold at most (the n=2, N=8 case-study duel has
-# 21,845 public prefixes a side); past it a new node is not stored
+# states and steps a cache holds at most, each (a 1,000-episode n=2, N=8
+# case-study duel makes about 1,080 and 1,770); past it one is not stored
 MAX_TREE_NODES = 50_000
 # entries a cache's store holds at most (the largest store of
 # `reproduce-case-study --seed 0 --full-grid` holds 1,456); past it a
@@ -86,24 +86,26 @@ def _frozen(arr):
 
 
 class _Node:
-    """A `WindowAgent`'s state after some public pairs, shared by episodes,
-    so its arrays are read-only. `stage`, the window strategy here a row
-    per own state (rows `rank::P**depth`, `rank` the window's pairs in base
-    P), makes acting one index. The first child sets `inputs`, the bytes of
-    belief and stage keying posteriors, and `read_out`, `_update`'s."""
+    """A `WindowAgent`'s agent state, shared by episodes and prefixes, so its
+    arrays are read-only. `stage`, the window strategy here a row per own
+    state (rows `rank::P**depth`, `rank` the window's pairs in base P), makes
+    acting one index; `strategy_key` is the strategy's bytes (None in the
+    first window: the root's). The first child sets `read_out`, `_update`'s."""
 
     __slots__ = ("t", "window_id", "window_len", "strategy", "belief",
-                 "vector_payoff", "window_acts", "rank", "stage", "inputs",
-                 "read_out")
+                 "vector_payoff", "window_acts", "rank", "stage",
+                 "strategy_key", "read_out")
 
     def __init__(self, t, window_id, window_len, strategy, belief,
-                 vector_payoff, window_acts=(), rank=0):
+                 vector_payoff, window_acts=(), rank=0, strategy_key=None):
         self.t, self.window_id, self.window_len = t, window_id, window_len
         self.strategy, self.window_acts, self.rank = strategy, window_acts, rank
         self.belief, self.vector_payoff = belief, vector_payoff
         depth = len(window_acts)
         self.stage = strategy.probs[depth][rank::strategy.index.num_pairs ** depth]
-        self.inputs = self.read_out = None
+        self.strategy_key = strategy_key if depth or window_id == 1 else b"".join(
+            probs.tobytes() for probs in strategy.probs)
+        self.read_out = None
 
 
 class SolverCache:
@@ -119,8 +121,8 @@ class SolverCache:
     solved at its key. A side-1 primal also stores the side-2 primal it ran
     (`PrimalResult.pair`), and a degenerate pair's update LP all pairs'
     vectors. Dual templates are compiled once per (kind, n, lambda). The
-    window agents' trees live here too (module docstring), so agents
-    sharing a cache play its spec.
+    window agents' states and steps live here too (module docstring), so
+    agents sharing a cache play its spec.
     """
 
     def __init__(self, spec: GameSpec):
@@ -128,8 +130,8 @@ class SolverCache:
         self._store = {}
         self._templates = {}
         self._exact = {}    # (name, n, lam, exact statistic) -> `_rounded`'s
-        self._beliefs = {}  # (side, a, b, node inputs) -> posterior
-        self._tree = {}     # (node, a, b) -> child; (side, *config) -> root
+        self._states = {}   # `WindowAgent._next`'s agent state -> node
+        self._tree = {}     # (node, a, b) -> child; (side, window_n) -> root
 
     @staticmethod
     def _memo(store, key, compute, limit=float("inf")):
@@ -157,11 +159,12 @@ class SolverCache:
 
     def primal(self, p, q, n, lam, side):
         stat = np.concatenate((p, q), dtype=float).tobytes()
-        key = ("primal", side, n, lam, stat)
+        key, pair = ("primal", side, n, lam, stat), ("primal", 2, n, lam, stat)
         result = self._remember(key, lambda: primal_solver.solve_primal(
-            self.spec, p, q, n, lam, side))
+            self.spec, p, q, n, lam, side,
+            pair=self._store.get(pair) if side == 1 else None))
         if result.pair is not None:
-            self._remember(("primal", 2, *key[2:]), lambda: result.pair)
+            self._remember(pair, lambda: result.pair)
         return result
 
     def _dual(self, kind, x1, x2, n, lam):
@@ -234,8 +237,8 @@ class WindowAgent:
     a later window's dual LP reads the vector payoff, and `act()` reads
     only the strategy.
     `own_state` is the agent's current state; the rest of its state is
-    read from the current node of the cache's tree, and `act()` is that
-    node's stage row for `own_state`.
+    read from its current node in the cache, and `act()` is that node's
+    stage row for `own_state`.
     """
 
     def __init__(self, spec: GameSpec, config: WindowConfig, side: int,
@@ -247,19 +250,15 @@ class WindowAgent:
         if cache is not None and cache.spec is not spec:
             raise ValidationError("the solver cache is for another game spec")
         self._view = spec.side(side)
-        self.spec = spec
-        self.config = config
-        self.side = side
+        self.spec, self.config, self.side = spec, config, side
         self.cache = cache if cache is not None else SolverCache(spec)
 
     # -- episode lifecycle -------------------------------------------------
 
     def begin_episode(self, own_state: int) -> None:
         _check_input(self._view, own_state)
-        config = self.config
         self._node = self.cache._memo(self.cache._tree, (
-            self.side, config.window_n, config.total_horizon), self._root,
-            MAX_TREE_NODES)
+            self.side, self.config.window_n), self._root, MAX_TREE_NODES)
         self.own_state = own_state
 
     def _root(self) -> _Node:
@@ -290,41 +289,39 @@ class WindowAgent:
         self.own_state = own_next_state
 
     def _next(self, node: _Node, a: int, b: int) -> _Node:
-        """The node after `node` and the pair (a, b)."""
-        spec, view, config = self.spec, self._view, self.config
-        # the posterior, memoized by `node.inputs`: many prefixes meet them
-        if node.inputs is None:
-            node.inputs = node.belief.tobytes() + node.stage.tobytes()
+        """The node of the agent state after `node` and the pair (a, b): the
+        stored one if another prefix reached that state first."""
+        spec, view, config, cache = self.spec, self._view, self.config, self.cache
         update = (stat_updater.update_belief_p if self.side == 1
                   else stat_updater.update_belief_q)
-        belief = self.cache._memo(
-            self.cache._beliefs, (self.side, a, b, node.inputs), lambda: _frozen(update(
-                spec, node.belief, np.ascontiguousarray(node.stage.T), a, b)),
-            MAX_TREE_NODES)
+        belief = _frozen(update(spec, node.belief,
+                                np.ascontiguousarray(node.stage.T), a, b))
         window_acts = node.window_acts + ((a, b),)
 
         # the opponent's dual game at the pre-stage statistic advances the
         # vector payoff, read only by later windows
         vector_payoff = node.vector_payoff
-        if (node.t - len(window_acts) + node.window_len
-                < config.total_horizon):
-            vector_payoff = self.cache._update(
+        if node.t - len(window_acts) + node.window_len < config.total_horizon:
+            vector_payoff = cache._update(
                 3 - self.side, node.vector_payoff, node.belief,
                 config.window_n, spec.lam, a, b, node)
 
-        t = node.t + 1
+        t, strategy_key = node.t + 1, node.strategy_key
         if len(window_acts) < node.window_len:
-            return _Node(t, node.window_id, node.window_len, node.strategy,
-                         belief, vector_payoff, window_acts,
-                         node.rank * spec.num_a * spec.num_b + a * spec.num_b + b)
-        # the next window plays the opponent's dual game, whose plan owner
-        # is this side
-        window_len = min(config.window_n, config.total_horizon - t + 1)
-        dual = self.cache.dual2 if self.side == 1 else self.cache.dual1
-        strategy = dual(*view.pair(belief, vector_payoff), window_len,
-                        spec.lam).strategy
-        return _Node(t, node.window_id + 1, window_len, strategy, belief,
-                     vector_payoff)
+            rank = node.rank * spec.num_a * spec.num_b + a * spec.num_b + b
+            make = lambda: _Node(t, node.window_id, node.window_len, node.strategy,
+                                 belief, vector_payoff, window_acts, rank, strategy_key)
+        else:
+            # a new window plays this side's plan of the opponent's dual game
+            window_acts, strategy_key = (), None    # the statistic fixes it
+            window_len = min(config.window_n, config.total_horizon - t + 1)
+            dual = cache.dual2 if self.side == 1 else cache.dual1
+            make = lambda: _Node(t, node.window_id + 1, window_len, dual(
+                *view.pair(belief, vector_payoff), window_len, spec.lam).strategy,
+                belief, vector_payoff)
+        return cache._memo(cache._states, (
+            self.side, config.window_n, t, window_acts, strategy_key,
+            belief.tobytes(), vector_payoff.tobytes()), make, MAX_TREE_NODES)
 
 
 for _name in ("t", "window_id", "window_len", "strategy", "belief",

@@ -417,7 +417,9 @@ def test_reproduce_case_study_grid(tmp_path):
 
 def test_reproduce_case_study_solves_full_primal_once(tmp_path, monkeypatch):
     """The printed value and both matchups share the n=4 side-1 primal, and
-    the optimal player 2 the n=4 side-2 primal that side 1's solve ran."""
+    the optimal player 2 the n=4 side-2 primal that side 1's solve ran. The
+    window player 1's n=2 primal starts from the n=2 side-2 primal that the
+    window player 2 of the first matchup stored, and solves it no more."""
     calls = []
     real = primal_solver.solve_primal
 
@@ -431,6 +433,7 @@ def test_reproduce_case_study_solves_full_primal_once(tmp_path, monkeypatch):
     assert result.exit_code == 0, result.output
     assert calls.count((4, 1)) == 1
     assert calls.count((4, 2)) == 1
+    assert calls.count((2, 2)) == 1
 
 
 @pytest.mark.parametrize("flag,value", [("--horizon", "0"), ("--lambda", "7")])

@@ -484,22 +484,25 @@ def _recorded_play(spec, config, seeds, cache=None):
 
 @pytest.mark.parametrize("game, lam, total, window_n, runs, update_lps", [
     pytest.param("case", 0.6, 8, 2, 24, 0, id="0.6-8-2-fixed_n-24"),
-    pytest.param(28, 0.9, 5, 2, 20, 4, id="random28-0.9-5-2-fixed_n-20"),
+    pytest.param((28, 1, 2), 0.9, 5, 2, 20, 4, id="random28-0.9-5-2-fixed_n-20"),
+    pytest.param((2, 3, 2), 0.9, 6, 2, 20, 2, id="random2-3x2-0.9-6-2-fixed_n-20"),
 ])
 def test_tree_plays_as_the_per_stage_update(case_study, monkeypatch, game,
                                             lam, total, window_n, runs,
                                             update_lps):
-    """Episodes on one shared cache, which walk its tree of public prefixes,
-    in order and reversed, play byte for byte as the per-stage update does
-    on one shared cache (the tree capped at 0 nodes), and as episodes on a
-    fresh cache each: memo entries are solved at their rounded statistic,
-    so no stage depends on which episodes ran before. The game is the case
-    study or, by its seed, a `random_spec` with one player-1 state whose
-    play meets degenerate pairs and so solves update LPs."""
+    """Episodes on one shared cache, whose prefixes merge into its agent
+    states, in order and reversed, play byte for byte as the per-stage
+    update does on one shared cache (states and steps capped at 0), and as
+    episodes on a fresh cache each: memo entries are solved at their
+    rounded statistic, so no stage depends on which episodes ran before,
+    nor on which prefix reached a state first. The game is the case study
+    or, by its (seed, num_k, num_l), a `random_spec` whose play meets
+    degenerate pairs and so solves update LPs: one with one player-1 state,
+    and one with three player-1 and two player-2 states."""
     spec = (dataclasses.replace(case_study, lam=lam, horizon_n=total)
             if game == "case" else
-            random_spec(np.random.default_rng(game), num_k=1, num_l=2,
-                        horizon=total, lam=lam))
+            random_spec(np.random.default_rng(game[0]), num_k=game[1],
+                        num_l=game[2], horizon=total, lam=lam))
     config = WindowConfig(window_n, total)
     seeds = list(range(runs))
     plays = []
@@ -507,6 +510,9 @@ def test_tree_plays_as_the_per_stage_update(case_study, monkeypatch, game,
         cache = SolverCache(spec)
         walked = _recorded_play(spec, config, order, cache)
         assert len(cache._tree) < 2 * runs * (total - 1)
+        # more steps than states: some states are reached by two prefixes
+        assert len(cache._states) < sum(
+            isinstance(key[0], window_agent._Node) for key in cache._tree)
         assert sum(key[-1] == "lp" for key in cache._store) == update_lps
         with monkeypatch.context() as patch:
             patch.setattr(window_agent, "MAX_TREE_NODES", 0)
@@ -548,8 +554,30 @@ def test_failed_miss_leaves_no_child(rng, monkeypatch):
     assert tree[node, 1, 0] is agent._node and agent.window_id == 2
 
 
+def test_prefixes_reaching_one_state_share_its_node(case_study):
+    """In the case-study duel (lambda=0.6, N=8, n=2), player 2 after the
+    pairs (0, 0), (0, 0) and after (1, 0), (0, 0) holds the same statistic:
+    the two prefixes are at different nodes at t=2 but reach one agent
+    state, and so one node, at t=3, and from there share its steps."""
+    spec = dataclasses.replace(case_study, lam=0.6, horizon_n=8)
+    config = WindowConfig(window_n=2, total_horizon=8)
+    cache = SolverCache(spec)
+    a, b = (WindowAgent(spec, config, 2, cache=cache) for _ in range(2))
+    for agent, first in ((a, (0, 0)), (b, (1, 0))):
+        agent.begin_episode(0)
+        agent.observe(*first, 0)
+    assert a._node is not b._node
+    for agent in (a, b):
+        agent.observe(0, 0, 1)
+    assert a._node is b._node and (a.t, a.window_id) == (3, 2)
+    steps = len(cache._tree)
+    a.observe(1, 1, 0)
+    b.observe(1, 1, 1)
+    assert a._node is b._node and len(cache._tree) == steps + 1
+
+
 def test_capped_tree_plays_the_same(case_study, monkeypatch):
-    """Past MAX_TREE_NODES a new prefix is computed and not stored."""
+    """Past MAX_TREE_NODES a new step or state is computed and not stored."""
     spec = dataclasses.replace(case_study, lam=0.6, horizon_n=8)
     config = WindowConfig(window_n=2, total_horizon=8)
 
@@ -560,11 +588,11 @@ def test_capped_tree_plays_the_same(case_study, monkeypatch):
             lambda: WindowAgent(spec, config, 2, cache=cache), 200, 0)
         buf = io.StringIO()
         write_results_csv(result, buf)
-        return buf.getvalue(), len(cache._tree)
+        return buf.getvalue(), len(cache._tree), len(cache._states)
 
-    uncapped, nodes = csv()
+    uncapped, steps, states = csv()
     monkeypatch.setattr(window_agent, "MAX_TREE_NODES", 5)
-    assert csv() == (uncapped, 5) and nodes > 5
+    assert csv() == (uncapped, 5, 5) and steps > 5 and states > 5
 
 
 def test_bounded_store_plays_the_same(case_study, monkeypatch):
